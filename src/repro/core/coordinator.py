@@ -201,7 +201,6 @@ class HierarchicalCoordinator:
         """Restore all component state (scenario restart)."""
         self.mfc.reset()
         self.rate_adapter.reset()
-        self.policy.invalidate_cache()
         self.tracking_error = 0.0
         self.last_result = None
         self.gamma_history.clear()

@@ -25,7 +25,6 @@ __all__ = [
     "fusion_detections",
     "fusion_kernel",
     "coordination_overhead",
-    "gamma_resolve",
     "fleet_multi_seed_smoke",
     "lint_project",
 ]
@@ -213,56 +212,6 @@ def coordination_overhead(iterations: int = 200, queue_depth: int = 24) -> Dict[
 
 
 # ----------------------------------------------------------------------
-# γ_max search: scalar oracle vs vectorized grid (the §VII-E hot path)
-# ----------------------------------------------------------------------
-def gamma_resolve(queue_depth: int = 24, iterations: int = 50) -> Dict[str, float]:
-    """Scalar vs vectorized γ_max resolution on an overloaded ready queue.
-
-    Replays the §VII-E overhead workload (same queue builder, same call as
-    ``experiments.overhead``): the queue is overloaded at the sampled
-    instant, so every search walks the full 64-point grid — the worst case
-    the vectorized path was built for.  Self-timed like ``lint_project``
-    (this kernel *is* the comparison); results are cross-checked every
-    iteration, so the bench doubles as an oracle-agreement canary.  The
-    ``speedup`` metric is the ROADMAP's acceptance bar (>= 5x, target 10x).
-    """
-    from timeit import default_timer
-
-    from ...core.dynamic_priority import DynamicPriorityConfig, DynamicPriorityPolicy
-    from ...experiments.overhead import _make_queue
-
-    jobs = _make_queue(queue_depth, seed=0)
-    now, busy, n_procs = 0.06, 0.02, 2
-
-    def estimate(job) -> float:  # type: ignore[no-untyped-def]
-        return job.exec_time
-
-    timings: Dict[str, float] = {}
-    results = {}
-    for mode in ("scalar", "vectorized", "breakpoint"):
-        policy = DynamicPriorityPolicy(DynamicPriorityConfig(mode=mode))
-        results[mode] = policy.resolve(0.06, jobs, now, estimate, busy, n_procs)
-        t0 = default_timer()
-        for _ in range(iterations):
-            res = policy.resolve(0.06, jobs, now, estimate, busy, n_procs)
-            if res != results[mode]:
-                raise RuntimeError(f"{mode} γ search is not deterministic")
-        timings[mode] = (default_timer() - t0) / iterations * 1000
-    if not (results["scalar"] == results["vectorized"] == results["breakpoint"]):
-        raise RuntimeError(f"γ search modes disagree: {results}")
-    return {
-        "queue_depth": float(queue_depth),
-        "iterations": float(iterations),
-        "scalar_ms": timings["scalar"],
-        "vectorized_ms": timings["vectorized"],
-        "breakpoint_ms": timings["breakpoint"],
-        "speedup": timings["scalar"] / timings["vectorized"]
-        if timings["vectorized"] > 0
-        else 0.0,
-    }
-
-
-# ----------------------------------------------------------------------
 # Fleet: one small multi-seed campaign end-to-end
 # ----------------------------------------------------------------------
 def fleet_multi_seed_smoke(
@@ -420,13 +369,6 @@ register_bench(BenchSpec(
     name="coordination_step",
     fn=lambda: coordination_overhead(iterations=200),
     description="Full hierarchical-coordination step, 24-job queue (x200)",
-    rounds=3,
-    suites=("smoke", "full"),
-))
-register_bench(BenchSpec(
-    name="gamma_resolve",
-    fn=lambda: gamma_resolve(queue_depth=24, iterations=50),
-    description="γ_max search, 24-job overloaded queue: scalar vs vectorized (x50)",
     rounds=3,
     suites=("smoke", "full"),
 ))

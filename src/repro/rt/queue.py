@@ -50,31 +50,21 @@ class ReadyQueue:
         """Snapshot of queued jobs in release order."""
         return list(self._jobs)
 
-    def eligible(self, processor: int) -> List[Job]:
-        """Jobs allowed to run on ``processor`` (honours static bindings)."""
-        return [
-            j
-            for j in self._jobs
-            if j.task.processor_binding is None or j.task.processor_binding == processor
-        ]
-
     def pop_best(
         self,
         key: Callable[[Job], float],
-        processor: Optional[int] = None,
         predicate: Optional[Callable[[Job], bool]] = None,
     ) -> Optional[Job]:
         """Remove and return the job minimizing ``key``.
 
         ``predicate`` restricts the choice to jobs it admits — the executor
         passes the active scheduler's per-processor eligibility check
-        (static binding + typed-unit affinity) here.  ``processor`` is the
-        older binding-only filter, kept for callers without a scheduler in
-        hand; both filters preserve release order, so ties under ``key``
-        still break toward the earlier release (stable ``min``).  Returns
-        ``None`` when no eligible job exists.
+        (static binding + typed-unit affinity) here.  The filter preserves
+        release order, so ties under ``key`` still break toward the earlier
+        release (stable ``min``).  Returns ``None`` when no eligible job
+        exists.
         """
-        candidates = self._jobs if processor is None else self.eligible(processor)
+        candidates = self._jobs
         if predicate is not None:
             candidates = [j for j in candidates if predicate(j)]
         if not candidates:
@@ -94,10 +84,6 @@ class ReadyQueue:
         for job in expired:
             self._jobs.remove(job)
         return expired
-
-    def total_exec_time(self) -> float:
-        """Sum of the sampled execution times of all queued jobs."""
-        return sum(j.exec_time for j in self._jobs)
 
     def clear(self) -> List[Job]:
         """Empty the queue, returning the removed jobs."""

@@ -138,6 +138,21 @@ class TestGammaMax:
         p_light = policy.dynamic_priority(light, gmax, 0.0, 0.05)
         assert p_heavy < p_light
 
+    def test_one_estimate_per_job(self):
+        # The contended queue walks many grid points, yet each job's
+        # execution time is estimated once per search.
+        calls = []
+
+        def estimate(j):
+            calls.append(j)
+            return j.exec_time
+
+        policy = DynamicPriorityPolicy(DynamicPriorityConfig(gamma_cap=1.0, resolution=101))
+        heavy = job("heavy", priority=9, exec_time=0.05, deadline=0.06)
+        light = job("light", priority=1, exec_time=0.05, deadline=1.0)
+        assert policy.gamma_max([heavy, light], 0.0, estimate, 0.0, 1) < 1.0
+        assert calls == [heavy, light]
+
 
 class TestClamp:
     def test_eq12_cases(self):
@@ -171,67 +186,72 @@ class TestResolve:
         assert result.overloaded and result.gamma == 0.0 and not result.feasible
 
 
-def _modes(**overrides):
-    """One policy per γ search mode, identically configured."""
-    return {
-        mode: DynamicPriorityPolicy(DynamicPriorityConfig(mode=mode, **overrides))
-        for mode in ("scalar", "vectorized", "breakpoint")
-    }
+def _grid_scan(policy, jobs, now, busy, n_p):
+    """Brute force: the largest grid γ that ``is_feasible`` accepts."""
+    cfg = policy.config
+    if not jobs:
+        return cfg.gamma_cap
+    step = cfg.gamma_cap / (cfg.resolution - 1)
+    accepted = [
+        i * step
+        for i in range(cfg.resolution)
+        if policy.is_feasible(i * step, jobs, now, EST, busy, n_p)
+    ]
+    return accepted[-1] if accepted else None
 
 
-def _assert_modes_agree(jobs, now, busy, n_p, **overrides):
-    results = {
-        mode: policy.resolve(0.01, jobs, now, EST, busy, n_p)
-        for mode, policy in _modes(**overrides).items()
-    }
-    scalar = results["scalar"]
-    for mode in ("vectorized", "breakpoint"):
-        # Bitwise equality, not approx: the batched paths replay the scalar
-        # oracle's float operations exactly.
-        assert results[mode] == scalar, (mode, results[mode], scalar)
-    return scalar
+def _assert_matches_scan(jobs, now, busy, n_p, **overrides):
+    policy = DynamicPriorityPolicy(DynamicPriorityConfig(**overrides))
+    result = policy.resolve(0.01, jobs, now, EST, busy, n_p)
+    # Bitwise equality, not approx: both test the same grid points.
+    assert result.gamma_max == _grid_scan(policy, jobs, now, busy, n_p)
+    return result
 
 
 class TestSearchModeAgreement:
-    """Scalar oracle vs vectorized grid vs breakpoint walk (tentpole)."""
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            DynamicPriorityConfig(mode="magic")
-        with pytest.raises(ValueError):
-            DynamicPriorityConfig(cache_tolerance=-0.1)
+    """The γ_max search against a brute-force scan of the whole grid."""
 
     def test_empty_queue(self):
-        result = _assert_modes_agree([], 0.0, 0.0, 2)
+        result = _assert_matches_scan([], 0.0, 0.0, 2)
         assert result.gamma_max == DynamicPriorityConfig().gamma_cap
 
     def test_exact_equal_priority_ties(self):
         # Identical triplets: P_i ties exactly at every γ, exercising the
-        # equal-P grouping (strict inequality in Eq. 11) in all modes.
+        # equal-P grouping (strict inequality in Eq. 11).
         jobs = [job(f"t{i}", priority=2, exec_time=0.04, deadline=0.1) for i in range(3)]
         jobs += [job(f"u{i}", priority=5, exec_time=0.01, deadline=0.3) for i in range(2)]
-        _assert_modes_agree(jobs, 0.0, 0.0, 1)
+        _assert_matches_scan(jobs, 0.0, 0.0, 1)
 
     def test_overloaded_queue(self):
         jobs = [job(f"t{i}", priority=i % 3, exec_time=0.2, deadline=0.1) for i in range(4)]
-        result = _assert_modes_agree(jobs, 0.0, 0.0, 1)
+        result = _assert_matches_scan(jobs, 0.0, 0.0, 1)
         assert result.overloaded
 
     def test_grid_point_on_breakpoint(self):
-        # Two jobs whose P_i crossing lands near a coarse grid point; the
-        # breakpoint walk must evaluate the exact-hit point on its own.
+        # Two jobs whose P_i crossing lands near a coarse grid point.
         a = job("a", priority=3, exec_time=0.01, deadline=0.1)
         b = job("b", priority=1, exec_time=0.01, deadline=0.12)
-        _assert_modes_agree([a, b], 0.0, 0.0, 1, gamma_cap=0.02, resolution=5)
+        _assert_matches_scan([a, b], 0.0, 0.0, 1, gamma_cap=0.02, resolution=5)
 
-    def test_gamma_breakpoints_enumerates_crossings(self):
-        policy = DynamicPriorityPolicy(DynamicPriorityConfig(gamma_cap=1.0))
-        a = job("a", priority=3, exec_time=0.01, deadline=0.1)
-        b = job("b", priority=1, exec_time=0.01, deadline=0.12)
-        points = policy.gamma_breakpoints([a, b], 0.0, EST)
-        assert len(points) == 1
-        # γ* = (slack_b − slack_a)/(p_a − p_b) = 0.02/2
-        assert points[0] == pytest.approx(0.01)
+    def test_backlog_makes_every_gamma_infeasible(self):
+        # Each job fits alone, so the early exit does not fire; the grid
+        # walk must reject every point because one always runs behind the other.
+        a = job("a", priority=1, exec_time=0.06, deadline=0.1)
+        b = job("b", priority=1, exec_time=0.06, deadline=0.11)
+        for alone in (a, b):
+            assert POLICY.is_feasible(0.0, [alone], 0.0, EST, 0.0, 1)
+        result = _assert_matches_scan([a, b], 0.0, 0.0, 1)
+        assert result.overloaded
+
+    def test_single_job_missing_alone(self):
+        # In-flight work alone brings 'tight' to its deadline exactly, and
+        # Eq. (11) is strict: the early exit returns None.
+        relaxed = [job(f"r{i}", priority=i, exec_time=0.001, deadline=1.0) for i in range(3)]
+        tight = job("tight", priority=2, exec_time=0.05, deadline=0.1)
+        result = _assert_matches_scan(relaxed + [tight], 0.0, 0.1, 2)
+        assert result.overloaded
+        # A little less in-flight work and the same queue fits.
+        assert not _assert_matches_scan(relaxed + [tight], 0.0, 0.09, 2).overloaded
 
     @given(
         specs=st.lists(
@@ -254,78 +274,4 @@ class TestSearchModeAgreement:
             job(f"t{i}", priority=p, exec_time=c, deadline=d, release=r)
             for i, (p, c, d, r) in enumerate(specs)
         ]
-        _assert_modes_agree(jobs, now, busy, n_p)
-
-
-class TestOrderingCache:
-    """Cross-step sort-permutation reuse (vectorized mode)."""
-
-    def make_jobs(self, n=6):
-        return [
-            job(f"t{i}", priority=i % 3 + 1, exec_time=0.01 + 0.002 * i, deadline=0.5)
-            for i in range(n)
-        ]
-
-    def test_repeat_resolution_hits_cache(self):
-        policy = DynamicPriorityPolicy()
-        jobs = self.make_jobs()
-        first = policy.resolve(0.01, jobs, 0.0, EST, 0.0, 2)
-        second = policy.resolve(0.01, jobs, 0.001, EST, 0.0, 2)
-        assert policy.cache_misses == 1 and policy.cache_hits == 1
-        # The cached ordering can never change the result.
-        fresh = DynamicPriorityPolicy(
-            DynamicPriorityConfig(cache_tolerance=None)
-        ).resolve(0.01, jobs, 0.001, EST, 0.0, 2)
-        assert second == fresh
-        assert first.feasible
-
-    def test_membership_change_invalidates(self):
-        policy = DynamicPriorityPolicy()
-        jobs = self.make_jobs()
-        policy.resolve(0.01, jobs, 0.0, EST, 0.0, 2)
-        policy.resolve(0.01, jobs[:-1], 0.0, EST, 0.0, 2)
-        assert policy.cache_hits == 0 and policy.cache_misses == 2
-
-    def test_estimate_drift_invalidates(self):
-        policy = DynamicPriorityPolicy(DynamicPriorityConfig(cache_tolerance=0.05))
-        jobs = self.make_jobs()
-        policy.resolve(0.01, jobs, 0.0, EST, 0.0, 2)
-        drifted = lambda j: j.exec_time * 1.5  # 50% >> 5% tolerance
-        result = policy.resolve(0.01, jobs, 0.0, drifted, 0.0, 2)
-        assert policy.cache_hits == 0 and policy.cache_misses == 2
-        fresh = DynamicPriorityPolicy(
-            DynamicPriorityConfig(cache_tolerance=None)
-        ).resolve(0.01, jobs, 0.0, drifted, 0.0, 2)
-        assert result == fresh
-
-    def test_small_drift_still_hits_and_matches_fresh_sort(self):
-        policy = DynamicPriorityPolicy(DynamicPriorityConfig(cache_tolerance=0.05))
-        jobs = self.make_jobs()
-        policy.resolve(0.01, jobs, 0.0, EST, 0.0, 2)
-        nudged = lambda j: j.exec_time * 1.01  # within tolerance
-        result = policy.resolve(0.01, jobs, 0.0, nudged, 0.0, 2)
-        assert policy.cache_hits == 1
-        fresh = DynamicPriorityPolicy(
-            DynamicPriorityConfig(cache_tolerance=None)
-        ).resolve(0.01, jobs, 0.0, nudged, 0.0, 2)
-        assert result == fresh
-
-    def test_tied_orderings_never_reuse(self):
-        # Equal-P rows fail strict-sort validation, so ties always re-sort.
-        policy = DynamicPriorityPolicy()
-        jobs = [job(f"t{i}", priority=2, exec_time=0.01, deadline=0.2) for i in range(3)]
-        policy.resolve(0.01, jobs, 0.0, EST, 0.0, 2)
-        policy.resolve(0.01, jobs, 0.0, EST, 0.0, 2)
-        assert policy.cache_hits == 0 and policy.cache_misses == 2
-
-    def test_invalidate_cache_and_none_tolerance(self):
-        policy = DynamicPriorityPolicy()
-        jobs = self.make_jobs()
-        policy.resolve(0.01, jobs, 0.0, EST, 0.0, 2)
-        policy.invalidate_cache()
-        policy.resolve(0.01, jobs, 0.0, EST, 0.0, 2)
-        assert policy.cache_hits == 0 and policy.cache_misses == 2
-        disabled = DynamicPriorityPolicy(DynamicPriorityConfig(cache_tolerance=None))
-        disabled.resolve(0.01, jobs, 0.0, EST, 0.0, 2)
-        disabled.resolve(0.01, jobs, 0.0, EST, 0.0, 2)
-        assert disabled.cache_hits == 0 and disabled.cache_misses == 2
+        _assert_matches_scan(jobs, now, busy, n_p)

@@ -1,8 +1,12 @@
 """Unit tests for the ready queue."""
 
-import pytest
+from repro.rt import ConstantExecTime, Job, ProcessorState, ReadyQueue, TaskSpec
 
-from repro.rt import ConstantExecTime, Job, ReadyQueue, TaskSpec
+
+def runs_on(index):
+    """The executor's eligibility filter for processor ``index``."""
+    proc = ProcessorState(index=index)
+    return lambda j: proc.can_run(j.task)
 
 
 def job(name="t", priority=1, release=0.0, exec_time=0.01, deadline=0.1, binding=None):
@@ -48,12 +52,6 @@ class TestBasicOps:
         removed = q.clear()
         assert removed == [a, b] and len(q) == 0
 
-    def test_total_exec_time(self):
-        q = ReadyQueue()
-        q.push(job("a", exec_time=0.01))
-        q.push(job("b", exec_time=0.02))
-        assert q.total_exec_time() == pytest.approx(0.03)
-
 
 class TestPopBest:
     def test_pop_best_minimizes_key(self):
@@ -84,16 +82,16 @@ class TestPopBest:
         q.push(bound)
         q.push(free)
         # Processor 1 cannot run the bound job even though it ranks better.
-        picked = q.pop_best(key=lambda j: j.task.priority, processor=1)
+        picked = q.pop_best(key=lambda j: j.task.priority, predicate=runs_on(1))
         assert picked is free
         # Processor 0 may run it.
-        picked0 = q.pop_best(key=lambda j: j.task.priority, processor=0)
+        picked0 = q.pop_best(key=lambda j: j.task.priority, predicate=runs_on(0))
         assert picked0 is bound
 
     def test_pop_best_no_eligible_returns_none(self):
         q = ReadyQueue()
         q.push(job("bound", binding=0))
-        assert q.pop_best(key=lambda j: 0.0, processor=3) is None
+        assert q.pop_best(key=lambda j: 0.0, predicate=runs_on(3)) is None
 
 
 class TestEligible:
@@ -103,8 +101,8 @@ class TestEligible:
         b = job("b", binding=2)
         q.push(a)
         q.push(b)
-        assert q.eligible(2) == [a, b]
-        assert q.eligible(0) == [a]
+        assert [j for j in q if runs_on(2)(j)] == [a, b]
+        assert [j for j in q if runs_on(0)(j)] == [a]
 
 
 class TestDropExpired:
