@@ -1,8 +1,8 @@
-"""End-to-end chain analysis from execution traces.
+"""End-to-end chain analysis from execution recordings.
 
 Reconstructs, for each source→sink path of the task graph, the per-stage
-queue waits and execution times recorded in a
-:class:`~repro.rt.trace.TraceRecorder`, and attributes the end-to-end
+queue waits and execution times from the execution spans of a
+:class:`~repro.obs.recorder.Recorder`, and attributes the end-to-end
 latency budget across stages — the tool for answering "*where* does the
 pipeline lose its freshness under scheduler X?".
 """
@@ -10,10 +10,11 @@ pipeline lose its freshness under scheduler X?".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
+from ..obs.events import SpanEvent
+from ..obs.recorder import Recorder
 from ..rt.taskgraph import TaskGraph
-from ..rt.trace import TraceRecorder
 from .report import format_table
 from .stats import mean
 
@@ -67,28 +68,28 @@ class ChainBudget:
         return max(self.stages, key=lambda s: s.mean_total)
 
 
-def _stage_from_entries(task: str, entries) -> StageBudget:
-    if not entries:
+def _stage_from_spans(task: str, spans: List[SpanEvent]) -> StageBudget:
+    if not spans:
         return StageBudget(task=task, executions=0, mean_wait=0.0,
                            mean_exec=0.0, miss_ratio=0.0)
-    waits = [e.waited for e in entries]
-    execs = [e.duration for e in entries]
-    misses = sum(1 for e in entries if not e.completed)
+    waits = [s.start - s.release for s in spans]
+    execs = [s.finish - s.start for s in spans]
+    misses = sum(1 for s in spans if s.outcome != "complete")
     return StageBudget(
         task=task,
-        executions=len(entries),
+        executions=len(spans),
         mean_wait=mean(waits),
         mean_exec=mean(execs),
-        miss_ratio=misses / len(entries),
+        miss_ratio=misses / len(spans),
     )
 
 
 def chain_budget(
     graph: TaskGraph,
-    recorder: TraceRecorder,
+    rec: Recorder,
     path: Optional[Sequence[str]] = None,
 ) -> ChainBudget:
-    """Latency budget for one source→sink path.
+    """Latency budget for one source→sink path of a recorded run.
 
     ``path`` defaults to the longest path (most stages) through the graph —
     typically the perception→control chain.
@@ -101,8 +102,10 @@ def chain_budget(
     else:
         for name in path:
             graph.task(name)  # raises for unknown names
-    by_task = recorder.by_task()
-    stages = [_stage_from_entries(name, by_task.get(name, [])) for name in path]
+    by_task: Dict[str, List[SpanEvent]] = {}
+    for span in rec.spans():
+        by_task.setdefault(span.task, []).append(span)
+    stages = [_stage_from_spans(name, by_task.get(name, [])) for name in path]
     return ChainBudget(path=list(path), stages=stages)
 
 

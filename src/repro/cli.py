@@ -176,7 +176,7 @@ def _run_scenario_command(argv: List[str]) -> int:
     if summary.get("departed"):
         print("lane exit  : YES")
     if args.gantt and recorder is not None:
-        from .rt.trace import render_gantt
+        from .obs.export import render_gantt
 
         t_hi = min(1.0, summary["horizon"])
         print()
@@ -185,7 +185,7 @@ def _run_scenario_command(argv: List[str]) -> int:
         from .analysis.chains import chain_budget, render_chain_budget
 
         print()
-        print(render_chain_budget(chain_budget(graph, recorder.interval_view())))
+        print(render_chain_budget(chain_budget(graph, recorder)))
     return 0
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "newest_only_activation",
     "make_hungarian_cost",
     "hungarian_kernel",
-    "hungarian_batch_kernel",
     "fusion_detections",
     "fusion_kernel",
     "coordination_overhead",
@@ -120,41 +119,6 @@ def hungarian_kernel(n: int = 40, repeats: int = 5) -> Dict[str, float]:
     for _ in range(repeats):
         assignment = hungarian(cost)
     return {"n": float(n), "repeats": float(repeats), "assigned": float(len(assignment))}
-
-
-def hungarian_batch_kernel(
-    n: int = 24, batch: int = 64, repeats: int = 2
-) -> Dict[str, float]:
-    """Per-matrix vs batched assignment over ``batch`` obstacle sets.
-
-    The fleet-scale fusion shape: many vehicles' cost matrices solved per
-    tick.  Self-timed (the kernel *is* the comparison): one scalar loop vs
-    one :func:`~repro.perception.hungarian.hungarian_batch` call over the
-    stacked tensor, with the pair lists cross-checked for exact equality
-    (the batched solver is bitwise-equivalent to the scalar one).
-    """
-    from timeit import default_timer
-
-    from ...perception import hungarian, hungarian_batch
-
-    costs = [make_hungarian_cost(n, seed=s) for s in range(batch)]
-    scalar_s = batch_s = float("inf")
-    for _ in range(repeats):
-        t0 = default_timer()
-        want = [hungarian(cost) for cost in costs]
-        scalar_s = min(scalar_s, default_timer() - t0)
-        t0 = default_timer()
-        got = hungarian_batch(costs)
-        batch_s = min(batch_s, default_timer() - t0)
-        if got != want:
-            raise RuntimeError("hungarian_batch disagrees with per-matrix hungarian")
-    return {
-        "n": float(n),
-        "batch": float(batch),
-        "scalar_ms": scalar_s * 1000,
-        "batch_ms": batch_s * 1000,
-        "speedup": scalar_s / batch_s if batch_s > 0 else 0.0,
-    }
 
 
 def fusion_detections(n: int, seed: int = 0):
@@ -369,13 +333,6 @@ register_bench(BenchSpec(
     name="coordination_step",
     fn=lambda: coordination_overhead(iterations=200),
     description="Full hierarchical-coordination step, 24-job queue (x200)",
-    rounds=3,
-    suites=("smoke", "full"),
-))
-register_bench(BenchSpec(
-    name="hungarian_batch",
-    fn=lambda: hungarian_batch_kernel(n=24, batch=64),
-    description="Batched Hungarian, 64 stacked 24x24 cost matrices vs scalar loop",
     rounds=3,
     suites=("smoke", "full"),
 ))

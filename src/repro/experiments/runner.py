@@ -147,7 +147,6 @@ def run_scenario(
     scheduler: Union[str, Scheduler],
     seed: int = 0,
     stop_on_collision: bool = False,
-    tracer=None,
     recorder=None,
     before_run: Optional[Callable[[RTExecutor], None]] = None,
 ) -> RunResult:
@@ -155,8 +154,6 @@ def run_scenario(
 
     ``stop_on_collision`` ends the simulation at the collision instant (the
     motivation experiment does; the evaluation experiments run to horizon).
-    ``tracer`` (a :class:`~repro.rt.trace.TraceRecorder`) captures every
-    dispatch interval for Gantt rendering / invariant checking.
     ``recorder`` (a :class:`~repro.obs.recorder.Recorder`) captures the full
     structured event stream of the run (spans, γ resolutions, windows, …)
     for export and trace-invariant checking; ``None`` keeps the
@@ -185,9 +182,6 @@ def run_scenario(
             plant.compute_command(job.sense_time, now)
         ),
     )
-
-    if tracer is not None:
-        executor.tracer = tracer
 
     is_hcperf = isinstance(sched, HCPerfScheduler)
 

@@ -39,6 +39,7 @@ from .events import (
 )
 from .export import (
     load_recording,
+    render_gantt,
     save_recording,
     summary_text,
     to_chrome_trace,
@@ -93,6 +94,7 @@ __all__ = [
     "to_chrome_trace",
     "to_jsonl",
     "summary_text",
+    "render_gantt",
     "validate_chrome_trace",
     "save_recording",
     "load_recording",

@@ -11,6 +11,8 @@
   separators so the output is byte-stable for identical recordings (the
   golden-trace regression test pins this).
 * :func:`summary_text` renders a human-readable digest.
+* :func:`render_gantt` draws the execution spans as an ASCII Gantt chart,
+  one row per processor.
 * :func:`save_recording` / :func:`load_recording` write/read the canonical
   single-object JSON form (also accepting JSONL on load).
 """
@@ -21,7 +23,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
-from .events import event_from_dict
+from .events import SpanEvent, event_from_dict
 from .recorder import SCHEMA, Recorder
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "to_jsonl",
     "from_jsonl",
     "summary_text",
+    "render_gantt",
     "save_recording",
     "load_recording",
 ]
@@ -244,6 +247,49 @@ def summary_text(rec: Recorder) -> str:
     lines.append(f"by kind    : {by_kind}")
     lines.append("")
     lines.append(registry.render_text())
+    return "\n".join(lines)
+
+
+def render_gantt(rec: Recorder, t_start: float, t_end: float, width: int = 100) -> str:
+    """ASCII Gantt chart of a recording's spans in a window, one row per processor.
+
+    Each column is ``(t_end − t_start)/width`` seconds; a cell shows the
+    symbol of the task occupying (most of) it — a distinct letter per task,
+    upper-case when the job met its deadline, lower-case when it missed,
+    ``#`` when the job was killed by a processor failure; ``.`` is idle.
+    """
+    if t_end <= t_start:
+        raise ValueError("t_end must exceed t_start")
+    if width < 10:
+        raise ValueError("width must be >= 10")
+    by_processor: Dict[int, List[SpanEvent]] = {}
+    for span in rec.spans():
+        by_processor.setdefault(span.processor, []).append(span)
+    alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
+    tasks = sorted({s.task for s in rec.spans()})
+    symbol = {t: alphabet[i % len(alphabet)] for i, t in enumerate(tasks)}
+    dt = (t_end - t_start) / width
+    lines = [
+        f"gantt [{t_start:.3f}s .. {t_end:.3f}s] "
+        f"({dt * 1000:.2f} ms/col; UPPER=met deadline, lower=missed, #=killed)"
+    ]
+    for proc, spans in sorted(by_processor.items()):
+        cells = ["."] * width
+        for s in sorted(spans, key=lambda s: s.start):
+            if s.finish <= t_start or s.start >= t_end:
+                continue
+            lo = max(0, int((s.start - t_start) / dt))
+            hi = min(width, max(lo + 1, int((s.finish - t_start) / dt)))
+            if s.outcome == "kill":
+                mark = "#"
+            elif s.outcome == "complete":
+                mark = symbol[s.task]
+            else:
+                mark = symbol[s.task].lower()
+            for i in range(lo, hi):
+                cells[i] = mark
+        lines.append(f"p{proc:<5d}|{''.join(cells)}|")
+    lines.append("tasks: " + ", ".join(f"{symbol[t]}={t}" for t in tasks))
     return "\n".join(lines)
 
 

@@ -35,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
     from ..rt.executor import RTExecutor
     from ..rt.metrics import WindowSample
     from ..rt.task import Job
-    from ..rt.trace import TraceRecorder
 
 __all__ = ["SCHEMA", "Recorder"]
 
@@ -239,32 +238,6 @@ class Recorder:
         """Per-task static metadata keyed by task name (empty if unbound)."""
         tasks = self.meta.get("tasks") or []
         return {str(entry["name"]): dict(entry) for entry in tasks}
-
-    def interval_view(self) -> "TraceRecorder":
-        """The execution-interval view: spans as a Gantt-renderable recorder.
-
-        This is the single source of truth for per-processor busy
-        intervals; :func:`repro.rt.trace.render_gantt` and the chain
-        analysis consume it instead of re-deriving intervals.
-        """
-        from ..rt.trace import TraceEntry, TraceRecorder
-
-        view = TraceRecorder()
-        for span in self.spans():
-            view.record(
-                TraceEntry(
-                    task=span.task,
-                    cycle=span.cycle,
-                    processor=span.processor,
-                    start=span.start,
-                    finish=span.finish,
-                    release=span.release,
-                    deadline=span.deadline,
-                    completed=span.outcome == "complete",
-                    killed=span.outcome == "kill",
-                )
-            )
-        return view
 
     def stats(self) -> Dict[str, int]:
         """Event counts by kind (plus drop bookkeeping), for quick summaries."""

@@ -9,7 +9,7 @@ calibrated against them (``benchmarks/bench_fusion_profile.py``).
 from .control import PIDConfig, PIDController, SpeedController
 from .detection import CameraDetector, Detection, LidarDetector, SensorDetector
 from .fusion import ConfigurableSensorFusion, FusedObstacle, FusionConfig
-from .hungarian import assignment_cost, hungarian, hungarian_batch
+from .hungarian import assignment_cost, hungarian
 from .metrics import FrameMatch, TrackingEvaluator, TrackingQuality
 from .pipeline import FrameResult, PerceptionPipeline
 from .planning import LongitudinalPlanner, PlanningConfig, SpeedPlan
@@ -30,7 +30,6 @@ __all__ = [
     "FusionConfig",
     "assignment_cost",
     "hungarian",
-    "hungarian_batch",
     "FrameMatch",
     "TrackingEvaluator",
     "TrackingQuality",

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .detection import Detection
-from .hungarian import hungarian, hungarian_batch
+from .hungarian import hungarian
 
 __all__ = ["FusedObstacle", "FusionConfig", "ConfigurableSensorFusion"]
 
@@ -86,43 +86,6 @@ class ConfigurableSensorFusion:
             pairs = hungarian(self.cost_matrix(camera, lidar))
         else:
             pairs = []
-        return self._merge(camera, lidar, pairs)
-
-    def fuse_batch(
-        self,
-        frames: Sequence[Tuple[Sequence[Detection], Sequence[Detection]]],
-    ) -> List[List[FusedObstacle]]:
-        """Fuse many ``(camera, lidar)`` frames with one batched assignment.
-
-        All non-degenerate frames share a single :func:`hungarian_batch`
-        call over their stacked cost matrices; the result per frame is
-        identical to calling :meth:`fuse` on it (the batched solver is
-        bitwise-equivalent to the scalar one).  This is the fleet-scale
-        entry point: fusing N vehicles' frames per tick amortizes the
-        per-phase numpy dispatch across the whole stack.
-        """
-        indices: List[int] = []
-        matrices: List[List[List[float]]] = []
-        for idx, (camera, lidar) in enumerate(frames):
-            if camera and lidar:
-                indices.append(idx)
-                matrices.append(self.cost_matrix(camera, lidar))
-        solved = hungarian_batch(matrices)
-        pairs_per_frame: List[List[Tuple[int, int]]] = [[] for _ in frames]
-        for idx, pairs in zip(indices, solved):
-            pairs_per_frame[idx] = pairs
-        return [
-            self._merge(camera, lidar, pairs)
-            for (camera, lidar), pairs in zip(frames, pairs_per_frame)
-        ]
-
-    def _merge(
-        self,
-        camera: Sequence[Detection],
-        lidar: Sequence[Detection],
-        pairs: Sequence[Tuple[int, int]],
-    ) -> List[FusedObstacle]:
-        """Gate and blend matched pairs; pass unmatched detections through."""
         cfg = self.config
         fused: List[FusedObstacle] = []
         matched_cam = set()

@@ -8,23 +8,14 @@ the root cause of the execution-time variance HCPerf is built to absorb.
 This is the potentials/shortest-augmenting-path formulation (as in
 Jonker–Volgenant): exactly O(n³) worst case, numerically robust for float
 costs.  Rectangular matrices are handled by padding with a large finite cost.
-
-:func:`hungarian_batch` solves many cost matrices in one call by running the
-same algorithm in *lockstep* over a stacked ``(B, n, n)`` tensor: every
-per-column scan of the shortest-augmenting-path phase becomes one numpy
-operation across the whole batch.  Matrices are bucketed by padded size, so
-each member replays exactly the float operations of the scalar solver and
-the returned pairs are identical to calling :func:`hungarian` per matrix.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
-__all__ = ["hungarian", "hungarian_batch", "assignment_cost"]
+__all__ = ["hungarian", "assignment_cost"]
 
 
 def hungarian(cost: Sequence[Sequence[float]]) -> List[Tuple[int, int]]:
@@ -125,144 +116,6 @@ def hungarian(cost: Sequence[Sequence[float]]) -> List[Tuple[int, int]]:
             pairs.append((i - 1, j - 1))
     pairs.sort()
     return pairs
-
-
-def _solve_batch(a: np.ndarray) -> np.ndarray:
-    """Lockstep shortest-augmenting-path over a ``(B, n, n)`` cost tensor.
-
-    Returns the matching array ``p`` of shape ``(B, n+1)`` where ``p[b, j]``
-    is the 1-indexed row matched to column ``j`` of batch member ``b``.
-
-    Each member runs the identical phase structure as :func:`hungarian`;
-    members whose augmenting path completes early are masked out of the
-    per-iteration updates (their state freezes until the next phase), so
-    every float operation a member sees matches the scalar solver's.
-    """
-    n_batch, n, _ = a.shape
-    u = np.zeros((n_batch, n + 1))
-    v = np.zeros((n_batch, n + 1))
-    p = np.zeros((n_batch, n + 1), dtype=np.int64)
-    way = np.zeros((n_batch, n + 1), dtype=np.int64)
-    rows = np.arange(n_batch)
-    rows_col = rows[:, None]
-    # Phases run barrier-free: each member starts row phase[k]+1 the moment
-    # its augmenting path completes, so the lockstep iteration count is the
-    # *maximum* per-member total, not a per-phase maximum summed over phases.
-    phase = np.ones(n_batch, dtype=np.int64)
-    p[:, 0] = 1
-    j0 = np.zeros(n_batch, dtype=np.int64)
-    minv = np.full((n_batch, n + 1), np.inf)
-    used = np.zeros((n_batch, n + 1), dtype=bool)
-    active = np.ones(n_batch, dtype=bool)
-    while True:
-        # Fully-finished members stay in the lockstep body but are frozen:
-        # their relaxation mask is forced off, their dual step gets
-        # delta = 0 and their j0 is held — every update below is a no-op
-        # for them (re-marking used[j0] is idempotent).
-        used[rows, j0] = True
-        # A used column's minv is pinned to +inf: it then needs no mask in
-        # the argmin below nor an exemption from the "-= delta" sweep
-        # (inf - delta stays inf).  Non-used entries see exactly the scalar
-        # solver's subtractions.
-        minv[rows, j0] = np.inf
-        i0 = p[rows, j0]
-        # One numpy pass replaces the scalar per-column scan: reduced cost,
-        # minv/way relaxation, then the delta/j1 selection.
-        cur = (a[rows, i0 - 1, :] - u[rows, i0, None]) - v[:, 1:]
-        mv = minv[:, 1:]
-        relax = (cur < mv) & ~used[:, 1:] & active[:, None]
-        np.copyto(mv, cur, where=relax)
-        np.copyto(way[:, 1:], j0[:, None], where=relax)
-        j1 = mv.argmin(axis=1) + 1  # first minimum, as in the scalar scan
-        delta = np.where(active, mv[rows, j1 - 1], 0.0)
-        # Dual update.  Within a member, the scatter targets (p[j] for used
-        # j, plus the current row via column 0) are distinct rows, so the
-        # buffered fancy-index "+=" performs each addition exactly once;
-        # free columns contribute a zero add at row 0.
-        delta_col = delta[:, None]
-        add = np.where(used, delta_col, 0.0)
-        u[rows_col, p] += add
-        v -= add
-        minv -= delta_col
-        j0 = np.where(active, j1, j0)
-        finished = active & (p[rows, j0] == 0)
-        if not finished.any():
-            continue
-        fin = np.nonzero(finished)[0]
-        # Augment along each finisher's alternating path (lengths differ).
-        for k in fin:
-            jj = int(j0[k])
-            while jj:
-                j_prev = int(way[k, jj])
-                p[k, jj] = p[k, j_prev]
-                jj = j_prev
-        done = fin[phase[fin] == n]
-        if done.size:
-            active[done] = False
-            if not active.any():
-                break
-        nxt = fin[phase[fin] < n]
-        if nxt.size:
-            phase[nxt] += 1
-            p[nxt, 0] = phase[nxt]
-            j0[nxt] = 0
-            minv[nxt, :] = np.inf
-            used[nxt, :] = False
-    return p
-
-
-def hungarian_batch(
-    costs: Sequence[Sequence[Sequence[float]]],
-) -> List[List[Tuple[int, int]]]:
-    """Minimum-cost assignments for a batch of cost matrices in one call.
-
-    Equivalent to ``[hungarian(c) for c in costs]`` — bitwise, not just
-    optimally: matrices are grouped by padded size and each group is solved
-    in lockstep with the same float operations as the scalar solver —
-    but the per-column inner loops run as numpy batch operations, which is
-    substantially faster once the batch holds a few matrices.
-
-    Parameters
-    ----------
-    costs:
-        Any mix of (possibly rectangular, possibly empty) cost matrices.
-
-    Examples
-    --------
-    >>> hungarian_batch([[[4, 1], [2, 0]], [[1]]])
-    [[(0, 1), (1, 0)], [(0, 0)]]
-    """
-    results: List[Optional[List[Tuple[int, int]]]] = [None] * len(costs)
-    groups: Dict[int, List[Tuple[int, int, int]]] = {}
-    for idx, cost in enumerate(costs):
-        n_rows = len(cost)
-        n_cols = len(cost[0]) if n_rows else 0
-        if n_rows == 0 or n_cols == 0:
-            results[idx] = []
-            continue
-        for row in cost:
-            if len(row) != n_cols:
-                raise ValueError("cost matrix rows must have equal length")
-            for value in row:
-                if not math.isfinite(value):
-                    raise ValueError("cost matrix entries must be finite")
-        groups.setdefault(max(n_rows, n_cols), []).append((idx, n_rows, n_cols))
-    for n, members in groups.items():
-        a = np.empty((len(members), n, n))
-        for k, (idx, n_rows, n_cols) in enumerate(members):
-            m = np.asarray(costs[idx], dtype=float)
-            a[k] = 1.0 + 2.0 * np.abs(m).max()  # same pad rule as hungarian()
-            a[k, :n_rows, :n_cols] = m
-        p = _solve_batch(a)
-        for k, (idx, n_rows, n_cols) in enumerate(members):
-            pairs = [
-                (int(p[k, j]) - 1, j - 1)
-                for j in range(1, n + 1)
-                if 1 <= p[k, j] <= n_rows and j <= n_cols
-            ]
-            pairs.sort()
-            results[idx] = pairs
-    return [pairs if pairs is not None else [] for pairs in results]
 
 
 def assignment_cost(

@@ -21,7 +21,6 @@ from .exectime import (
 from .executor import RTExecutor, SimConfig
 from .resources import ProcessorProfile, UnitSpec
 from .view import ProcessorState
-from .trace import TraceEntry, TraceRecorder, render_gantt
 from .metrics import MetricsRecorder, TaskStats, WindowSample
 from .queue import ReadyQueue
 from .task import ACTIVATION_MODES, Criticality, Job, JobState, TaskKind, TaskSpec
@@ -62,7 +61,4 @@ __all__ = [
     "TIME_EPS",
     "times_close",
     "is_zero_time",
-    "TraceEntry",
-    "TraceRecorder",
-    "render_gantt",
 ]

@@ -49,7 +49,6 @@ from .queue import ReadyQueue
 from .resources import ProcessorProfile, ProfileLike
 from .task import Job, JobState, TaskKind, TaskSpec
 from .taskgraph import TaskGraph
-from .trace import TraceEntry, TraceRecorder
 
 __all__ = ["ProcessorState", "SimConfig", "RTExecutor"]
 
@@ -208,9 +207,6 @@ class RTExecutor:
         self._stop_reason: Optional[str] = None
         self._last_busy_integral = 0.0
         self._last_window_time = 0.0
-        #: Optional execution tracer (see :mod:`repro.rt.trace`); assign a
-        #: TraceRecorder before run() to capture every dispatch interval.
-        self.tracer: Optional[TraceRecorder] = None
         #: Optional structured recorder (see :mod:`repro.obs`); assign a
         #: Recorder before run() to capture the full typed event stream.
         #: ``None`` (the default) keeps the pre-instrumentation code path —
@@ -345,26 +341,11 @@ class RTExecutor:
         return self._stop_reason
 
     def _record_interval(self, job: Job, proc_index: int, outcome: str) -> None:
-        """Report one executed interval to the attached trace sinks.
+        """Report one executed interval to the attached recorder.
 
-        The single emission point for both the legacy interval tracer and
-        the structured recorder, so the two views can never disagree about
-        what ran where.
+        The single emission point for execution spans: the Gantt view and
+        the chain analysis read them back from the recording.
         """
-        if self.tracer is not None:
-            self.tracer.record(
-                TraceEntry(
-                    task=job.task.name,
-                    cycle=job.cycle,
-                    processor=proc_index,
-                    start=job.start_time if job.start_time is not None else self.now,
-                    finish=self.now,
-                    release=job.release_time,
-                    deadline=job.absolute_deadline,
-                    completed=outcome == "complete",
-                    killed=outcome == "kill",
-                )
-            )
         if self.recorder is not None:
             # Unit tags appear only on typed platforms so identity-profile
             # recordings stay byte-identical to the scalar model's.

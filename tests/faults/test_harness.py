@@ -13,7 +13,8 @@ from repro.faults import (
     SensorDropout,
 )
 from repro.faults.harness import _ModulatedExecTime
-from repro.rt import RTExecutor, SimConfig, TraceRecorder
+from repro.obs.recorder import Recorder
+from repro.rt import RTExecutor, SimConfig
 from repro.schedulers import EDFScheduler
 from tests.conftest import build_chain_graph
 
@@ -23,7 +24,7 @@ def make_executor(n_processors=2, horizon=1.0, seed=3, **graph_kwargs):
     ex = RTExecutor(
         g, EDFScheduler(), SimConfig(n_processors=n_processors, horizon=horizon, seed=seed)
     )
-    ex.tracer = TraceRecorder()
+    ex.recorder = Recorder()
     return ex
 
 
@@ -61,7 +62,7 @@ class TestExecTimeFaults:
         assert clean_ex.metrics.per_task["middle"].missed == 0
         assert ex.metrics.per_task["middle"].missed > 0
         # every miss happened inside the spike window
-        missed = [e for e in ex.tracer.entries if not e.completed]
+        missed = [e for e in ex.recorder.spans() if e.outcome != "complete"]
         assert missed and all(0.2 <= e.release < 0.4 for e in missed)
         kinds = [e.kind for e in harness.events]
         assert kinds == ["exec_spike", "exec_spike"]  # on + off marks
@@ -96,7 +97,7 @@ class TestSensorDropout:
         drops = [e for e in harness.events if "suppressed" in e.detail]
         assert len(drops) == 4
         assert all(0.19 <= e.t < 0.39 for e in drops)
-        started = sorted(e.release for e in ex.tracer.entries if e.task == "source")
+        started = sorted(e.release for e in ex.recorder.spans() if e.task == "source")
         assert all(not (0.19 <= r < 0.39) for r in started)
         # the release clock kept ticking: the grid resumes at ~0.4
         assert any(abs(r - 0.4) < 1e-6 for r in started)
@@ -117,21 +118,21 @@ class TestProcessorFailure:
         spec = FaultSpec(faults=[ProcessorFailure(processor=0, t_fail=0.201)])
         ex, harness = run_with(spec, n_processors=1)
         assert not ex.processors[0].available
-        killed = [e for e in ex.tracer.entries if e.killed]
+        killed = [e for e in ex.recorder.spans() if e.outcome == "kill"]
         assert len(killed) == 1
-        assert killed[0].task == "source" and not killed[0].completed
+        assert killed[0].task == "source"
         assert abs(killed[0].finish - 0.201) < 1e-9
         fail_events = [e for e in harness.events if e.kind == "processor_failure"]
         assert len(fail_events) == 1
         assert "killed=source" in fail_events[0].detail
         # nothing executes after the failure
-        assert all(e.start < 0.201 for e in ex.tracer.entries)
+        assert all(e.start < 0.201 for e in ex.recorder.spans())
 
     def test_recovery_restores_dispatch(self):
         spec = FaultSpec(faults=[ProcessorFailure(processor=0, t_fail=0.3, t_recover=0.6)])
         ex, harness = run_with(spec, n_processors=1)
         assert ex.processors[0].available
-        assert any(e.start >= 0.6 for e in ex.tracer.entries)
+        assert any(e.start >= 0.6 for e in ex.recorder.spans())
         assert [e.detail.split()[0] for e in harness.events
                 if e.kind == "processor_failure"] == ["fail", "recover"]
 

@@ -1,12 +1,14 @@
-"""Exporters: Chrome trace validity, JSONL byte-stability, load/save."""
+"""Exporters: Chrome trace validity, JSONL byte-stability, load/save, Gantt."""
 
 import json
 
 import pytest
 
+from repro.obs.events import SpanEvent
 from repro.obs.export import (
     from_jsonl,
     load_recording,
+    render_gantt,
     save_recording,
     summary_text,
     to_chrome_trace,
@@ -145,6 +147,64 @@ class TestSummary:
         executor.recorder = rec
         executor.run()
         assert "time span" in summary_text(rec)
+
+
+def gantt_recording(*spans):
+    """A recording holding ``(task, proc, start, finish, outcome)`` spans."""
+    rec = Recorder()
+    for cycle, (task, proc, start, finish, outcome) in enumerate(spans):
+        rec.emit(SpanEvent(
+            t=finish, task=task, cycle=cycle, processor=proc, start=start,
+            finish=finish, release=start, deadline=start + 0.1, outcome=outcome,
+        ))
+    return rec
+
+
+class TestGantt:
+    def test_render_real_trace(self):
+        executor = RTExecutor(
+            build_chain_graph(), EDFScheduler(),
+            SimConfig(n_processors=2, horizon=1.0, seed=3),
+        )
+        rec = Recorder()
+        executor.recorder = rec
+        executor.run()
+        out = render_gantt(rec, 0.0, 0.5, width=60)
+        assert "p0" in out
+        assert "=source" in out and "=sink" in out and "=middle" in out
+        # Distinct symbols per task (no first-letter collisions).
+        legend = out.splitlines()[-1]
+        symbols = [part.split("=")[0].strip() for part in legend[7:].split(",")]
+        assert len(set(symbols)) == 3
+
+    def test_missed_jobs_lowercase(self):
+        rec = gantt_recording(("Miss", 0, 0.0, 0.5, "miss"))
+        out = render_gantt(rec, 0.0, 1.0, width=10)
+        assert "a" in out.splitlines()[1]
+
+    def test_killed_jobs_render_distinctly(self):
+        # A job killed by a processor failure renders as '#', not as a
+        # plain miss, and the header legend names the mark.
+        rec = gantt_recording(
+            ("Kill", 0, 0.0, 0.5, "kill"),
+            ("Miss", 1, 0.5, 0.9, "miss"),
+        )
+        out = render_gantt(rec, 0.0, 1.0, width=10)
+        assert "#=killed" in out.splitlines()[0]
+        assert "#" in out.splitlines()[1]
+        assert "#" not in out.splitlines()[2]
+
+    def test_validation(self):
+        rec = Recorder()
+        with pytest.raises(ValueError):
+            render_gantt(rec, 1.0, 0.5)
+        with pytest.raises(ValueError):
+            render_gantt(rec, 0.0, 1.0, width=5)
+
+    def test_out_of_window_spans_skipped(self):
+        rec = gantt_recording(("a", 0, 5.0, 6.0, "complete"))
+        out = render_gantt(rec, 0.0, 1.0, width=10)
+        assert "A" not in out.splitlines()[1]
 
 
 class TestTypedSpanSerialization:

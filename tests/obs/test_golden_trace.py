@@ -1,12 +1,16 @@
 """Golden-trace regression: byte-stable exports and a pre-PR baseline.
 
-Three independent pins:
+Four independent pins:
 
 * the canonical car-following recording serializes to exactly the bytes in
   ``tests/obs/golden/motivation_hcperf_s0_h2.jsonl``;
 * its Chrome export stays schema-valid and the JSONL round-trips losslessly;
 * the recorder-disabled CLI path still prints byte-identical JSON to the
-  goldens captured before the observability layer existed.
+  goldens captured before the observability layer existed;
+* ``hcperf run fig13 HCPerf --seed 0 --horizon 3 --gantt --chains`` prints
+  exactly ``tests/obs/golden/fig13_hcperf_s0_h3_gantt_chains.txt``, the
+  Gantt and chain-budget views captured while they still read a separate
+  interval tracer (never regenerate it).
 """
 
 import json
@@ -24,7 +28,6 @@ from repro.obs.export import (
 )
 from repro.obs.invariants import check_recording
 from repro.obs.recorder import Recorder
-from repro.rt.trace import render_gantt
 from repro.workloads.scenarios import motivation_red_light
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -81,17 +84,14 @@ class TestPrePrByteIdentity:
         assert capsys.readouterr().out == (GOLDEN / golden_name).read_text()
 
 
-class TestGanttParity:
-    def test_recorder_view_renders_identical_gantt(self, chain_graph, small_config):
-        from repro.rt import RTExecutor
-        from repro.rt.trace import TraceRecorder
-        from repro.schedulers import HCPerfScheduler
+class TestGanttChainsGolden:
+    """The Gantt and chain-budget views of a recording are pinned byte for byte."""
 
-        executor = RTExecutor(chain_graph, HCPerfScheduler(), small_config)
-        executor.tracer = TraceRecorder()
-        rec = Recorder()
-        executor.recorder = rec
-        executor.run()
-        legacy = render_gantt(executor.tracer, 0.0, small_config.horizon)
-        assert render_gantt(rec, 0.0, small_config.horizon) == legacy
-        assert "ASCII" not in legacy  # sanity: rendered rows, not the docstring
+    def test_cli_gantt_and_chains_output_unchanged(self, capsys):
+        code = main(
+            ["run", "fig13", "HCPerf", "--seed", "0", "--horizon", "3",
+             "--gantt", "--chains"]
+        )
+        assert code == 0
+        golden = (GOLDEN / "fig13_hcperf_s0_h3_gantt_chains.txt").read_text()
+        assert capsys.readouterr().out == golden

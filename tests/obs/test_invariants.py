@@ -56,6 +56,13 @@ class TestOBS001Overlap:
         )
         assert INVARIANTS["OBS001"][1](rec) == []
 
+    def test_touching_intervals_are_fine(self):
+        rec = recording(
+            span(cycle=0, start=0.0, finish=0.02),
+            span(cycle=1, start=0.02, finish=0.03, release=0.01),
+        )
+        assert INVARIANTS["OBS001"][1](rec) == []
+
 
 class TestOBS002TimeOrder:
     def test_dispatch_before_release_fires(self):

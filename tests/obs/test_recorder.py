@@ -115,18 +115,6 @@ class TestRecorder:
         assert set(tasks) == {"source", "middle", "sink"}
         assert tasks["source"]["rate_range"] == [10.0, 50.0]
 
-    def test_interval_view_mirrors_legacy_tracer(self, chain_graph, small_config):
-        from repro.rt.trace import TraceRecorder
-
-        executor = RTExecutor(chain_graph, EDFScheduler(), small_config)
-        executor.tracer = TraceRecorder()
-        rec = Recorder()
-        executor.recorder = rec
-        executor.run()
-        view = rec.interval_view()
-        assert view.entries == executor.tracer.entries
-        assert view.verify_non_overlap() == []
-
     def test_to_dict_round_trip(self):
         rec = Recorder()
         rec.annotate(scenario="toy", seed=7)

@@ -120,31 +120,6 @@ class TestFusion:
         assert m[0][0] == pytest.approx(1.0)
 
 
-class TestFuseBatch:
-    def frames(self, n_frames=12, seed=0):
-        cam = CameraDetector(seed=seed, miss_prob=0.1)
-        lid = LidarDetector(seed=seed + 1, miss_prob=0.1)
-        out = []
-        for k in range(n_frames):
-            scene = scene_with([(3.0 * i, 2.0 * k) for i in range(k % 7)], t=0.1 * k)
-            out.append((cam.detect(scene), lid.detect(scene)))
-        return out
-
-    def test_batch_equals_per_frame_fuse(self):
-        fusion = ConfigurableSensorFusion()
-        frames = self.frames()
-        assert fusion.fuse_batch(frames) == [fusion.fuse(c, l) for c, l in frames]
-
-    def test_empty_and_single_sensor_frames(self):
-        fusion = ConfigurableSensorFusion()
-        d = Detection(x=1.0, y=2.0, t=0.0, sensor="camera")
-        frames = [([], []), ([d], []), ([], [d]), ([d], [d])]
-        assert fusion.fuse_batch(frames) == [fusion.fuse(c, l) for c, l in frames]
-
-    def test_empty_batch(self):
-        assert ConfigurableSensorFusion().fuse_batch([]) == []
-
-
 class TestSensorDropout:
     def test_pipeline_survives_camera_blackout(self):
         """With the camera near-dead, LiDAR singletons keep the stack alive."""

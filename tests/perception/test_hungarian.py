@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perception import assignment_cost, hungarian, hungarian_batch
+from repro.perception import assignment_cost, hungarian
 
 
 def brute_force_cost(cost):
@@ -107,48 +107,3 @@ class TestOptimality:
         # Sanity: optimal must beat the diagonal assignment.
         diag = sum(cost[i][i] for i in range(n))
         assert assignment_cost(cost, pairs) <= diag + 1e-9
-
-
-class TestBatch:
-    """hungarian_batch must equal per-matrix hungarian, exactly."""
-
-    def test_empty_batch(self):
-        assert hungarian_batch([]) == []
-
-    def test_degenerate_members(self):
-        assert hungarian_batch([[], [[]], [[2.0]]]) == [[], [], [(0, 0)]]
-
-    def test_known_pair(self):
-        assert hungarian_batch([[[4, 1], [2, 0]], [[1]]]) == [[(0, 1), (1, 0)], [(0, 0)]]
-
-    def test_validation_matches_scalar(self):
-        with pytest.raises(ValueError, match="equal length"):
-            hungarian_batch([[[1.0, 2.0], [1.0]]])
-        with pytest.raises(ValueError, match="finite"):
-            hungarian_batch([[[math.nan]]])
-
-    def test_tied_costs_break_identically(self):
-        tie = [[1.0] * 5 for _ in range(5)]
-        assert hungarian_batch([tie, tie]) == [hungarian(tie)] * 2
-
-    @given(
-        shapes=st.lists(
-            st.tuples(
-                st.integers(min_value=1, max_value=8),
-                st.integers(min_value=1, max_value=8),
-            ),
-            min_size=1,
-            max_size=6,
-        ),
-        seed=st.integers(min_value=0, max_value=10_000),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_batch_equals_scalar_exactly(self, shapes, seed):
-        rng = random.Random(seed)
-        costs = [
-            [[rng.uniform(-50, 50) for _ in range(n_cols)] for _ in range(n_rows)]
-            for n_rows, n_cols in shapes
-        ]
-        # Exact pair equality: mixed shapes bucket by padded size, and each
-        # bucket replays the scalar solver's float operations bit-for-bit.
-        assert hungarian_batch(costs) == [hungarian(cost) for cost in costs]

@@ -16,9 +16,12 @@ contracts (all-inputs conserves tokens; newest-only fires once per fresh
 input and never reads a stale edge twice as a trigger).
 """
 
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.invariants import check_recording
 from repro.obs.recorder import Recorder
 from repro.rt import (
     ConstantExecTime,
@@ -27,7 +30,6 @@ from repro.rt import (
     SimConfig,
     TaskGraph,
     TaskSpec,
-    TraceRecorder,
     UniformExecTime,
 )
 from repro.schedulers import EDFScheduler, HCPerfScheduler, HPFScheduler
@@ -85,7 +87,8 @@ def test_engine_invariants(params):
         SimConfig(n_processors=n_proc, horizon=1.5, coordination_period=0.25,
                   seed=seed),
     )
-    executor.tracer = TraceRecorder()
+    rec = Recorder()
+    executor.recorder = rec
     metrics = executor.run()
 
     # --- accounting closes ------------------------------------------------
@@ -98,17 +101,17 @@ def test_engine_invariants(params):
         assert stats.released == stats.completed + stats.missed + in_queue + running, name
         assert stats.dropped <= stats.missed
 
-    # --- non-preemptive, no overlap ----------------------------------------
-    assert executor.tracer.verify_non_overlap() == []
+    # --- non-preemptive, no overlap (plus the rest of OBS001-OBS009) -------
+    assert check_recording(rec) == []
 
     # --- deadline bookkeeping ----------------------------------------------
-    for entry in executor.tracer.entries:
-        if entry.completed:
-            assert entry.finish <= entry.deadline + 1e-12
+    for span in rec.spans():
+        if span.outcome == "complete":
+            assert span.finish <= span.deadline + 1e-12
         else:
-            assert entry.finish > entry.deadline - 1e-12
-        assert entry.start >= entry.release - 1e-12
-        assert entry.finish >= entry.start
+            assert span.finish > span.deadline - 1e-12
+        assert span.start >= span.release - 1e-12
+        assert span.finish >= span.start
 
     # --- bounded ratios ----------------------------------------------------
     assert 0.0 <= metrics.overall_miss_ratio <= 1.0
@@ -243,9 +246,12 @@ def test_speedup_one_profile_reproduces_scalar_platform(seed, n_proc, scheduler)
     def run(config):
         graph = build(rate=20.0, exec_scale=1.5, fan_out=True)
         ex = RTExecutor(graph, SCHEDULERS[scheduler](), config)
-        ex.tracer = TraceRecorder()
+        rec = Recorder()
+        ex.recorder = rec
         metrics = ex.run()
-        return ex.tracer.entries, metrics.overall_miss_ratio
+        # Typed platforms tag spans with their unit; compare the rest.
+        spans = [dataclasses.replace(s, unit=None) for s in rec.spans()]
+        return spans, metrics.overall_miss_ratio
 
     scalar = run(SimConfig(n_processors=n_proc, horizon=1.5,
                            coordination_period=0.25, seed=seed))

@@ -7,7 +7,9 @@ claims (the experiment tests and benches do that).
 import pytest
 
 from repro.experiments.runner import DEFAULT_SCHEMES, run_scenario
-from repro.rt import RTExecutor, SimConfig, TraceRecorder
+from repro.obs.invariants import check_recording
+from repro.obs.recorder import Recorder
+from repro.rt import RTExecutor, SimConfig
 from repro.schedulers import make_scheduler
 from repro.workloads import SCENARIOS, full_task_graph
 
@@ -42,14 +44,15 @@ def test_full_graph_trace_invariants(scheme):
         make_scheduler(scheme),
         SimConfig(n_processors=2, horizon=2.0, coordination_period=0.5, seed=0),
     )
-    executor.tracer = TraceRecorder()
+    rec = Recorder()
+    executor.recorder = rec
     executor.run()
-    assert executor.tracer.verify_non_overlap() == []
-    # Apollo binding: every traced execution ran on the bound processor.
+    assert check_recording(rec) == []
+    # Apollo binding: every recorded execution ran on the bound processor.
     if scheme == "Apollo":
-        for entry in executor.tracer.entries:
-            bound = executor.graph.task(entry.task).processor_binding
-            assert entry.processor == bound
+        for span in rec.spans():
+            bound = executor.graph.task(span.task).processor_binding
+            assert span.processor == bound
 
 
 def test_hcperf_gamma_stays_within_cap():
