@@ -19,8 +19,8 @@ Modes:
   run's full event stream, export it as a Chrome trace / JSONL / text
   summary, and check the trace-invariant catalog
   (see docs/observability.md);
-* ``hcperf lint [--rule ID] [--format text|json|sarif] [--changed]`` —
-  hclint, the two-pass whole-program invariant checker (determinism,
+* ``hcperf lint [--rule ID] [--severity error] [--format text|json|sarif]``
+  — hclint, the two-pass whole-program invariant checker (determinism,
   scheduler contracts, lock discipline, taint into recorded results;
   see docs/static_analysis.md);
 * ``hcperf bench run|compare|list`` — machine-readable benchmark
@@ -130,7 +130,7 @@ def _list_experiments() -> str:
     )
     lines.append(
         "Static analysis:  hcperf lint [PATH ...] [--rule ID] "
-        "[--format text|json|sarif] [--changed [BASE]] [--list-rules]"
+        "[--severity error] [--format text|json|sarif] [--list-rules]"
     )
     lines.append(
         "Benchmarks:       hcperf bench {run,compare,list} "

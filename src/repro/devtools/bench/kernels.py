@@ -25,7 +25,6 @@ __all__ = [
     "fusion_kernel",
     "coordination_overhead",
     "fleet_multi_seed_smoke",
-    "lint_project",
 ]
 
 
@@ -240,47 +239,6 @@ def faults_recovery(scheduler: str = "HCPerf", horizon: float = 10.0) -> Dict[st
 
 
 # ----------------------------------------------------------------------
-# Devtools: the hclint analysis cache earning its keep
-# ----------------------------------------------------------------------
-def lint_project() -> Dict[str, float]:
-    """Cold vs warm two-pass hclint run over the shipped source tree.
-
-    Measures both runs with the devtools stopwatch (this kernel *is* the
-    timing, unlike the others where the runner owns it): cold pays full
-    parse + per-file rules + summary extraction, warm replays per-file
-    results and the project pass from the content-hash cache.  The
-    ``speedup`` metric is the cache's acceptance bar (>= 5x).
-    """
-    import tempfile
-    from pathlib import Path
-    from timeit import default_timer
-
-    from ..lint import LintCache, run_lint
-    from ..lint.engine import default_root, get_rules
-
-    root = default_root()
-    fingerprint = LintCache.make_fingerprint([r.id for r in get_rules()])
-    with tempfile.TemporaryDirectory() as tmp:
-        cache_path = Path(tmp) / "hclint-cache.json"
-        t0 = default_timer()
-        cold = run_lint(root=root, cache=LintCache(cache_path, fingerprint))
-        cold_s = default_timer() - t0
-        warm_cache = LintCache(cache_path, fingerprint)
-        t0 = default_timer()
-        warm = run_lint(root=root, cache=warm_cache)
-        warm_s = default_timer() - t0
-    if warm != cold:
-        raise RuntimeError("warm lint run disagrees with cold run")
-    return {
-        "files": float(warm_cache.hits + warm_cache.misses),
-        "diagnostics": float(len(cold)),
-        "cold_ms": cold_s * 1000,
-        "warm_ms": warm_s * 1000,
-        "speedup": cold_s / warm_s if warm_s > 0 else 0.0,
-    }
-
-
-# ----------------------------------------------------------------------
 # Built-in suite registration
 # ----------------------------------------------------------------------
 register_bench(BenchSpec(
@@ -351,13 +309,6 @@ register_bench(BenchSpec(
     rounds=2,
     suites=("smoke", "full"),
     sim_seconds=20.0,
-))
-register_bench(BenchSpec(
-    name="lint_project",
-    fn=lambda: lint_project(),
-    description="hclint two-pass over src/repro: cold analysis vs warm cache",
-    rounds=3,
-    suites=("smoke", "full"),
 ))
 register_bench(BenchSpec(
     name="executor_edf_long",

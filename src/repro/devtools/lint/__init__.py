@@ -8,17 +8,16 @@ keeps its shared state under its locks, and nondeterministic values never
 flow — even across call edges — into recorded results.
 
 Pass 1 runs per-file AST rules (HC001–HC008, HC011) and extracts a
-:class:`ModuleSummary` per file; both are cached by content hash
-(``.hclint-cache.json``).  Pass 2 links the summaries into a
+:class:`ModuleSummary` per file.  Pass 2 links the summaries into a
 :class:`ProjectIndex` (symbol tables + approximate call graph) and runs
 the whole-program rules (HC009 lock-discipline, HC010 determinism taint).
 
-Use it three ways:
+Every use runs the same whole-tree analysis:
 
-* CLI: ``hcperf lint [--rule HC001] [--format text|json|sarif]
-  [--changed] [--baseline FILE]`` (or ``python -m repro.devtools.lint``);
+* CLI: ``hcperf lint [--rule HC001] [--severity error]
+  [--format text|json|sarif]`` (or ``python -m repro.devtools.lint``);
 * pytest gate: ``from repro.devtools.lint import run_lint;
-  assert run_lint() == []`` — part of the tier-1 suite (cacheless);
+  assert run_lint() == []`` — part of the tier-1 suite;
 * library: :func:`run_lint` / :func:`lint_file` return sorted
   :class:`Diagnostic` lists for further processing.
 
@@ -26,8 +25,6 @@ Inline suppression: ``# hclint: disable=HC001`` on the flagged line,
 ``# hclint: disable-file=HC001`` for a whole file.
 """
 
-from .baseline import Baseline
-from .cache import LintCache
 from .diagnostics import Diagnostic, Severity
 from .engine import (
     PARSE_ERROR_RULE,
@@ -59,8 +56,6 @@ __all__ = [
     "lint_file",
     "run_lint",
     "PARSE_ERROR_RULE",
-    "Baseline",
-    "LintCache",
     "ModuleSummary",
     "ProjectIndex",
     "summarize_module",

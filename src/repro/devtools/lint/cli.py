@@ -3,26 +3,20 @@
 Exit codes: 0 clean, 1 diagnostics reported, 2 usage error.  The JSON
 format is version-pinned and golden-tested so CI annotation tooling can
 rely on it byte-for-byte; ``--format sarif`` emits SARIF 2.1.0 for code
-scanning.  The CLI (unlike the importable ``run_lint`` gate) enables the
-content-hash cache by default — ``--no-cache`` restores cold behavior —
-and understands ``--changed [BASE]`` to report only findings in files git
-considers modified, while still indexing the whole tree so whole-program
-rules see the full picture.
+scanning.  Every run is the same whole-tree, two-pass :func:`run_lint`
+the tier-1 gate calls; the CLI only selects rules, filters severity and
+formats the result.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
-from pathlib import Path
 from typing import List, Optional
 
-from .baseline import DEFAULT_BASELINE_NAME, Baseline
-from .cache import DEFAULT_CACHE_NAME, LintCache
 from .diagnostics import Diagnostic, Severity
-from .engine import default_root, get_rules, run_lint
+from .engine import get_rules, run_lint
 from .sarif import format_sarif
 
 __all__ = ["build_lint_parser", "format_text", "format_json", "main"]
@@ -71,39 +65,6 @@ def build_lint_parser() -> argparse.ArgumentParser:
         "directory containing the repro package)",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the content-hash analysis cache (always re-analyze)",
-    )
-    parser.add_argument(
-        "--cache-file",
-        default=None,
-        metavar="PATH",
-        help=f"cache location (default <root>/{DEFAULT_CACHE_NAME})",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline file of accepted findings to filter out (default: "
-        f"{DEFAULT_BASELINE_NAME} next to the repo root if present; "
-        "pass 'none' to disable)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="BASE",
-        help="report only findings in files changed vs BASE (git; default "
-        "HEAD), plus untracked files; the whole tree is still indexed",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="list registered rules and exit"
     )
     return parser
@@ -143,51 +104,6 @@ def _list_rules() -> str:
     return "\n".join(lines)
 
 
-def _git_changed_files(base: str) -> List[Path]:
-    """Changed-vs-*base* plus untracked ``.py`` files, as absolute paths."""
-    top = subprocess.run(
-        ["git", "rev-parse", "--show-toplevel"],
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout.strip()
-    root = Path(top)
-    out: List[Path] = []
-    diff = subprocess.run(
-        ["git", "diff", "--name-only", "-z", base, "--", "*.py"],
-        capture_output=True,
-        text=True,
-        check=True,
-        cwd=top,
-    ).stdout
-    untracked = subprocess.run(
-        ["git", "ls-files", "--others", "--exclude-standard", "-z", "--", "*.py"],
-        capture_output=True,
-        text=True,
-        check=True,
-        cwd=top,
-    ).stdout
-    for blob in (diff, untracked):
-        for name in blob.split("\0"):
-            if name:
-                candidate = root / name
-                if candidate.suffix == ".py" and candidate.exists():
-                    out.append(candidate)
-    return out
-
-
-def _find_baseline(arg: Optional[str], root: Path) -> Optional[Baseline]:
-    if arg is not None:
-        if arg.lower() == "none":
-            return None
-        return Baseline.load(Path(arg))
-    # Auto-discover next to the repo root (the directory containing src/).
-    for candidate in (root / DEFAULT_BASELINE_NAME, root.parent / DEFAULT_BASELINE_NAME):
-        if candidate.is_file():
-            return Baseline.load(candidate)
-    return None
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_lint_parser()
     args = parser.parse_args(argv)
@@ -195,59 +111,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(_list_rules())
         return 0
 
-    root = Path(args.root).resolve() if args.root else default_root()
-    try:
-        active_ids = [r.id for r in get_rules(only=args.rule)]
-    except ValueError as exc:
-        print(f"hclint: error: {exc}", file=sys.stderr)
-        return 2
-    cache: Optional[LintCache] = None
-    if not args.no_cache:
-        cache_path = (
-            Path(args.cache_file) if args.cache_file else root / DEFAULT_CACHE_NAME
-        )
-        cache = LintCache(cache_path, LintCache.make_fingerprint(active_ids))
-
-    report_paths: Optional[List[Path]] = None
-    if args.changed is not None:
-        try:
-            report_paths = _git_changed_files(args.changed)
-        except (subprocess.CalledProcessError, OSError) as exc:
-            print(f"hclint: error: --changed needs a git checkout: {exc}", file=sys.stderr)
-            return 2
-        if not report_paths:
-            print("hclint: clean (no changed python files)")
-            return 0
-
-    try:
-        baseline = None if args.write_baseline else _find_baseline(args.baseline, root)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"hclint: error: bad baseline: {exc}", file=sys.stderr)
-        return 2
-
     try:
         diagnostics = run_lint(
             paths=args.paths or None,
             rules=args.rule,
             root=args.root,
             min_severity=Severity.parse(args.severity),
-            cache=cache,
-            baseline=baseline,
-            report_paths=report_paths,
         )
     except ValueError as exc:
         print(f"hclint: error: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        target = (
-            Path(args.baseline)
-            if args.baseline and args.baseline.lower() != "none"
-            else root.parent / DEFAULT_BASELINE_NAME
-        )
-        Baseline.from_diagnostics(diagnostics).write(target)
-        print(f"hclint: wrote {len(diagnostics)} finding(s) to {target}")
-        return 0
 
     if args.format == "json":
         print(format_json(diagnostics))

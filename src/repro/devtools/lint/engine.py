@@ -294,18 +294,14 @@ def run_lint(
     rules: Optional[Iterable[str]] = None,
     root: Optional[Union[str, Path]] = None,
     min_severity: Severity = Severity.WARNING,
-    cache: Optional["LintCache"] = None,
-    baseline: Optional["Baseline"] = None,
-    report_paths: Optional[Sequence[Union[str, Path]]] = None,
 ) -> List[Diagnostic]:
     """Two-pass lint of ``paths`` (default: the ``repro`` package tree).
 
     Pass 1 maps over files: per-file rules run on each AST and a
-    :class:`ModuleSummary` is extracted (both cacheable by content hash).
-    Pass 2 links the summaries into a :class:`ProjectIndex` and runs the
-    whole-program rules (HC009+).  This function is the pytest-importable
-    entry point — the repo-clean gate is ``assert run_lint() == []`` and
-    deliberately runs cacheless so it cannot be fooled by stale state.
+    :class:`ModuleSummary` is extracted.  Pass 2 links the summaries into
+    a :class:`ProjectIndex` and runs the whole-program rules (HC009+).
+    This is the only way hclint runs: the CLI is a thin front end over
+    it, and the repo-clean gate is ``assert run_lint() == []``.
 
     Parameters
     ----------
@@ -319,17 +315,6 @@ def run_lint(
         for rule scoping (default: the directory containing ``repro``).
     min_severity:
         Drop diagnostics below this severity.
-    cache:
-        A :class:`~repro.devtools.lint.cache.LintCache` to consult and
-        update (default ``None`` = analyze everything fresh).  The CLI
-        enables this by default; the library gate does not.
-    baseline:
-        A :class:`~repro.devtools.lint.baseline.Baseline` whose accepted
-        findings are filtered from the report.
-    report_paths:
-        If given, only diagnostics anchored in these files are *reported*
-        — the index is still built over all of ``paths``, so
-        whole-program rules see the full picture (``--changed`` mode).
     """
     root_path = Path(root).resolve() if root is not None else default_root()
     if paths is None:
@@ -341,61 +326,28 @@ def run_lint(
     diagnostics: List[Diagnostic] = []
     summaries = []
     supp_by_path: Dict[str, "FileSuppressions"] = {}
-    file_hashes: List[Tuple[str, str]] = []
 
     for path in iter_python_files(paths):
         relpath = _relpath(path, root_path)
         source = path.read_text(encoding="utf-8")
-        entry = None
-        sha = ""
-        if cache is not None:
-            from .cache import content_digest
-
-            sha = content_digest(source.encode("utf-8"))
-            file_hashes.append((relpath, sha))
-            entry = cache.lookup(relpath, sha)
-        if entry is not None:
-            file_diags, summary, suppressions = entry
-        else:
-            file_diags, summary, suppressions = _analyze_file(
-                path, relpath, source, file_rules
-            )
-            if cache is not None:
-                cache.store(relpath, sha, file_diags, summary, suppressions)
+        file_diags, summary, suppressions = _analyze_file(
+            path, relpath, source, file_rules
+        )
         diagnostics.extend(file_diags)
         summaries.append(summary)
         supp_by_path[relpath] = suppressions
 
     if project_rules:
-        project_diags: Optional[List[Diagnostic]] = None
-        digest = ""
-        if cache is not None:
-            digest = cache.project_digest(file_hashes)
-            project_diags = cache.lookup_project(digest)
-        if project_diags is None:
-            from .index import ProjectIndex
+        from .index import ProjectIndex
 
-            index = ProjectIndex([s for s in summaries if not s.parse_failed])
-            project_diags = []
-            for rule in project_rules:
-                for diag in rule.check_project(index):
-                    if not rule.applies_to(diag.path):
-                        continue
-                    supp = supp_by_path.get(diag.path)
-                    if supp is not None and supp.suppresses(diag):
-                        continue
-                    project_diags.append(diag)
-            project_diags.sort()
-            if cache is not None:
-                cache.store_project(digest, project_diags)
-        diagnostics.extend(project_diags)
+        index = ProjectIndex([s for s in summaries if not s.parse_failed])
+        for rule in project_rules:
+            for diag in rule.check_project(index):
+                if not rule.applies_to(diag.path):
+                    continue
+                supp = supp_by_path.get(diag.path)
+                if supp is not None and supp.suppresses(diag):
+                    continue
+                diagnostics.append(diag)
 
-    if cache is not None:
-        cache.prune([relpath for relpath, _ in file_hashes])
-        cache.save()
-    if baseline is not None:
-        diagnostics = baseline.filter(diagnostics)
-    if report_paths is not None:
-        wanted = {_relpath(Path(p).resolve(), root_path) for p in report_paths}
-        diagnostics = [d for d in diagnostics if d.path in wanted]
     return sorted(d for d in diagnostics if d.severity >= min_severity)

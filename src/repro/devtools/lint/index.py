@@ -1,14 +1,12 @@
 """Pass 1 of the whole-program analyzer: per-module summaries + project index.
 
 The two-pass design (docs/static_analysis.md) splits whole-program linting
-into a *summary extraction* pass that is pure per file — and therefore
-cacheable by content hash — and a cheap *linking* pass that stitches the
-summaries into a :class:`ProjectIndex` with an approximate call graph.
-Project rules (HC009/HC010) only ever see the index, never raw ASTs, so a
-warm run re-reads nothing but the cache file.
+into a *summary extraction* pass that is pure per file and a cheap
+*linking* pass that stitches the summaries into a :class:`ProjectIndex`
+with an approximate call graph.  Project rules (HC009/HC010) only ever
+see the index, never raw ASTs.
 
-Everything extracted here is JSON-serializable (``to_dict``/``from_dict``)
-for exactly that reason.  The summaries are deliberately approximate:
+The summaries are deliberately approximate:
 
 * the call graph resolves ``self.m()``, module-local names, ``import x as
   y`` attribute chains, ``from m import f as g`` aliases, and one level of
@@ -28,7 +26,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .taintspec import taint_source_kind
 
@@ -135,13 +133,6 @@ class CallSite:
     lineno: int
     col: int
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"chain": list(self.chain), "lineno": self.lineno, "col": self.col}
-
-    @staticmethod
-    def from_dict(d: Mapping[str, Any]) -> "CallSite":
-        return CallSite(tuple(d["chain"]), int(d["lineno"]), int(d["col"]))
-
 
 @dataclass(frozen=True)
 class AttrAccess:
@@ -152,21 +143,6 @@ class AttrAccess:
     col: int
     kind: str  # "load" | "store" | "mutate"
     held: Tuple[str, ...]  # lock attrs held via `with self.X:` at this point
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "attr": self.attr,
-            "lineno": self.lineno,
-            "col": self.col,
-            "kind": self.kind,
-            "held": list(self.held),
-        }
-
-    @staticmethod
-    def from_dict(d: Mapping[str, Any]) -> "AttrAccess":
-        return AttrAccess(
-            d["attr"], int(d["lineno"]), int(d["col"]), d["kind"], tuple(d["held"])
-        )
 
 
 @dataclass(frozen=True)
@@ -184,27 +160,6 @@ class SinkSite:
     direct: bool
     names: Tuple[str, ...]
     calls: Tuple[Tuple[str, ...], ...]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "label": self.label,
-            "lineno": self.lineno,
-            "col": self.col,
-            "direct": self.direct,
-            "names": list(self.names),
-            "calls": [list(c) for c in self.calls],
-        }
-
-    @staticmethod
-    def from_dict(d: Mapping[str, Any]) -> "SinkSite":
-        return SinkSite(
-            d["label"],
-            int(d["lineno"]),
-            int(d["col"]),
-            bool(d["direct"]),
-            tuple(d["names"]),
-            tuple(tuple(c) for c in d["calls"]),
-        )
 
 
 #: Attribute names of recording sinks (HC010): calls like
@@ -239,43 +194,6 @@ class FunctionSummary:
     return_calls: List[Tuple[str, ...]] = field(default_factory=list)
     sinks: List[SinkSite] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "qualname": self.qualname,
-            "cls": self.cls,
-            "lineno": self.lineno,
-            "calls": [c.to_dict() for c in self.calls],
-            "ctor_bindings": {k: list(v) for k, v in self.ctor_bindings.items()},
-            "tainted_names": sorted(self.tainted_names),
-            "name_flows": {k: sorted(v) for k, v in self.name_flows.items()},
-            "call_flows": {k: [list(c) for c in v] for k, v in self.call_flows.items()},
-            "return_direct": self.return_direct,
-            "return_names": sorted(self.return_names),
-            "return_calls": [list(c) for c in self.return_calls],
-            "sinks": [s.to_dict() for s in self.sinks],
-        }
-
-    @staticmethod
-    def from_dict(d: Mapping[str, Any]) -> "FunctionSummary":
-        return FunctionSummary(
-            name=d["name"],
-            qualname=d["qualname"],
-            cls=d["cls"],
-            lineno=int(d["lineno"]),
-            calls=[CallSite.from_dict(c) for c in d["calls"]],
-            ctor_bindings={k: tuple(v) for k, v in d["ctor_bindings"].items()},
-            tainted_names=set(d["tainted_names"]),
-            name_flows={k: set(v) for k, v in d["name_flows"].items()},
-            call_flows={
-                k: [tuple(c) for c in v] for k, v in d["call_flows"].items()
-            },
-            return_direct=bool(d["return_direct"]),
-            return_names=set(d["return_names"]),
-            return_calls=[tuple(c) for c in d["return_calls"]],
-            sinks=[SinkSite.from_dict(s) for s in d["sinks"]],
-        )
-
 
 @dataclass
 class ClassSummary:
@@ -291,45 +209,6 @@ class ClassSummary:
     self_call_held: Dict[str, List[Tuple[str, ...]]] = field(default_factory=dict)
     methods: List[str] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "bases": [list(b) for b in self.bases],
-            "lock_attrs": sorted(self.lock_attrs),
-            "sync_attrs": sorted(self.sync_attrs),
-            "accesses": {m: [a.to_dict() for a in accs] for m, accs in self.accesses.items()},
-            "self_calls": {
-                m: [c.to_dict() for c in cs] for m, cs in self.self_calls.items()
-            },
-            "self_call_held": {
-                m: [list(h) for h in hs] for m, hs in self.self_call_held.items()
-            },
-            "methods": list(self.methods),
-        }
-
-    @staticmethod
-    def from_dict(d: Mapping[str, Any]) -> "ClassSummary":
-        return ClassSummary(
-            name=d["name"],
-            lineno=int(d["lineno"]),
-            bases=[tuple(b) for b in d["bases"]],
-            lock_attrs=set(d["lock_attrs"]),
-            sync_attrs=set(d["sync_attrs"]),
-            accesses={
-                m: [AttrAccess.from_dict(a) for a in accs]
-                for m, accs in d["accesses"].items()
-            },
-            self_calls={
-                m: [CallSite.from_dict(c) for c in cs]
-                for m, cs in d["self_calls"].items()
-            },
-            self_call_held={
-                m: [tuple(h) for h in hs] for m, hs in d["self_call_held"].items()
-            },
-            methods=list(d["methods"]),
-        )
-
 
 @dataclass
 class ModuleSummary:
@@ -341,29 +220,6 @@ class ModuleSummary:
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)  # by qualname
     classes: Dict[str, ClassSummary] = field(default_factory=dict)
     parse_failed: bool = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "module": self.module,
-            "relpath": self.relpath,
-            "imports": dict(self.imports),
-            "functions": {k: f.to_dict() for k, f in self.functions.items()},
-            "classes": {k: c.to_dict() for k, c in self.classes.items()},
-            "parse_failed": self.parse_failed,
-        }
-
-    @staticmethod
-    def from_dict(d: Mapping[str, Any]) -> "ModuleSummary":
-        return ModuleSummary(
-            module=d["module"],
-            relpath=d["relpath"],
-            imports=dict(d["imports"]),
-            functions={
-                k: FunctionSummary.from_dict(f) for k, f in d["functions"].items()
-            },
-            classes={k: ClassSummary.from_dict(c) for k, c in d["classes"].items()},
-            parse_failed=bool(d["parse_failed"]),
-        )
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ invisible by design (lint output stays quiet on clean files).
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Mapping, Sequence, Set
+from typing import Dict, Sequence, Set
 
 from .diagnostics import Diagnostic
 
@@ -48,22 +48,6 @@ class FileSuppressions:
             if "all" in rules or diag.rule in rules:
                 return True
         return False
-
-    # Suppression state rides the per-file analysis cache (project rules
-    # re-check it on warm runs without re-reading sources), hence JSON forms.
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "file": sorted(self.file_wide),
-            "lines": {str(k): sorted(v) for k, v in self.by_line.items()},
-        }
-
-    @staticmethod
-    def from_dict(d: Mapping[str, Any]) -> "FileSuppressions":
-        result = FileSuppressions()
-        result.file_wide = set(d.get("file", []))
-        lines: Mapping[str, List[str]] = d.get("lines", {})
-        result.by_line = {int(k): set(v) for k, v in lines.items()}
-        return result
 
 
 def _parse_rules(raw: str) -> Set[str]:

@@ -4,24 +4,21 @@ The paper reports single runs; this module re-runs any scenario over many
 seeds and summarizes each scheme's metric as mean ± std, plus how often
 HCPerf wins — the statistical form of the reproduction claims.
 
-Since the fleet engine landed this harness is a front-end over it: name a
-registry scenario and a summary metric and the (scheme × seed) grid runs
-as a campaign — sharded across ``jobs`` worker processes, optionally
-persisted to a resumable store.  The original in-process form (a scenario
-*factory* plus a ``RunResult`` *callable*) still works and stays serial,
-because closures cannot cross a process boundary.
+The harness is a front-end over the fleet engine: name a registry
+scenario and a summary metric and the (scheme × seed) grid runs as a
+campaign — sharded across ``jobs`` worker processes, optionally persisted
+to a resumable store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from ..analysis.report import format_table
 from ..analysis.stats import mean, sample_std
-from ..workloads.scenarios import Scenario
-from .runner import DEFAULT_SCHEMES, RunResult, run_scenario
+from .runner import DEFAULT_SCHEMES
 
 __all__ = ["MetricSummary", "MultiSeedResult", "run_multi_seed", "render"]
 
@@ -67,37 +64,9 @@ class MultiSeedResult:
         return min(self.summaries, key=lambda s: self.summaries[s].mean)
 
 
-def _run_serial(
-    scenario_factory: Callable[[], Scenario],
-    metric: Callable[[RunResult], float],
-    seeds: Sequence[int],
-    schemes: Sequence[str],
-) -> Dict[str, List[float]]:
-    values: Dict[str, List[float]] = {s: [] for s in schemes}
-    for seed in seeds:
-        for scheme in schemes:
-            values[scheme].append(metric(run_scenario(scenario_factory(), scheme, seed=seed)))
-    return values
-
-
-def _tally(
-    metric_name: str, seeds: List[int], values: Dict[str, List[float]]
-) -> MultiSeedResult:
-    wins: Dict[str, int] = {s: 0 for s in values}
-    for idx in range(len(seeds)):
-        per_seed = {s: v[idx] for s, v in values.items()}
-        wins[min(per_seed, key=per_seed.get)] += 1
-    return MultiSeedResult(
-        metric_name=metric_name,
-        seeds=seeds,
-        summaries={s: MetricSummary(scheme=s, values=v) for s, v in values.items()},
-        wins=wins,
-    )
-
-
 def run_multi_seed(
-    scenario: Union[str, Callable[[], Scenario]],
-    metric: Union[str, Callable[[RunResult], float]],
+    scenario: str,
+    metric: str,
     metric_name: str = "metric",
     seeds: Sequence[int] = range(5),
     schemes: Sequence[str] = DEFAULT_SCHEMES,
@@ -107,32 +76,22 @@ def run_multi_seed(
 ) -> MultiSeedResult:
     """Run every (scheme, seed) pair and summarize ``metric``.
 
-    Fleet form — parallel and resumable:
-        ``scenario`` is a registry name (``"fig13"``), ``metric`` a summary
-        key (``"speed_error_rms"``); ``overrides`` tunes the scenario (see
-        :data:`repro.fleet.OVERRIDE_KEYS`), ``jobs`` shards the grid across
-        worker processes and ``store`` persists/resumes the campaign.
-
-    Legacy form — serial, in-process:
-        ``scenario`` is a zero-arg factory, ``metric`` maps a
-        :class:`RunResult` to a lower-is-better scalar
-        (e.g. ``lambda r: r.speed_error_rms()``).  ``jobs``/``store`` do
-        not apply (closures cannot be shipped to worker processes).
+    ``scenario`` is a registry name (``"fig13"``), ``metric`` a summary
+    key (``"speed_error_rms"``); ``overrides`` tunes the scenario (see
+    :data:`repro.fleet.OVERRIDE_KEYS`), ``jobs`` shards the grid across
+    worker processes and ``store`` persists/resumes the campaign.
     """
     seeds = sorted(int(s) for s in seeds)
     if not seeds:
         raise ValueError("need at least one seed")
-    fleet_form = isinstance(scenario, str) and isinstance(metric, str)
-    if not fleet_form:
-        if jobs != 1 or store is not None or overrides:
-            raise ValueError(
-                "jobs/store/overrides need the fleet form: pass the scenario "
-                "registry name and a summary-metric key, not callables"
-            )
-        values = _run_serial(scenario, metric, seeds, schemes)
-        return _tally(metric_name, list(seeds), values)
 
-    from ..fleet import CampaignSpec, ResultStore, load_groups, run_campaign
+    from ..fleet import (
+        CampaignSpec,
+        ResultStore,
+        load_groups,
+        run_campaign,
+        to_multi_seed_result,
+    )
 
     spec = CampaignSpec(
         name=f"multi_seed_{scenario}",
@@ -150,9 +109,10 @@ def run_multi_seed(
         for g in load_groups(result_store, metric=metric, schemes=schemes)
         if g.scenario == scenario and g.overrides == wanted
     ]
-    values = {s: list(group.cells[s].values) for s in schemes if s in group.cells}
-    name = metric if metric_name == "metric" else metric_name
-    return _tally(name, list(group.seeds), values)
+    result = to_multi_seed_result(group)
+    if metric_name != "metric":
+        result.metric_name = metric_name
+    return result
 
 
 def render(result: MultiSeedResult) -> str:

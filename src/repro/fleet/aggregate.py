@@ -198,7 +198,7 @@ def load_groups(
 
 
 def to_multi_seed_result(group: CampaignGroup) -> "MultiSeedResult":
-    """Bridge one group back into the serial harness's result type."""
+    """Bridge one group back into the multi-seed harness's result type."""
     from ..experiments.multi_seed import MetricSummary, MultiSeedResult
 
     return MultiSeedResult(

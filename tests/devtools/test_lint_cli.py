@@ -135,6 +135,14 @@ def test_clean_tree_exits_zero(tmp_path, capsys):
     assert "clean" in capsys.readouterr().out
 
 
+def test_linting_is_read_only(violation_tree, capsys):
+    # Every run is a fresh whole-tree analysis: no cache or report file is
+    # left behind under the root it was pointed at.
+    before = sorted(violation_tree.rglob("*"))
+    assert lint_main(["--root", str(violation_tree), str(violation_tree)]) == 1
+    assert sorted(violation_tree.rglob("*")) == before
+
+
 def test_unknown_rule_is_a_usage_error(tmp_path, capsys):
     exit_code = lint_main(["--rule", "HC999", str(tmp_path)])
     assert exit_code == 2

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.devtools.lint import ProjectIndex, run_lint, summarize_module
+from repro.devtools.lint import ProjectIndex, summarize_module
 from repro.devtools.lint.engine import default_root, iter_python_files
 
 from .conftest import write_tree
@@ -240,32 +240,3 @@ def test_real_tree_indexes_without_error():
     assert "repro.service.queue:JobQueue._run_one" in graph.get(
         "repro.service.queue:JobQueue._worker", set()
     )
-
-
-def test_run_lint_report_paths_still_sees_whole_program(tmp_path):
-    # --changed semantics: restrict *reporting* to one file while the
-    # index still covers the tree; a cross-file taint flow whose sink is
-    # in the changed file must be found.
-    write_tree(
-        tmp_path,
-        {
-            "repro/fleet/clocks.py": (
-                "import time\n"
-                "\n"
-                "def stamp():\n"
-                "    return time.time()\n"
-            ),
-            "repro/fleet/sinks.py": (
-                "from repro.fleet.clocks import stamp\n"
-                "\n"
-                "def record(store):\n"
-                '    store.append({"t": stamp()})\n'
-            ),
-        },
-    )
-    diags = run_lint(
-        [tmp_path],
-        root=tmp_path,
-        report_paths=[tmp_path / "repro/fleet/sinks.py"],
-    )
-    assert [(d.path, d.rule) for d in diags] == [("repro/fleet/sinks.py", "HC010")]

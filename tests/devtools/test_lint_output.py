@@ -1,15 +1,11 @@
-"""SARIF export and the baseline workflow."""
+"""SARIF export (CI uploads it to code scanning)."""
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
-from repro.devtools.lint import Baseline, Diagnostic, Severity, format_sarif, run_lint
+from repro.devtools.lint import format_sarif, run_lint
 from repro.devtools.lint.cli import main as lint_main
-
-from .conftest import VIOLATION_FIXTURES, write_tree
 
 # ---------------------------------------------------------------------------
 # SARIF
@@ -47,119 +43,3 @@ def test_cli_format_sarif(violation_tree, capsys):
     assert exit_code == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["runs"][0]["results"]
-
-
-# ---------------------------------------------------------------------------
-# Baseline
-# ---------------------------------------------------------------------------
-
-
-def _diag(rule="HC001", path="repro/rt/x.py", line=4, message="m"):
-    return Diagnostic(
-        path=path, line=line, col=1, rule=rule, severity=Severity.ERROR, message=message
-    )
-
-
-def test_baseline_filters_by_rule_path_message_not_line():
-    baseline = Baseline.from_diagnostics([_diag(line=4)])
-    # Same finding moved to another line: still baselined.
-    assert baseline.filter([_diag(line=90)]) == []
-    # Different message: new finding, reported.
-    assert baseline.filter([_diag(message="other")]) == [_diag(message="other")]
-
-
-def test_baseline_is_count_aware():
-    baseline = Baseline.from_diagnostics([_diag()])
-    dupe = [_diag(line=4), _diag(line=9)]
-    kept = baseline.filter(dupe)
-    # One occurrence accepted, the second is new debt.
-    assert len(kept) == 1
-
-
-def test_baseline_round_trips_through_json(tmp_path):
-    baseline = Baseline.from_diagnostics([_diag(), _diag(rule="HC010")])
-    target = tmp_path / "lint-baseline.json"
-    baseline.write(target)
-    loaded = Baseline.load(target)
-    assert loaded.counts == baseline.counts
-    with pytest.raises(ValueError, match="unsupported baseline"):
-        target.write_text('{"version": 99, "entries": []}', encoding="utf-8")
-        Baseline.load(target)
-
-
-def test_cli_write_then_apply_baseline(violation_tree, capsys):
-    baseline_file = violation_tree / "lint-baseline.json"
-    exit_code = lint_main(
-        [
-            "--root",
-            str(violation_tree),
-            "--baseline",
-            str(baseline_file),
-            "--write-baseline",
-            str(violation_tree),
-        ]
-    )
-    assert exit_code == 0
-    assert baseline_file.exists()
-    n = len(VIOLATION_FIXTURES)
-    assert f"wrote {n} finding(s)" in capsys.readouterr().out
-
-    # With every current finding baselined, the tree reports clean...
-    exit_code = lint_main(
-        [
-            "--root",
-            str(violation_tree),
-            "--baseline",
-            str(baseline_file),
-            str(violation_tree),
-        ]
-    )
-    assert exit_code == 0
-    assert "clean" in capsys.readouterr().out
-
-    # ...and a brand-new violation still fails the run.
-    write_tree(
-        violation_tree,
-        {
-            "repro/rt/new_bad.py": (
-                "import time\n\ndef t():\n    return time.monotonic()\n"
-            )
-        },
-    )
-    exit_code = lint_main(
-        [
-            "--root",
-            str(violation_tree),
-            "--baseline",
-            str(baseline_file),
-            str(violation_tree),
-        ]
-    )
-    assert exit_code == 1
-    out = capsys.readouterr().out
-    assert "new_bad.py" in out and "bad_clock.py" not in out
-
-
-def test_cli_baseline_none_disables_discovery(violation_tree, capsys):
-    baseline_file = violation_tree / "lint-baseline.json"
-    lint_main(
-        [
-            "--root",
-            str(violation_tree),
-            "--baseline",
-            str(baseline_file),
-            "--write-baseline",
-            str(violation_tree),
-        ]
-    )
-    capsys.readouterr()
-    exit_code = lint_main(
-        [
-            "--root",
-            str(violation_tree),
-            "--baseline",
-            "none",
-            str(violation_tree),
-        ]
-    )
-    assert exit_code == 1  # baseline ignored, all findings reported

@@ -2,8 +2,34 @@
 
 import pytest
 
-from repro.experiments.multi_seed import MetricSummary, render, run_multi_seed
+from repro.experiments import run_scenario
+from repro.experiments.multi_seed import (
+    MetricSummary,
+    MultiSeedResult,
+    render,
+    run_multi_seed,
+)
 from repro.workloads import fig13_car_following
+
+
+def serial_reference(schemes, seeds):
+    """Independent in-process reference: one run_scenario per (scheme, seed)."""
+    values = {
+        s: [
+            run_scenario(fig13_car_following(horizon=5.0), s, seed=seed).speed_error_rms()
+            for seed in seeds
+        ]
+        for s in schemes
+    }
+    wins = {s: 0 for s in schemes}
+    for idx in range(len(seeds)):
+        wins[min(schemes, key=lambda s: values[s][idx])] += 1
+    return MultiSeedResult(
+        metric_name="speed_error_rms",
+        seeds=list(seeds),
+        summaries={s: MetricSummary(scheme=s, values=v) for s, v in values.items()},
+        wins=wins,
+    )
 
 
 class TestMetricSummary:
@@ -22,11 +48,12 @@ class TestRunMultiSeed:
     def result(self):
         # Short horizon, 3 seeds, 2 schemes: fast but meaningful.
         return run_multi_seed(
-            lambda: fig13_car_following(horizon=20.0),
-            metric=lambda r: r.speed_error_rms(),
+            "fig13",
+            metric="speed_error_rms",
             metric_name="speed RMS",
             seeds=range(3),
             schemes=("EDF", "HCPerf"),
+            overrides={"horizon": 20.0},
         )
 
     def test_all_schemes_summarized(self, result):
@@ -50,23 +77,12 @@ class TestRunMultiSeed:
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
-            run_multi_seed(
-                lambda: fig13_car_following(horizon=5.0),
-                metric=lambda r: 0.0,
-                seeds=[],
-            )
+            run_multi_seed("fig13", metric="speed_error_rms", seeds=[])
 
 
 class TestFleetBackend:
     def test_fleet_form_matches_legacy_serial(self):
-        """The rewired harness: name+key form == factory+callable form."""
-        legacy = run_multi_seed(
-            lambda: fig13_car_following(horizon=5.0),
-            metric=lambda r: r.speed_error_rms(),
-            metric_name="speed_error_rms",
-            seeds=range(2),
-            schemes=("EDF", "HCPerf"),
-        )
+        """The fleet-backed harness == one serial run_scenario per pair."""
         fleet = run_multi_seed(
             "fig13",
             metric="speed_error_rms",
@@ -75,7 +91,7 @@ class TestFleetBackend:
             overrides={"horizon": 5.0},
             jobs=2,
         )
-        assert render(fleet) == render(legacy)
+        assert render(fleet) == render(serial_reference(("EDF", "HCPerf"), [0, 1]))
 
     def test_fleet_form_persists_and_resumes(self, tmp_path):
         store = tmp_path / "ms.jsonl"
@@ -91,12 +107,3 @@ class TestFleetBackend:
         second = run_multi_seed("fig13", **kwargs)  # all jobs resumed
         assert render(first) == render(second)
         assert store.stat().st_mtime_ns == mtime  # nothing recomputed
-
-    def test_jobs_require_fleet_form(self):
-        with pytest.raises(ValueError, match="fleet form"):
-            run_multi_seed(
-                lambda: fig13_car_following(horizon=5.0),
-                metric=lambda r: 0.0,
-                seeds=range(2),
-                jobs=2,
-            )

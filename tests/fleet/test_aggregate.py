@@ -111,18 +111,11 @@ class TestRender:
 
 class TestMultiSeedBridge:
     def test_matches_serial_multi_seed_exactly(self):
-        """fleet report reproduces the serial multi_seed numbers."""
-        from repro.experiments.multi_seed import render, run_multi_seed
-        from repro.workloads import fig13_car_following
+        """fleet report reproduces one serial run_scenario per pair."""
+        from repro.experiments.multi_seed import render
+        from tests.experiments.test_multi_seed import serial_reference
 
         schemes = ("EDF", "HCPerf")
-        serial = run_multi_seed(
-            lambda: fig13_car_following(horizon=5.0),
-            metric=lambda r: r.speed_error_rms(),
-            metric_name="speed_error_rms",
-            seeds=range(2),
-            schemes=schemes,
-        )
         store = ResultStore(None)
         run_campaign(
             CampaignSpec(
@@ -133,4 +126,4 @@ class TestMultiSeedBridge:
             jobs=2,
         )
         (group,) = load_groups(store, schemes=schemes)
-        assert render(to_multi_seed_result(group)) == render(serial)
+        assert render(to_multi_seed_result(group)) == render(serial_reference(schemes, [0, 1]))
