@@ -21,17 +21,12 @@ Modes:
   (see docs/observability.md);
 * ``hcperf lint [--rule ID] [--severity error] [--format text|json|sarif]``
   — hclint, the two-pass whole-program invariant checker (determinism,
-  scheduler contracts, lock discipline, taint into recorded results;
-  see docs/static_analysis.md);
+  scheduler contracts, taint into recorded results; see
+  docs/static_analysis.md);
 * ``hcperf bench run|compare|list`` — machine-readable benchmark
   harness: run a registered suite to ``BENCH_<tag>.json`` and gate a new
   report against a baseline with a perf-regression threshold (see
   docs/benchmarks.md);
-* ``hcperf serve`` / ``hcperf submit`` / ``hcperf jobs`` — the job
-  service: a long-running HTTP server that queues campaign/fault/trace
-  jobs, runs them on the fleet worker pool and persists everything in a
-  durable SQLite session store; plus the client verbs to submit, poll
-  and fetch (see docs/service.md).
 """
 
 from __future__ import annotations
@@ -135,11 +130,6 @@ def _list_experiments() -> str:
     lines.append(
         "Benchmarks:       hcperf bench {run,compare,list} "
         "[--suite smoke|full] [-o PATH] [--threshold PCT]"
-    )
-    lines.append(
-        "Job service:      hcperf serve [--port N --store PATH] | "
-        "hcperf submit {campaign,fault,trace} ... | "
-        "hcperf jobs {list,show,events,result,cancel,metrics}"
     )
     return "\n".join(lines)
 
@@ -509,10 +499,7 @@ def build_fleet_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--store", default=None,
-            help=(
-                "result-store path (default results/fleet/<name>.jsonl; "
-                "a non-.jsonl suffix opens the SQLite backend)"
-            ),
+            help="JSONL result-store path (default results/fleet/<name>.jsonl)",
         )
 
     run = sub.add_parser("run", help="run (or resume) a campaign")
@@ -534,7 +521,7 @@ def build_fleet_parser() -> argparse.ArgumentParser:
     add_spec_args(status)
 
     report = sub.add_parser("report", help="aggregate a store into tables")
-    report.add_argument("--store", required=True, help="result-store path")
+    report.add_argument("--store", required=True, help="JSONL result-store path")
     report.add_argument(
         "--metric", default=None,
         help="summary key to rank on (default: auto per scenario kind)",
@@ -561,12 +548,18 @@ def _fleet_spec_from_args(args) -> "object":
 
 
 def _fleet_command(argv: List[str]) -> int:
+    from pathlib import Path
+
     from .fleet import campaign_status, default_store_path, render_store, run_campaign
 
     args = build_fleet_parser().parse_args(argv)
+    if args.store is not None and Path(args.store).suffix != ".jsonl":
+        print(
+            f"error: store {args.store} is not a .jsonl result store",
+            file=sys.stderr,
+        )
+        return 2
     if args.command == "report":
-        from pathlib import Path
-
         if not Path(args.store).exists():
             print(f"error: store {args.store} does not exist", file=sys.stderr)
             return 2
@@ -585,12 +578,9 @@ def _fleet_command(argv: List[str]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    from .service.store import open_result_store
-
     store = args.store or default_store_path(spec)
-    store_backend = open_result_store(store)
     if args.command == "status":
-        status = campaign_status(spec, store_backend)
+        status = campaign_status(spec, store)
         print(f"store   : {store}")
         print(f"done    : {status['done']}/{status['total']}")
         for line in status["pending"]:
@@ -601,7 +591,7 @@ def _fleet_command(argv: List[str]) -> int:
 
     report = run_campaign(
         spec,
-        store=store_backend,
+        store=store,
         jobs=args.jobs,
         max_jobs=args.max_jobs,
         progress=lambda msg: print(msg, file=sys.stderr),
@@ -658,18 +648,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .devtools.bench.cli import main as bench_main
 
         return bench_main(argv[1:])
-    if argv and argv[0] == "serve":
-        from .service.cli import serve_main
-
-        return serve_main(argv[1:])
-    if argv and argv[0] == "submit":
-        from .service.cli import submit_main
-
-        return submit_main(argv[1:])
-    if argv and argv[0] == "jobs":
-        from .service.cli import jobs_main
-
-        return jobs_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.experiment == "list":
         print(_list_experiments())

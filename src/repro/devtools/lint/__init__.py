@@ -3,14 +3,13 @@
 The paper-level claims rest on invariants no test suite can check
 exhaustively (see docs/static_analysis.md): simulation code never reads
 the wall clock or global RNG, schedulers honor the ``Scheduler``
-contract, fleet code never swallows failures, the threaded service layer
-keeps its shared state under its locks, and nondeterministic values never
-flow — even across call edges — into recorded results.
+contract, fleet code never swallows failures, and nondeterministic values
+never flow — even across call edges — into recorded results.
 
-Pass 1 runs per-file AST rules (HC001–HC008, HC011) and extracts a
+Pass 1 runs per-file AST rules (HC001–HC007, HC011) and extracts a
 :class:`ModuleSummary` per file.  Pass 2 links the summaries into a
 :class:`ProjectIndex` (symbol tables + approximate call graph) and runs
-the whole-program rules (HC009 lock-discipline, HC010 determinism taint).
+the whole-program rule (HC010 determinism taint).
 
 Every use runs the same whole-tree analysis:
 

@@ -30,8 +30,8 @@ def build_lint_parser() -> argparse.ArgumentParser:
         prog="hcperf lint",
         description=(
             "hclint: two-pass whole-program invariant checks (determinism, "
-            "scheduler contracts, lock discipline, taint into recorded "
-            "results) over the reproduction's source tree"
+            "scheduler contracts, taint into recorded results) over the "
+            "reproduction's source tree"
         ),
     )
     parser.add_argument(

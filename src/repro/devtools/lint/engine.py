@@ -299,7 +299,7 @@ def run_lint(
 
     Pass 1 maps over files: per-file rules run on each AST and a
     :class:`ModuleSummary` is extracted.  Pass 2 links the summaries into
-    a :class:`ProjectIndex` and runs the whole-program rules (HC009+).
+    a :class:`ProjectIndex` and runs the whole-program rules (HC010).
     This is the only way hclint runs: the CLI is a thin front end over
     it, and the repo-clean gate is ``assert run_lint() == []``.
 

@@ -3,19 +3,17 @@
 The two-pass design (docs/static_analysis.md) splits whole-program linting
 into a *summary extraction* pass that is pure per file and a cheap
 *linking* pass that stitches the summaries into a :class:`ProjectIndex`
-with an approximate call graph.  Project rules (HC009/HC010) only ever
-see the index, never raw ASTs.
+with an approximate call graph.  Project rules (HC010) only ever see the
+index, never raw ASTs.
 
 The summaries are deliberately approximate:
 
 * the call graph resolves ``self.m()``, module-local names, ``import x as
   y`` attribute chains, ``from m import f as g`` aliases, and one level of
-  constructor binding (``q = JobQueue(...); q.push(...)``) — anything else
-  stays an unresolved chain;
+  constructor binding (``s = ResultStore(...); s.append(...)``) — anything
+  else stays an unresolved chain;
 * taint facts are flow-insensitive within a function (a name assigned a
-  tainted value anywhere is tainted everywhere in that function);
-* lock tracking understands ``with self._lock:`` / ``with self._cond:``
-  blocks and direct ``self.attr`` accesses.
+  tainted value anywhere is tainted everywhere in that function).
 
 Those limits are documented per rule; the rules are tuned so the
 approximations cost recall, never soundness of the "shipped repo is
@@ -31,7 +29,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from .taintspec import taint_source_kind
 
 __all__ = [
-    "AttrAccess",
     "CallSite",
     "ClassSummary",
     "FunctionSummary",
@@ -41,62 +38,6 @@ __all__ = [
     "module_name_for",
     "summarize_module",
 ]
-
-#: Methods that mutate their receiver in place.  A ``self.attr.append(x)``
-#: therefore counts as a *write* to ``attr`` for lock-discipline purposes.
-MUTATOR_METHODS = frozenset(
-    {
-        "append",
-        "appendleft",
-        "add",
-        "insert",
-        "extend",
-        "remove",
-        "discard",
-        "pop",
-        "popleft",
-        "popitem",
-        "clear",
-        "update",
-        "setdefault",
-        "sort",
-        "reverse",
-        "write",
-        "writelines",
-        "put",
-        "put_nowait",
-        "get",
-        "get_nowait",
-        "execute",
-        "executemany",
-        "executescript",
-        "commit",
-        "rollback",
-    }
-)
-
-#: ``heapq`` functions whose first argument is mutated in place.
-HEAP_MUTATORS = frozenset({"heappush", "heappop", "heapify", "heappushpop", "heapreplace"})
-
-#: ``threading`` constructors that create a *lock-like* guard: holding one
-#: via ``with self.attr:`` protects whatever is accessed inside.
-LOCK_CTORS = frozenset({"Lock", "RLock", "Condition"})
-
-#: ``threading``/``queue`` constructors that are synchronization objects in
-#: their own right — never *guarded by* a lock, so HC009 must not flag them.
-SYNC_CTORS = frozenset(
-    {
-        "Event",
-        "Semaphore",
-        "BoundedSemaphore",
-        "Barrier",
-        "Queue",
-        "SimpleQueue",
-        "LifoQueue",
-        "PriorityQueue",
-    }
-)
-
 
 def dotted_chain(node: ast.AST) -> Optional[Tuple[str, ...]]:
     """``a.b.c`` -> ``("a", "b", "c")``; None for non-name-rooted chains."""
@@ -132,17 +73,6 @@ class CallSite:
     chain: Tuple[str, ...]
     lineno: int
     col: int
-
-
-@dataclass(frozen=True)
-class AttrAccess:
-    """One ``self.<attr>`` access inside a method, with the locks held."""
-
-    attr: str
-    lineno: int
-    col: int
-    kind: str  # "load" | "store" | "mutate"
-    held: Tuple[str, ...]  # lock attrs held via `with self.X:` at this point
 
 
 @dataclass(frozen=True)
@@ -197,17 +127,11 @@ class FunctionSummary:
 
 @dataclass
 class ClassSummary:
-    """Lock inventory and per-method ``self`` access patterns of a class."""
+    """A class's name and base chains, for method resolution via bases."""
 
     name: str
     lineno: int
     bases: List[Tuple[str, ...]] = field(default_factory=list)
-    lock_attrs: Set[str] = field(default_factory=set)
-    sync_attrs: Set[str] = field(default_factory=set)
-    accesses: Dict[str, List[AttrAccess]] = field(default_factory=dict)
-    self_calls: Dict[str, List[CallSite]] = field(default_factory=dict)
-    self_call_held: Dict[str, List[Tuple[str, ...]]] = field(default_factory=dict)
-    methods: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -368,118 +292,6 @@ def _extract_function(
     return summary
 
 
-def _self_attr(node: ast.AST) -> Optional[str]:
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
-def _scan_lock_inventory(cls_node: ast.ClassDef, summary: ClassSummary) -> None:
-    """Find ``self.X = threading.Lock()``-style assignments anywhere in the class."""
-    for node in ast.walk(cls_node):
-        if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
-            continue
-        ctor = dotted_chain(node.value.func)
-        if ctor is None:
-            continue
-        for target in node.targets:
-            attr = _self_attr(target)
-            if attr is None:
-                continue
-            if ctor[-1] in LOCK_CTORS:
-                summary.lock_attrs.add(attr)
-            elif ctor[-1] in SYNC_CTORS:
-                summary.sync_attrs.add(attr)
-
-
-def _scan_method_accesses(
-    method: "ast.FunctionDef | ast.AsyncFunctionDef", summary: ClassSummary
-) -> None:
-    """Walk one method tracking which class locks are held at each access."""
-    accesses: List[AttrAccess] = []
-    self_calls: List[CallSite] = []
-    self_call_held: List[Tuple[str, ...]] = []
-
-    def visit(node: ast.AST, held: Tuple[str, ...]) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not method:
-            return  # locks held here don't transfer into nested defs
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            new_held = held
-            for item in node.items:
-                attr = _self_attr(item.context_expr)
-                if attr is not None and attr in summary.lock_attrs:
-                    new_held = new_held + (attr,)
-            for item in node.items:
-                visit(item.context_expr, held)
-            for stmt in node.body:
-                visit(stmt, new_held)
-            return
-        if isinstance(node, ast.Call):
-            chain = dotted_chain(node.func)
-            if chain is not None and len(chain) == 2 and chain[0] == "self":
-                self_calls.append(CallSite(chain, node.lineno, node.col_offset))
-                self_call_held.append(held)
-            # `self.attr.append(x)` / heapq.heappush(self.attr, x): mutate.
-            if isinstance(node.func, ast.Attribute) and node.func.attr in MUTATOR_METHODS:
-                attr = _self_attr(node.func.value)
-                if attr is not None:
-                    accesses.append(
-                        AttrAccess(attr, node.lineno, node.col_offset, "mutate", held)
-                    )
-                    for arg in node.args:
-                        visit(arg, held)
-                    for kw in node.keywords:
-                        visit(kw.value, held)
-                    return
-            if (
-                chain is not None
-                and chain[-1] in HEAP_MUTATORS
-                and node.args
-            ):
-                attr = _self_attr(node.args[0])
-                if attr is not None:
-                    accesses.append(
-                        AttrAccess(attr, node.lineno, node.col_offset, "mutate", held)
-                    )
-                    for arg in node.args[1:]:
-                        visit(arg, held)
-                    return
-        if isinstance(node, ast.Subscript):
-            attr = _self_attr(node.value)
-            if attr is not None and isinstance(node.ctx, (ast.Store, ast.Del)):
-                accesses.append(
-                    AttrAccess(attr, node.lineno, node.col_offset, "mutate", held)
-                )
-                visit(node.slice, held)
-                return
-        if isinstance(node, ast.AugAssign):
-            attr = _self_attr(node.target)
-            if attr is not None:
-                accesses.append(
-                    AttrAccess(attr, node.lineno, node.col_offset, "store", held)
-                )
-                visit(node.value, held)
-                return
-        attr = _self_attr(node)
-        if attr is not None:
-            assert isinstance(node, ast.Attribute)
-            kind = "store" if isinstance(node.ctx, (ast.Store, ast.Del)) else "load"
-            accesses.append(AttrAccess(attr, node.lineno, node.col_offset, kind, held))
-            return
-        for child in ast.iter_child_nodes(node):
-            visit(child, held)
-
-    for stmt in method.body:
-        visit(stmt, ())
-    summary.accesses[method.name] = accesses
-    summary.self_calls[method.name] = self_calls
-    summary.self_call_held[method.name] = self_call_held
-
-
 def summarize_module(tree: ast.Module, relpath: str) -> ModuleSummary:
     """Extract the :class:`ModuleSummary` for one parsed file."""
     relpath = relpath.replace("\\", "/")
@@ -503,11 +315,6 @@ def summarize_module(tree: ast.Module, relpath: str) -> ModuleSummary:
             cls_summary.bases = [
                 b for b in (dotted_chain(base) for base in stmt.bases) if b is not None
             ]
-            _scan_lock_inventory(stmt, cls_summary)
-            for sub in stmt.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    cls_summary.methods.append(sub.name)
-                    _scan_method_accesses(sub, cls_summary)
             summary.classes[stmt.name] = cls_summary
 
     for cls, fn in walk_defs(tree.body, None):
@@ -524,7 +331,7 @@ def summarize_module(tree: ast.Module, relpath: str) -> ModuleSummary:
 class ProjectIndex:
     """Summaries linked into a resolvable whole-program view.
 
-    Qualified names look like ``repro.service.queue:JobQueue.push`` (module,
+    Qualified names look like ``repro.fleet.store:ResultStore.append`` (module,
     colon, module-relative qualname).  ``resolve_call`` maps a syntactic
     chain seen inside a function to such a qualname when the approximate
     resolution rules allow; the call graph is the closure of that over
@@ -568,7 +375,7 @@ class ProjectIndex:
             return None
         if ":" in target:
             base, obj = target.split(":", 1)
-            # `from repro.service import store` imports a submodule.
+            # `from repro.fleet import store` imports a submodule.
             if f"{base}.{obj}" in self.modules and obj not in (
                 self.modules[base].functions if base in self.modules else {}
             ):

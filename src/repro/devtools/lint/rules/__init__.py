@@ -9,10 +9,6 @@ grouped by the invariant family they protect:
 * :mod:`contracts` — HC003 (scheduler contract);
 * :mod:`hygiene` — HC004 (mutable defaults), HC005 (swallowed
   exceptions), HC006 (float equality on time quantities);
-* :mod:`service` — HC008 (service liveness: no sleep-polling loops, no
-  unjoined non-daemon threads);
-* :mod:`locks` — HC009 (lock discipline in the threaded service/fleet
-  layers; whole-program);
 * :mod:`taint` — HC010 (inter-procedural determinism taint into
   recording sinks; whole-program);
 * :mod:`spans` — HC011 (recorder bind/finalize pairing on all paths).
@@ -24,6 +20,6 @@ with ``@register``, and add a fixture case to
 ``tests/devtools/test_lint_rules.py`` — see docs/static_analysis.md.
 """
 
-from . import contracts, determinism, hygiene, locks, service, spans, taint
+from . import contracts, determinism, hygiene, spans, taint
 
-__all__ = ["contracts", "determinism", "hygiene", "locks", "service", "spans", "taint"]
+__all__ = ["contracts", "determinism", "hygiene", "spans", "taint"]

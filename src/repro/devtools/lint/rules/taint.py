@@ -96,7 +96,6 @@ class DeterminismTaintRule(ProjectRule):
         "repro/core",
         "repro/obs",
         "repro/fleet",
-        "repro/service",
         "repro/faults",
         "repro/experiments",
         "repro/analysis",

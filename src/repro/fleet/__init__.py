@@ -30,7 +30,7 @@ from .aggregate import (
 from .engine import CampaignReport, campaign_status, default_store_path, run_campaign
 from .manifest import Job, build_manifest, job_id
 from .spec import OVERRIDE_KEYS, CampaignSpec, load_spec
-from .store import ResultStore, SupportsResultStore
+from .store import ResultStore
 from .worker import build_scenario, execute_job
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "Job",
     "OVERRIDE_KEYS",
     "ResultStore",
-    "SupportsResultStore",
     "build_manifest",
     "build_scenario",
     "campaign_status",

@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
 from ..analysis.ascii_plot import line_chart
 from ..analysis.report import format_table
 from ..analysis.stats import mean, mean_ci95, sample_std
-from .store import SupportsResultStore
+from .store import ResultStore
 
 __all__ = [
     "CellStats",
@@ -131,23 +131,20 @@ def pick_metric(summaries: Sequence[Mapping[str, object]]) -> str:
 
 
 def load_groups(
-    store: Union[SupportsResultStore, str, Path],
+    store: Union[ResultStore, str, Path],
     metric: Optional[str] = None,
     schemes: Optional[Sequence[str]] = None,
 ) -> List[CampaignGroup]:
     """Group a store's records into per-(scenario, variant) tables.
 
-    ``store`` may be any result store object or a path — ``.jsonl`` opens
-    the append-only backend, anything else the service layer's SQLite
-    backend.  ``metric`` forces one summary key for every group; ``None``
-    auto-picks per group (car-following groups rank on speed RMS, lane
-    keeping on lateral offset).  ``schemes`` fixes the scheduler render
-    order; ``None`` sorts alphabetically.
+    ``store`` is a JSONL :class:`ResultStore` or a path to one.
+    ``metric`` forces one summary key for every group; ``None`` auto-picks
+    per group (car-following groups rank on speed RMS, lane keeping on
+    lateral offset).  ``schemes`` fixes the scheduler render order;
+    ``None`` sorts alphabetically.
     """
     if isinstance(store, (str, Path)):
-        from ..service.store import open_result_store
-
-        store = open_result_store(store)
+        store = ResultStore(store)
     records = [r for r in store.records() if "job" in r]
     grouped: Dict[Tuple[str, str], List[Dict[str, object]]] = {}
     for record in records:
@@ -253,7 +250,7 @@ def render_group(group: CampaignGroup, chart: bool = True) -> str:
 
 
 def render_store(
-    store: Union[SupportsResultStore, str, Path],
+    store: Union[ResultStore, str, Path],
     metric: Optional[str] = None,
     schemes: Optional[Sequence[str]] = None,
     chart: bool = True,

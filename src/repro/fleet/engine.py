@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Union
 
 from .manifest import Job, build_manifest
 from .spec import CampaignSpec
-from .store import ResultStore, SupportsResultStore
+from .store import ResultStore
 from .worker import execute_job
 
 __all__ = ["CampaignReport", "run_campaign", "campaign_status", "default_store_path"]
@@ -69,7 +69,7 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 
 def run_campaign(
     spec: CampaignSpec,
-    store: Union[SupportsResultStore, str, Path, None] = None,
+    store: Union[ResultStore, str, Path, None] = None,
     jobs: int = 1,
     max_jobs: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
@@ -79,10 +79,8 @@ def run_campaign(
     Parameters
     ----------
     store:
-        Any :class:`SupportsResultStore` (the JSONL :class:`ResultStore`,
-        the service layer's SQLite store, …), a path to a JSONL store, or
-        ``None`` for an in-memory store (no resume across calls, but
-        identical semantics).
+        A JSONL :class:`ResultStore`, a path to one, or ``None`` for an
+        in-memory store (no resume across calls, but identical semantics).
     jobs:
         Worker-process count; ``1`` executes serially in-process.
     max_jobs:
@@ -145,7 +143,7 @@ def run_campaign(
 
 
 def campaign_status(
-    spec: CampaignSpec, store: Union[SupportsResultStore, str, Path, None]
+    spec: CampaignSpec, store: Union[ResultStore, str, Path, None]
 ) -> Dict[str, object]:
     """Done/pending breakdown of a campaign against its store."""
     if store is None or isinstance(store, (str, Path)):

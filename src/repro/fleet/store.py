@@ -13,26 +13,9 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Protocol, Union, runtime_checkable
+from typing import Dict, Iterator, List, Optional, Union
 
-__all__ = ["ResultStore", "SupportsResultStore"]
-
-
-@runtime_checkable
-class SupportsResultStore(Protocol):
-    """What the campaign engine needs from a result store.
-
-    Satisfied by the JSONL :class:`ResultStore` below and by
-    :class:`repro.service.store.SqliteResultStore` — the engine only ever
-    appends finished records and asks which job ids are already done, so
-    any durable keyed store can back a campaign.
-    """
-
-    def append(self, record: Dict[str, object]) -> None: ...
-
-    def records(self) -> List[Dict[str, object]]: ...
-
-    def job_ids(self) -> Dict[str, Dict[str, object]]: ...
+__all__ = ["ResultStore"]
 
 
 class ResultStore:

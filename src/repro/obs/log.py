@@ -1,19 +1,18 @@
 """Structured warning channel for the observability layer.
 
 Simulation output must stay a pure function of (scenario, scheduler,
-seed), but the *infrastructure* around a run — stores, services,
-migrations — occasionally has something operational to say: a torn JSONL
-line skipped on recovery, a store record superseded, a migration that
-dropped a duplicate.  Swallowing those silently violates the repo's
-no-hidden-failure stance (HC005); printing them corrupts CLI output that
-tests pin byte-for-byte.  This module is the sanctioned middle path: a
-single stdlib :mod:`logging` logger (``repro.obs``) that callers emit
-structured warnings through.
+seed), but the *infrastructure* around a run — the fleet's result store —
+occasionally has something operational to say: a torn JSONL line skipped
+on recovery, a record without a job id.  Swallowing those silently
+violates the repo's no-hidden-failure stance (HC005); printing them
+corrupts CLI output that tests pin byte-for-byte.  This module is the
+sanctioned middle path: a single stdlib :mod:`logging` logger
+(``repro.obs``) that callers emit structured warnings through.
 
 The channel is passive and seed-pure: it never reads clocks or
 randomness itself, and with no handler configured the root ``lastResort``
 handler writes to stderr — never stdout — so piped JSON stays clean.
-Tests observe it with ``caplog``; services may attach their own handler.
+Tests observe it with ``caplog``; callers may attach their own handler.
 """
 
 from __future__ import annotations

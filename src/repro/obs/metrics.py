@@ -6,17 +6,15 @@ Instruments are created through the registry so one reduction pass (see
 bucket edges are fixed at creation so two reductions of the same recording
 are bit-identical and comparable across runs.
 
-Instruments are thread-safe: the job service updates them from HTTP
-handler threads and queue workers concurrently.  Each instrument carries
-its own lock so updates on different instruments never contend, and
-``to_dict`` snapshots under the lock so a reduction never observes a
-histogram whose ``counts`` and ``total`` disagree mid-``observe``.
+Instruments hold no locks.  Every registry is owned by one process and
+updated from one thread: a run reduces its own recording, and fleet
+campaigns shard across ``multiprocessing`` workers, each with a registry
+of its own.
 """
 
 from __future__ import annotations
 
 import bisect
-import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
@@ -29,17 +27,14 @@ class Counter:
         self.name = name
         self.help = help
         self.value = 0
-        self._lock = threading.Lock()
 
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
-        with self._lock:
-            self.value += amount
+        self.value += amount
 
     def to_dict(self) -> Dict[str, Any]:
-        with self._lock:
-            return {"type": "counter", "value": self.value}
+        return {"type": "counter", "value": self.value}
 
 
 class Gauge:
@@ -49,15 +44,12 @@ class Gauge:
         self.name = name
         self.help = help
         self.value: Optional[float] = None
-        self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
-        with self._lock:
-            self.value = value
+        self.value = value
 
     def to_dict(self) -> Dict[str, Any]:
-        with self._lock:
-            return {"type": "gauge", "value": self.value}
+        return {"type": "gauge", "value": self.value}
 
 
 class Histogram:
@@ -81,43 +73,38 @@ class Histogram:
         self.counts: List[int] = [0] * (len(edge_list) + 1)  # + overflow
         self.total = 0
         self.sum = 0.0
-        self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
-        with self._lock:
-            self.counts[bisect.bisect_left(self.edges, value)] += 1
-            self.total += 1
-            self.sum += value
+        self.counts[bisect.bisect_left(self.edges, value)] += 1
+        self.total += 1
+        self.sum += value
 
     @property
     def mean(self) -> float:
-        with self._lock:
-            return self.sum / self.total if self.total else 0.0
+        return self.sum / self.total if self.total else 0.0
 
     def quantile_bound(self, q: float) -> Optional[float]:
         """Upper bucket edge containing quantile ``q`` (None = overflow/empty)."""
         if not (0.0 <= q <= 1.0):
             raise ValueError("quantile must be in [0, 1]")
-        with self._lock:
-            if self.total == 0:
-                return None
-            target = q * self.total
-            seen = 0
-            for edge, count in zip(self.edges, self.counts):
-                seen += count
-                if seen >= target:
-                    return edge
-            return None  # lands in the overflow bucket
+        if self.total == 0:
+            return None
+        target = q * self.total
+        seen = 0
+        for edge, count in zip(self.edges, self.counts):
+            seen += count
+            if seen >= target:
+                return edge
+        return None  # lands in the overflow bucket
 
     def to_dict(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "type": "histogram",
-                "edges": list(self.edges),
-                "counts": list(self.counts),
-                "total": self.total,
-                "sum": self.sum,
-            }
+        return {
+            "type": "histogram",
+            "edges": list(self.edges),
+            "counts": list(self.counts),
+            "total": self.total,
+            "sum": self.sum,
+        }
 
 
 class MetricsRegistry:
@@ -125,15 +112,12 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: Dict[str, Any] = {}
-        self._lock = threading.Lock()
 
     def _get(self, name: str, kind: type, factory: Callable[[], Any]) -> Any:
-        with self._lock:
-            instrument = self._instruments.get(name)
-            if instrument is None:
-                instrument = self._instruments[name] = factory()
-                return instrument
-        if not isinstance(instrument, kind):
+        instrument = self._instruments.get(name)
+        if instrument is None:
+            instrument = self._instruments[name] = factory()
+        elif not isinstance(instrument, kind):
             raise TypeError(
                 f"metric {name!r} already registered as {type(instrument).__name__}"
             )
@@ -152,32 +136,26 @@ class MetricsRegistry:
         return hist
 
     def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._instruments
+        return name in self._instruments
 
     def __getitem__(self, name: str) -> Any:
-        with self._lock:
-            return self._instruments[name]
+        return self._instruments[name]
 
     def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._instruments)
-
-    def _snapshot(self) -> Dict[str, Any]:
-        with self._lock:
-            return dict(self._instruments)
+        return sorted(self._instruments)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON snapshot, name-sorted for stable output."""
-        instruments = self._snapshot()
-        return {name: instruments[name].to_dict() for name in sorted(instruments)}
+        return {
+            name: self._instruments[name].to_dict()
+            for name in sorted(self._instruments)
+        }
 
     def render_text(self) -> str:
         """Human-readable dump (one line per instrument)."""
-        instruments = self._snapshot()
         lines: List[str] = []
-        for name in sorted(instruments):
-            inst = instruments[name]
+        for name in sorted(self._instruments):
+            inst = self._instruments[name]
             if isinstance(inst, Counter):
                 lines.append(f"{name:32s} counter   {inst.value}")
             elif isinstance(inst, Gauge):

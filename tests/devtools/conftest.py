@@ -73,34 +73,6 @@ VIOLATION_FIXTURES: Dict[str, Tuple[str, str, int]] = {
         "HC007",
         4,
     ),
-    "repro/service/bad_poll.py": (
-        "import time\n"
-        "\n"
-        "def poll(queue):\n"
-        "    while queue.empty():\n"
-        "        time.sleep(0.1)\n",
-        "HC008",
-        5,
-    ),
-    # HC009 (whole-program): _items is lock-guarded in add() but read bare
-    # in size() — the seeded unguarded-access race.
-    "repro/service/bad_lock.py": (
-        "import threading\n"
-        "\n"
-        "class SharedBox:\n"
-        "    def __init__(self):\n"
-        "        self._lock = threading.Lock()\n"
-        "        self._items = []\n"
-        "\n"
-        "    def add(self, item):\n"
-        "        with self._lock:\n"
-        "            self._items.append(item)\n"
-        "\n"
-        "    def size(self):\n"
-        "        return len(self._items)\n",
-        "HC009",
-        13,
-    ),
     # HC010 (whole-program): the wall-clock read is in stamp(), outside any
     # per-file rule's reach here, and leaks into the store via a call edge.
     "repro/fleet/bad_taint.py": (

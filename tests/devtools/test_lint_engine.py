@@ -27,8 +27,6 @@ def test_shipped_rule_ids():
         "HC005",
         "HC006",
         "HC007",
-        "HC008",
-        "HC009",
         "HC010",
         "HC011",
     ]

@@ -197,34 +197,6 @@ def test_unresolvable_calls_are_dropped_not_crashed(tmp_path):
     assert index.callees_of("repro.a:f") == set()
 
 
-def test_lock_inventory_and_held_tracking(tmp_path):
-    index = _index_of(
-        tmp_path,
-        {
-            "repro/locked.py": (
-                "import threading\n"
-                "\n"
-                "class Guarded:\n"
-                "    def __init__(self):\n"
-                "        self._lock = threading.RLock()\n"
-                "        self._stop = threading.Event()\n"
-                "        self._data = {}\n"
-                "\n"
-                "    def put(self, k, v):\n"
-                "        with self._lock:\n"
-                "            self._data[k] = v\n"
-            ),
-        },
-    )
-    cls = index.modules["repro.locked"].classes["Guarded"]
-    assert cls.lock_attrs == {"_lock"}
-    assert cls.sync_attrs == {"_stop"}
-    put_accesses = {
-        (a.attr, a.kind, a.held) for a in cls.accesses["put"] if a.attr == "_data"
-    }
-    assert put_accesses == {("_data", "mutate", ("_lock",))}
-
-
 def test_real_tree_indexes_without_error():
     # The shipped repro package must summarize and link end to end (this
     # is the same pass run_lint's project stage performs).
@@ -236,7 +208,7 @@ def test_real_tree_indexes_without_error():
     index = ProjectIndex(summaries)
     graph = index.call_graph()
     assert len(graph) > 100  # every function appears as a caller node
-    # Spot-check a known edge: the queue worker calls its own _run_one.
-    assert "repro.service.queue:JobQueue._run_one" in graph.get(
-        "repro.service.queue:JobQueue._worker", set()
+    # Spot-check a known edge: a finishing job delivers its output.
+    assert "repro.rt.executor:RTExecutor._deliver" in graph.get(
+        "repro.rt.executor:RTExecutor._handle_finish", set()
     )

@@ -19,7 +19,7 @@ def test_sarif_document_shape(violation_tree):
     run = doc["runs"][0]
     assert run["tool"]["driver"]["name"] == "hclint"
     declared = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert {"HC001", "HC009", "HC010", "HC011"} <= declared
+    assert {"HC001", "HC007", "HC010", "HC011"} <= declared
     assert len(run["results"]) == len(diags)
     by_rule = {r["ruleId"]: r for r in run["results"]}
     hc001 = by_rule["HC001"]

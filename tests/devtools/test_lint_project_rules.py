@@ -1,10 +1,10 @@
-"""Whole-program rules HC009/HC010 and the path-sensitive HC011.
+"""Whole-program rule HC010 and the path-sensitive HC011.
 
 The violation fixtures in conftest pin that each rule *fires*; these
 tests pin the boundary: the sanctioned idioms each rule must accept
-(lock-held helper methods, the executor's guarded bind/finalize pattern,
-devtools owning the stopwatch) and the inter-procedural cases that
-motivated the whole-program engine in the first place.
+(the executor's guarded bind/finalize pattern, devtools owning the
+stopwatch) and the inter-procedural cases that motivated the
+whole-program engine in the first place.
 """
 
 from __future__ import annotations
@@ -16,187 +16,6 @@ from .conftest import write_tree
 
 def _rules(diags):
     return [(d.path, d.line, d.rule) for d in diags]
-
-
-# ---------------------------------------------------------------------------
-# HC009 — lock discipline
-# ---------------------------------------------------------------------------
-
-
-def test_hc009_flags_each_unguarded_access_kind(tmp_path):
-    write_tree(
-        tmp_path,
-        {
-            "repro/service/box.py": (
-                "import threading\n"
-                "\n"
-                "class Box:\n"
-                "    def __init__(self):\n"
-                "        self._lock = threading.Lock()\n"
-                "        self._items = []\n"
-                "        self._count = 0\n"
-                "\n"
-                "    def add(self, item):\n"
-                "        with self._lock:\n"
-                "            self._items.append(item)\n"
-                "            self._count += 1\n"
-                "\n"
-                "    def racy_read(self):\n"
-                "        return len(self._items)\n"
-                "\n"
-                "    def racy_write(self):\n"
-                "        self._count = 0\n"
-                "\n"
-                "    def racy_mutate(self):\n"
-                "        self._items.clear()\n"
-            ),
-        },
-    )
-    diags = run_lint([tmp_path], root=tmp_path)
-    assert _rules(diags) == [
-        ("repro/service/box.py", 15, "HC009"),
-        ("repro/service/box.py", 18, "HC009"),
-        ("repro/service/box.py", 21, "HC009"),
-    ]
-
-
-def test_hc009_accepts_fully_locked_class_and_init(tmp_path):
-    write_tree(
-        tmp_path,
-        {
-            "repro/service/ok_box.py": (
-                "import threading\n"
-                "\n"
-                "class Box:\n"
-                "    def __init__(self):\n"
-                "        self._lock = threading.Lock()\n"
-                "        self._items = []\n"
-                "        self._items.append(0)  # pre-publication: no lock needed\n"
-                "\n"
-                "    def add(self, item):\n"
-                "        with self._lock:\n"
-                "            self._items.append(item)\n"
-                "\n"
-                "    def snapshot(self):\n"
-                "        with self._lock:\n"
-                "            return list(self._items)\n"
-            ),
-        },
-    )
-    assert run_lint([tmp_path], root=tmp_path) == []
-
-
-def test_hc009_accepts_lock_held_private_helper(tmp_path):
-    # The _locked-helper idiom: every in-class call site holds the lock
-    # and nothing outside the class calls it.
-    write_tree(
-        tmp_path,
-        {
-            "repro/service/helper.py": (
-                "import threading\n"
-                "\n"
-                "class Queue:\n"
-                "    def __init__(self):\n"
-                "        self._lock = threading.Lock()\n"
-                "        self._heap = []\n"
-                "\n"
-                "    def push(self, x):\n"
-                "        with self._lock:\n"
-                "            self._push_locked(x)\n"
-                "\n"
-                "    def push_two(self, a, b):\n"
-                "        with self._lock:\n"
-                "            self._push_locked(a)\n"
-                "            self._push_locked(b)\n"
-                "\n"
-                "    def _push_locked(self, x):\n"
-                "        self._heap.append(x)\n"
-            ),
-        },
-    )
-    assert run_lint([tmp_path], root=tmp_path) == []
-
-
-def test_hc009_rejects_helper_with_an_unlocked_call_site(tmp_path):
-    write_tree(
-        tmp_path,
-        {
-            "repro/service/leaky.py": (
-                "import threading\n"
-                "\n"
-                "class Queue:\n"
-                "    def __init__(self):\n"
-                "        self._lock = threading.Lock()\n"
-                "        self._heap = []\n"
-                "\n"
-                "    def push(self, x):\n"
-                "        with self._lock:\n"
-                "            self._push_locked(x)\n"
-                "\n"
-                "    def sneak(self, x):\n"
-                "        self._push_locked(x)  # no lock held here\n"
-                "\n"
-                "    def _push_locked(self, x):\n"
-                "        self._heap.append(x)\n"
-            ),
-        },
-    )
-    diags = run_lint([tmp_path], root=tmp_path)
-    assert _rules(diags) == [("repro/service/leaky.py", 16, "HC009")]
-
-
-def test_hc009_sync_primitives_are_not_guarded_state(tmp_path):
-    # Events/semaphores are synchronization objects themselves; touching
-    # them outside the lock is the point, not a race.
-    write_tree(
-        tmp_path,
-        {
-            "repro/service/ev.py": (
-                "import threading\n"
-                "\n"
-                "class Worker:\n"
-                "    def __init__(self):\n"
-                "        self._lock = threading.Lock()\n"
-                "        self._stop = threading.Event()\n"
-                "        self._jobs = []\n"
-                "\n"
-                "    def add(self, j):\n"
-                "        with self._lock:\n"
-                "            self._jobs.append(j)\n"
-                "            self._stop.clear()\n"
-                "\n"
-                "    def shutdown(self):\n"
-                "        self._stop.set()\n"
-            ),
-        },
-    )
-    assert run_lint([tmp_path], root=tmp_path) == []
-
-
-def test_hc009_out_of_scope_packages_are_exempt(tmp_path):
-    # Same racy class under repro/rt: HC009's jurisdiction is the
-    # threaded layers (service/fleet) only.
-    write_tree(
-        tmp_path,
-        {
-            "repro/rt/box.py": (
-                "import threading\n"
-                "\n"
-                "class Box:\n"
-                "    def __init__(self):\n"
-                "        self._lock = threading.Lock()\n"
-                "        self._items = []\n"
-                "\n"
-                "    def add(self, item):\n"
-                "        with self._lock:\n"
-                "            self._items.append(item)\n"
-                "\n"
-                "    def size(self):\n"
-                "        return len(self._items)\n"
-            ),
-        },
-    )
-    assert run_lint([tmp_path], root=tmp_path) == []
 
 
 # ---------------------------------------------------------------------------

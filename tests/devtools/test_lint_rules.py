@@ -186,67 +186,6 @@ def test_hc007_covers_both_leak_kinds_in_faults_only(tmp_path):
     assert sorted(by_path["repro/rt/bad_model.py"]) == ["HC001", "HC002"]
 
 
-def test_hc008_flags_unjoined_thread_and_scopes_to_service(tmp_path):
-    # An inline non-daemon Thread nobody can join fires in repro/service;
-    # the identical sleep-polling loop outside the service package is not
-    # HC008's business (other rules own those packages' invariants).
-    write_tree(
-        tmp_path,
-        {
-            "repro/service/bad_thread.py": (
-                "import threading\n"
-                "\n"
-                "def spawn(fn):\n"
-                "    threading.Thread(target=fn).start()\n"
-            ),
-            "repro/fleet/ok_poll.py": (
-                "import time\n"
-                "\n"
-                "def poll(queue):\n"
-                "    while queue.empty():\n"
-                "        time.sleep(0.1)\n"
-            ),
-        },
-    )
-    diags = run_lint([tmp_path], root=tmp_path)
-    assert [(d.path, d.rule, d.line) for d in diags] == [
-        ("repro/service/bad_thread.py", "HC008", 4)
-    ]
-    assert "join" in diags[0].message
-
-
-def test_hc008_sanctioned_idioms_are_clean(tmp_path):
-    # The idioms the diagnostic points at: Event.wait pauses, daemon
-    # threads, and non-daemon threads that shutdown() joins.
-    write_tree(
-        tmp_path,
-        {
-            "repro/service/good_wait.py": (
-                "import threading\n"
-                "\n"
-                "def poll(queue, stop):\n"
-                "    while not stop.is_set():\n"
-                "        queue.drain()\n"
-                "        stop.wait(0.1)\n"
-            ),
-            "repro/service/good_threads.py": (
-                "import threading\n"
-                "\n"
-                "class Pool:\n"
-                "    def start(self, fn):\n"
-                "        self.worker = threading.Thread(target=fn)\n"
-                "        self.worker.start()\n"
-                "        helper = threading.Thread(target=fn, daemon=True)\n"
-                "        helper.start()\n"
-                "\n"
-                "    def shutdown(self):\n"
-                "        self.worker.join()\n"
-            ),
-        },
-    )
-    assert run_lint([tmp_path], root=tmp_path) == []
-
-
 def test_hc007_accepts_spec_seeded_streams(tmp_path):
     # The sanctioned idiom — per-fault streams derived from the spec seed —
     # must lint clean.

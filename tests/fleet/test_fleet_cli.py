@@ -95,3 +95,21 @@ class TestFleetReport:
     def test_list_mentions_fleet(self, capsys):
         main(["list"])
         assert "hcperf fleet" in capsys.readouterr().out
+
+
+class TestFleetStorePath:
+    def test_non_jsonl_store_is_rejected_untouched(self, tmp_path, capsys):
+        existing = tmp_path / "results.sqlite"
+        content = b"SQLite format 3\x00" + bytes(range(256))
+        existing.write_bytes(content)
+        for command in (
+            ["run", *ARGS],
+            ["status", *ARGS],
+            ["report"],
+        ):
+            rc = main(["fleet", *command, "--store", str(existing)])
+            err = capsys.readouterr().err
+            assert rc == 2, command
+            assert err.startswith("error: ") and str(existing) in err
+            assert existing.read_bytes() == content
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["results.sqlite"]

@@ -95,48 +95,3 @@ class TestRegistry:
         assert list(reg.to_dict()) == ["alpha", "mid", "zeta"]
         text = reg.render_text()
         assert "alpha" in text and "counter" in text and "histogram" in text
-
-
-class TestThreadSafety:
-    """The service updates instruments from handler and worker threads."""
-
-    def test_concurrent_updates_are_not_lost(self):
-        import threading
-
-        reg = MetricsRegistry()
-        n_threads, n_ops = 8, 2000
-
-        def hammer():
-            for i in range(n_ops):
-                reg.counter("jobs").inc()
-                reg.gauge("busy").set(float(i))
-                reg.histogram("latency", edges=[0.5]).observe(i % 2)
-
-        threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        assert reg["jobs"].value == n_threads * n_ops
-        hist = reg["latency"]
-        assert hist.total == n_threads * n_ops
-        assert sum(hist.counts) == hist.total
-
-    def test_concurrent_create_yields_one_instrument(self):
-        import threading
-
-        reg = MetricsRegistry()
-        seen = []
-        barrier = threading.Barrier(8)
-
-        def create():
-            barrier.wait()
-            seen.append(reg.counter("races"))
-
-        threads = [threading.Thread(target=create) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(c is seen[0] for c in seen)
