@@ -6,16 +6,37 @@ The simulator's :class:`SceneCubicExecTime` models fusion as
 Hungarian-based fusion over synthetic scenes of growing size, fits a cubic,
 and checks the cubic term dominates — the §II claim the whole paper builds
 on.
-
-Scene/detection construction and the micro-kernels are shared with the
-``hcperf bench`` runner (the ``hungarian_40`` / ``fusion_40`` entries of
-the smoke suite) via :mod:`repro.devtools.bench.kernels`.
 """
 
+import random
 import time
 
-from repro.devtools.bench.kernels import fusion_detections, make_hungarian_cost
-from repro.perception import ConfigurableSensorFusion, hungarian
+from repro.perception import (
+    CameraDetector,
+    ConfigurableSensorFusion,
+    LidarDetector,
+    Obstacle,
+    Scene,
+    hungarian,
+)
+
+
+def make_hungarian_cost(n, seed=0):
+    """A dense random ``n x n`` cost matrix (the fusion inner problem)."""
+    rng = random.Random(seed)
+    return [[rng.uniform(0, 100) for _ in range(n)] for _ in range(n)]
+
+
+def fusion_detections(n, seed=0):
+    """Camera + lidar detections over a synthetic ``n``-obstacle scene."""
+    rng = random.Random(seed)
+    scene = Scene(
+        t=0.0,
+        obstacles=[Obstacle(i, rng.uniform(-50, 50), rng.uniform(-50, 50)) for i in range(n)],
+    )
+    cam = CameraDetector(seed=1, miss_prob=0.0)
+    lid = LidarDetector(seed=2, miss_prob=0.0)
+    return cam.detect(scene), lid.detect(scene)
 
 
 def _time_fusion(n, repeats=5):

@@ -1,14 +1,10 @@
 """E9 — §VII-E overhead: the cost of one coordination step.
 
 This is a genuine micro-bench (multi-round): one full coordination step of
-the hierarchical coordinator over a realistic 24-job ready queue.  The
-multi-iteration body is shared with the ``hcperf bench`` runner (the
-``coordination_step`` entry of the smoke suite) via
-:mod:`repro.devtools.bench.kernels`.
+the hierarchical coordinator over a realistic 24-job ready queue.
 """
 
 from repro.core import HierarchicalCoordinator
-from repro.devtools.bench.kernels import coordination_overhead
 from repro.experiments import overhead
 
 
@@ -17,15 +13,6 @@ def test_bench_overhead_report(once):
     print("\n" + overhead.render(result))
     # Paper: < 5 ms per 1 s period.  Generous CI margin.
     assert result.per_second_budget() < 0.050
-
-
-def test_bench_overhead_kernel_metrics(once):
-    metrics = once(coordination_overhead, iterations=50)
-    # The shared kernel exports the same per-component budget machine-readably.
-    assert metrics["per_second_budget_ms"] < 50.0
-    assert metrics["coordination_step_ms"] == (
-        metrics["mfc_step_ms"] + metrics["gamma_resolve_ms"] + metrics["rate_adapter_step_ms"]
-    )
 
 
 def test_bench_coordination_step(benchmark):

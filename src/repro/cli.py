@@ -22,11 +22,7 @@ Modes:
 * ``hcperf lint [--rule ID] [--severity error] [--format text|json|sarif]``
   — hclint, the two-pass whole-program invariant checker (determinism,
   scheduler contracts, taint into recorded results; see
-  docs/static_analysis.md);
-* ``hcperf bench run|compare|list`` — machine-readable benchmark
-  harness: run a registered suite to ``BENCH_<tag>.json`` and gate a new
-  report against a baseline with a perf-regression threshold (see
-  docs/benchmarks.md);
+  docs/static_analysis.md).
 """
 
 from __future__ import annotations
@@ -126,10 +122,6 @@ def _list_experiments() -> str:
     lines.append(
         "Static analysis:  hcperf lint [PATH ...] [--rule ID] "
         "[--severity error] [--format text|json|sarif] [--list-rules]"
-    )
-    lines.append(
-        "Benchmarks:       hcperf bench {run,compare,list} "
-        "[--suite smoke|full] [-o PATH] [--threshold PCT]"
     )
     return "\n".join(lines)
 
@@ -275,7 +267,11 @@ def _trace_command(argv: List[str]) -> int:
             from .faults.harness import InjectionHarness
 
             if Path(args.faults).exists():
-                spec = load_fault_spec(args.faults)
+                try:
+                    spec = load_fault_spec(args.faults)
+                except (OSError, ValueError) as exc:
+                    print(f"error: {exc}", file=sys.stderr)
+                    return 2
             else:
                 try:
                     spec = get_spec(args.faults)
@@ -422,7 +418,11 @@ def _faults_command(argv: List[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if Path(args.spec).exists():
-        spec = load_fault_spec(args.spec)
+        try:
+            spec = load_fault_spec(args.spec)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         try:
             spec = get_spec(args.spec)
@@ -575,7 +575,7 @@ def _fleet_command(argv: List[str]) -> int:
 
     try:
         spec = _fleet_spec_from_args(args).validate()
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     store = args.store or default_store_path(spec)
@@ -644,10 +644,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .devtools.lint.cli import main as lint_main
 
         return lint_main(argv[1:])
-    if argv and argv[0] == "bench":
-        from .devtools.bench.cli import main as bench_main
-
-        return bench_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.experiment == "list":
         print(_list_experiments())

@@ -18,9 +18,8 @@ HC001/HC002/HC007).  Sinks are recording calls: ``<...store...>.append(x)``,
 function and through call edges via a whole-program fixpoint over "does
 this function return a tainted value".
 
-Scope: everything *except* ``repro/devtools`` — the bench runner and
-timing utilities own the stopwatch by design (docs/benchmarks.md); their
-job is to measure wall time and write it to ``BENCH_*.json``.  Functions
+Scope: everything *except* ``repro/devtools`` — its timing utilities
+own the stopwatch by design; their job is to measure wall time.  Functions
 in devtools still participate as taint *carriers*, so a simulation-layer
 sink that records ``devtools.timing.default_timer()()`` output is caught.
 

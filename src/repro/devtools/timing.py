@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-__all__ = ["Timer", "default_timer", "fake_timer"]
+__all__ = ["Timer", "default_timer"]
 
 #: A monotonic stopwatch: successive calls return non-decreasing seconds.
 Timer = Callable[[], float]
@@ -31,14 +31,3 @@ Timer = Callable[[], float]
 def default_timer() -> Timer:
     """The process-wide monotonic wall clock (``time.perf_counter``)."""
     return time.perf_counter
-
-
-def fake_timer(step: float = 0.001) -> Timer:
-    """A deterministic timer advancing ``step`` seconds per call (for tests)."""
-    state = {"t": 0.0}
-
-    def tick() -> float:
-        state["t"] += step
-        return state["t"]
-
-    return tick

@@ -280,7 +280,9 @@ def _model_to_dict(model: FaultModel) -> Dict[str, object]:
     return out
 
 
-def _model_from_dict(data: Mapping[str, object]) -> FaultModel:
+def _model_from_dict(data: object, i: int) -> FaultModel:
+    if not isinstance(data, Mapping):
+        raise ValueError(f"faults[{i}] must be an object, got {type(data).__name__}")
     payload = dict(data)
     kind = payload.pop("kind", None)
     if kind not in FAULT_KINDS:
@@ -297,7 +299,10 @@ def _model_from_dict(data: Mapping[str, object]) -> FaultModel:
         )
     if cls is ExecTimeBurst and payload.get("t_off") is None:
         payload["t_off"] = math.inf
-    return cls(**payload)  # type: ignore[arg-type]
+    try:
+        return cls(**payload)  # type: ignore[arg-type]
+    except TypeError as exc:
+        raise ValueError(f"faults[{i}] ({kind!r}): {exc}") from None
 
 
 @dataclass
@@ -354,18 +359,27 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "FaultSpec":
+        """Build a spec from its JSON form; ``ValueError`` if malformed."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a fault spec must be an object, got {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(
                 f"unknown fault-spec fields {unknown}; supported: {sorted(known)}"
             )
-        faults = [_model_from_dict(f) for f in data.get("faults", [])]  # type: ignore[union-attr]
-        return cls(
-            name=str(data.get("name", "")),
-            seed=int(data.get("seed", 0)),  # type: ignore[arg-type]
-            faults=faults,
-        )
+        raw = data.get("faults", [])
+        if not isinstance(raw, (list, tuple)):
+            raise ValueError(f"fault-spec 'faults' must be a list, got {type(raw).__name__}")
+        faults = [_model_from_dict(f, i) for i, f in enumerate(raw)]
+        try:
+            return cls(
+                name=str(data.get("name", "")),
+                seed=data.get("seed", 0),  # type: ignore[arg-type]
+                faults=faults,
+            )
+        except TypeError as exc:
+            raise ValueError(f"malformed fault spec: {exc}") from None
 
     def spec_hash(self) -> str:
         """Stable 16-hex-digit content hash (fleet-manifest convention)."""

@@ -2,9 +2,9 @@
 
 Each entry is a factory so callers always get a fresh spec.  The
 ``canonical`` suite is the fault sequence the resilience experiment
-(:mod:`repro.experiments.resilience`) and the ``faults_recovery`` bench
-drive: a fusion overload spike, a camera dropout and a processor failure,
-all clearing well before the horizon so the recovery tail is measurable.
+(:mod:`repro.experiments.resilience`) drives: a fusion overload spike, a
+camera dropout and a processor failure, all clearing well before the
+horizon so the recovery tail is measurable.
 
 Fault windows reference the fig13 car-following timeline (90 s horizon,
 2 processors, fusion elevated during t ∈ [10, 80) s).

@@ -31,6 +31,8 @@ OVERRIDE_KEYS = {
 
 
 def _check_overrides(overrides: Mapping[str, object], where: str) -> Dict[str, object]:
+    if not isinstance(overrides, Mapping):
+        raise ValueError(f"{where}: expected an override mapping, got {type(overrides).__name__}")
     unknown = sorted(set(overrides) - set(OVERRIDE_KEYS))
     if unknown:
         raise ValueError(
@@ -161,11 +163,22 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "CampaignSpec":
+        """Build a spec from its JSON form; ``ValueError`` if malformed."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a campaign spec must be an object, got {type(data).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown spec fields {unknown}; supported: {sorted(known)}")
-        return cls(**{k: v for k, v in data.items() if k in known})
+        for key in ("scenarios", "schedulers", "seeds", "variants", "faults"):
+            if key in data and not isinstance(data[key], (list, tuple)):
+                raise ValueError(
+                    f"spec field {key!r} must be a list, got {type(data[key]).__name__}"
+                )
+        try:
+            return cls(**data)  # type: ignore[arg-type]
+        except TypeError as exc:
+            raise ValueError(f"malformed campaign spec: {exc}") from None
 
     def save(self, path: Union[str, Path]) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")

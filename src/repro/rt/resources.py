@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
 __all__ = ["UnitSpec", "ProcessorProfile", "ProfileLike"]
 
@@ -213,14 +213,19 @@ class ProcessorProfile:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ProcessorProfile":
-        raw = data.get("units")
-        if not isinstance(raw, Iterable) or isinstance(raw, (str, bytes)):
+        """Build a profile from its JSON form; ``ValueError`` if malformed."""
+        raw = data.get("units") if isinstance(data, Mapping) else None
+        if not isinstance(raw, (list, tuple)):
             raise ValueError("profile dict needs a 'units' list")
-        units = tuple(
-            UnitSpec(type=str(u["type"]), speedup=float(u.get("speedup", 1.0)))
-            for u in raw
-        )
-        return cls(units=units)
+        units = []
+        for i, u in enumerate(raw):
+            if not isinstance(u, Mapping) or "type" not in u:
+                raise ValueError(f"profile unit #{i} must be an object with a 'type', got {u!r}")
+            try:
+                units.append(UnitSpec(type=str(u["type"]), speedup=float(u.get("speedup", 1.0))))
+            except TypeError as exc:
+                raise ValueError(f"profile unit #{i}: {exc}") from None
+        return cls(units=tuple(units))
 
     def __str__(self) -> str:
         return self.describe()

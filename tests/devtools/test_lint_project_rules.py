@@ -99,8 +99,8 @@ def test_hc010_recorder_sinks_are_covered(tmp_path):
 
 
 def test_hc010_devtools_owns_the_stopwatch(tmp_path):
-    # The bench runner measures wall time and writes it to reports by
-    # design; repro/devtools is out of HC010 scope.
+    # Developer tooling may measure wall time and record it by design;
+    # repro/devtools is out of HC010 scope.
     write_tree(
         tmp_path,
         {

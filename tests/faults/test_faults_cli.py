@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main as hcperf_main
 from repro.faults import FaultSpec
 
@@ -57,6 +59,23 @@ class TestRun:
         )
         assert code == 2
         assert "unknown fault spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[]", '{"faults": 5}', "{not json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["faults", "run", "car_following", "hcperf", "--spec", "SPEC"],
+            ["trace", "run", "--scenario", "car_following", "--faults", "SPEC",
+             "--out", "OUT"],
+        ],
+    )
+    def test_malformed_spec_file_is_a_usage_error(self, tmp_path, capsys, argv, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        paths = {"SPEC": str(path), "OUT": str(tmp_path / "trace.json")}
+        assert hcperf_main([paths.get(a, a) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "trace.json").exists()
 
     def test_unknown_scheduler_is_a_usage_error(self, capsys):
         code = hcperf_main(

@@ -95,6 +95,31 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="unknown fault-spec fields"):
             FaultSpec.from_dict({"typo": 1})
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [],
+            "canonical",
+            {"faults": 5},
+            {"faults": "exec_spike"},
+            {"faults": ["exec_spike"]},
+            {"faults": [{"kind": "exec_spike"}]},
+            {"faults": [{"kind": "sensor_dropout", "task": "x", "t_on": "a", "t_off": 1.0}]},
+            {"seed": None},
+            {"seed": "q"},
+        ],
+    )
+    def test_malformed_json_is_a_value_error(self, bad):
+        with pytest.raises(ValueError):
+            FaultSpec.from_dict(bad)
+
+    @pytest.mark.parametrize("text", ["[]", '{"faults": 5}', "{not json"])
+    def test_malformed_file_is_a_value_error(self, tmp_path, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_fault_spec(path)
+
 
 class TestIdentity:
     def test_hash_is_stable_and_content_sensitive(self):

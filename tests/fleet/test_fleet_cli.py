@@ -58,6 +58,19 @@ class TestFleetRun:
         assert rc == 0
         assert "campaign fromfile" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"scenarios": ["fig13"], "schedulers": ["EDF"], "seeds": 5}', "[]", "{not json"],
+    )
+    def test_malformed_spec_file_is_a_usage_error(self, tmp_path, capsys, text):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text)
+        store = tmp_path / "s.jsonl"
+        rc = main(["fleet", "run", "--spec", str(spec_path), "--store", str(store)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not store.exists()
+
 
 class TestFleetStatus:
     def test_status_before_and_after(self, store, capsys):

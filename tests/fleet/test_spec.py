@@ -58,6 +58,25 @@ class TestCampaignSpec:
         with pytest.raises(ValueError, match="unknown spec fields"):
             CampaignSpec.from_dict({"name": "x", "color": "red"})
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [],
+            "fig13",
+            {"scenarios": "fig13"},
+            {"schedulers": "EDF"},
+            {"seeds": 5},
+            {"seeds": [None]},
+            {"variants": {"horizon": 5.0}},
+            {"variants": [5]},
+            {"faults": "canonical"},
+            {"faults": [5]},
+        ],
+    )
+    def test_malformed_json_is_a_value_error(self, bad):
+        with pytest.raises(ValueError):
+            CampaignSpec.from_dict(bad)
+
 
 class TestManifest:
     def test_deterministic_order_and_ids(self):

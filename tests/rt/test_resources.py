@@ -90,6 +90,23 @@ class TestProfile:
         p = ProcessorProfile.parse("2xCPU+1xGPU@3")
         assert ProcessorProfile.from_dict(p.to_dict()) == p
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [],
+            {},
+            {"units": "2xCPU"},
+            {"units": 5},
+            {"units": []},
+            {"units": ["CPU"]},
+            {"units": [{"speedup": 2}]},
+            {"units": [{"type": "GPU", "speedup": "fast"}]},
+        ],
+    )
+    def test_malformed_dict_is_a_value_error(self, bad):
+        with pytest.raises(ValueError):
+            ProcessorProfile.from_dict(bad)
+
     def test_empty_profile_rejected(self):
         with pytest.raises(ValueError):
             ProcessorProfile(units=())
