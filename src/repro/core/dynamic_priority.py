@@ -43,7 +43,7 @@ The nominal parameter ``u`` from the MFC controller is finally clamped into
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -93,6 +93,8 @@ class GammaSearchResult:
     gamma_max: Optional[float]  # None => even γ = 0 is infeasible (overload)
     gamma: float  # the applied coefficient after Eq. (12)
     overloaded: bool
+    #: The search's per-job table in queue order (HCPerf ranks from it).
+    entries: List[_Entry] = field(default_factory=list, repr=False)
 
     @property
     def feasible(self) -> bool:
@@ -202,16 +204,22 @@ class DynamicPriorityPolicy:
         largest feasible grid point implements the paper's "allowable range
         [0, γ_max]" faithfully for practical queues.
         """
+        return self._search(_entries(jobs, now, exec_estimate), busy_remaining, n_processors)
+
+    def _search(
+        self, entries: List[_Entry], busy_remaining: float, n_processors: int
+    ) -> Optional[float]:
+        """The γ_max grid search over an already built per-job table."""
         cfg = self.config
-        if not jobs:
+        if not entries:
             return cfg.gamma_cap
         n_p = max(1, n_processors)
         base = busy_remaining / n_p
-        entries = _entries(jobs, now, exec_estimate)
         # Exact early exit (module docstring): a job that misses with an
         # empty backlog ahead of it misses at every γ.
-        if any(c + base >= rem for _, _, c, rem in entries):
-            return None
+        for _, _, c, rem in entries:
+            if c + base >= rem:
+                return None
         step = cfg.gamma_cap / (cfg.resolution - 1)
         for i in range(cfg.resolution - 1, -1, -1):
             gamma = i * step
@@ -247,6 +255,7 @@ class DynamicPriorityPolicy:
         n_processors: int,
     ) -> GammaSearchResult:
         """Full §V pipeline: search γ_max, clamp u, flag overload."""
-        gmax = self.gamma_max(jobs, now, exec_estimate, busy_remaining, n_processors)
+        entries = _entries(jobs, now, exec_estimate)
+        gmax = self._search(entries, busy_remaining, n_processors)
         gamma = self.clamp_gamma(u, gmax)
-        return GammaSearchResult(gamma_max=gmax, gamma=gamma, overloaded=gmax is None)
+        return GammaSearchResult(gmax, gamma, gmax is None, entries)

@@ -350,15 +350,6 @@ class ProjectIndex:
             for fn in mod.functions.values():
                 yield mod, fn
 
-    def function_at(self, qualname: str) -> Optional[FunctionSummary]:
-        if ":" not in qualname:
-            return None
-        module, local = qualname.split(":", 1)
-        mod = self.modules.get(module)
-        if mod is None:
-            return None
-        return mod.functions.get(local)
-
     def _class_in(self, module: str, name: str) -> Optional[ClassSummary]:
         mod = self.modules.get(module)
         return mod.classes.get(name) if mod else None

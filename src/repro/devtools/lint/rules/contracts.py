@@ -29,6 +29,7 @@ __all__ = ["SchedulerContractRule"]
 _HOOKS: Dict[str, int] = {
     "prepare": 3,  # (self, graph, n_processors)
     "rank": 4,  # (self, job, now, view)
+    "order": 4,  # (self, jobs, now, view)
     "on_dispatch_round": 3,  # (self, now, view)
     "on_window": 4,  # (self, now, view, window)
     "on_job_complete": 4,  # (self, job, now, view)

@@ -5,7 +5,7 @@ This package is the reproduction's stand-in for the paper's Apollo-based
 Auto-Driving Simulator (Fig. 9).
 """
 
-from .events import Event, EventHeap, EventKind
+from .events import EventHeap, EventKind
 from .exectime import (
     ConstantExecTime,
     ExecContext,
@@ -28,7 +28,6 @@ from .taskgraph import GraphError, TaskGraph
 from .timeutil import TIME_EPS, is_zero_time, times_close
 
 __all__ = [
-    "Event",
     "EventHeap",
     "EventKind",
     "ExecContext",

@@ -1,8 +1,9 @@
 """Event plumbing for the discrete-event executor.
 
-A tiny, allocation-light event heap: events are ``(time, seq, Event)``
-triples in a ``heapq``; ``seq`` breaks time ties in insertion order so runs
-are fully deterministic.
+An allocation-free event heap: events are plain ``(time, seq, kind,
+payload)`` tuples in a ``heapq``; ``seq`` breaks time ties in insertion
+order so runs are fully deterministic, and it is unique, so the heap never
+compares ``kind`` or ``payload``.
 """
 
 from __future__ import annotations
@@ -10,10 +11,9 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
-__all__ = ["EventKind", "Event", "EventHeap"]
+__all__ = ["EventKind", "EventHeap"]
 
 
 class EventKind(enum.Enum):
@@ -24,37 +24,23 @@ class EventKind(enum.Enum):
     PERIODIC = "periodic"  # registered callback (plant step, coordination)
 
 
-@dataclass(frozen=True)
-class Event:
-    """An immutable scheduled occurrence."""
-
-    kind: EventKind
-    payload: Any = None
-
-
 class EventHeap:
     """Deterministic min-heap of timed events."""
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[Tuple[float, int, EventKind, Any]] = []
         self._seq = itertools.count()
 
-    def push(self, time: float, event: Event) -> None:
-        """Schedule ``event`` at absolute simulated ``time``."""
+    def push(self, time: float, kind: EventKind, payload: Any = None) -> None:
+        """Schedule an event of ``kind`` at absolute simulated ``time``."""
         if time < 0:
             raise ValueError(f"cannot schedule event at negative time {time}")
-        heapq.heappush(self._heap, (time, next(self._seq), event))
+        heapq.heappush(self._heap, (time, next(self._seq), kind, payload))
 
-    def pop(self) -> Tuple[float, Event]:
-        """Remove and return the earliest ``(time, event)``."""
-        time, _, event = heapq.heappop(self._heap)
-        return time, event
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest event, or ``None`` when empty."""
-        if not self._heap:
-            return None
-        return self._heap[0][0]
+    def pop(self) -> Tuple[float, EventKind, Any]:
+        """Remove and return the earliest ``(time, kind, payload)``."""
+        time, _, kind, payload = heapq.heappop(self._heap)
+        return time, kind, payload
 
     def __len__(self) -> int:
         return len(self._heap)

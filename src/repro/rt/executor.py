@@ -17,7 +17,8 @@ Semantics (paper §III-A, resolved per DESIGN.md §2):
   on *any* fresh input, merging the latest retained value per other edge
   (fusion-pattern activation; see docs/heterogeneous.md).
 * Dispatch is non-preemptive; at every opportunity the active scheduler
-  ranks the ready queue and the lowest-rank eligible job runs.  On typed
+  ranks the ready queue once (:meth:`Scheduler.order`) and each free
+  processor runs the lowest-rank job it is eligible for.  On typed
   platforms a job is only eligible for units inside its task's affinity
   set, and its sampled execution time is divided by the unit's effective
   speedup.  The identity profile (all-CPU, speedup 1.0) reproduces the
@@ -33,11 +34,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from typing import TYPE_CHECKING
-
-from .events import Event, EventHeap, EventKind
+from .events import EventHeap, EventKind
 from .view import ProcessorState, SystemView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -200,6 +199,10 @@ class RTExecutor:
         self._pending_inputs: Dict[str, Dict[str, Dict[str, float]]] = {
             t.name: {} for t in graph
         }
+        # Static adjacency, built once for the completion path.
+        self._successors = {t.name: graph.isucc(t.name) for t in graph}
+        self._predecessors = {t.name: {p.name for p in graph.ipred(t.name)} for t in graph}
+        self._sinks = {t.name for t in graph if graph.kind(t.name) is TaskKind.SINK}
         self._periodic: List[_PeriodicHook] = []
         self._oneshots: List[Tuple[float, _PeriodicHook]] = []
         self._started = False
@@ -285,7 +288,7 @@ class RTExecutor:
         if self._started:
             if time < self.now:
                 raise ValueError(f"one-shot {name!r} at {time} is in the past")
-            self._events.push(time, Event(EventKind.PERIODIC, (name, hook)))
+            self._events.push(time, EventKind.PERIODIC, (name, hook))
         else:
             self._oneshots.append((time, hook))
 
@@ -365,28 +368,27 @@ class RTExecutor:
             self.scheduler.recorder = self.recorder
         self._started = True
         for src in self.graph.sources():
-            self._events.push(0.0, Event(EventKind.SOURCE_RELEASE, src.name))
+            self._events.push(0.0, EventKind.SOURCE_RELEASE, src.name)
         self._events.push(
-            self.config.coordination_period,
-            Event(EventKind.PERIODIC, ("__coordination__", None)),
+            self.config.coordination_period, EventKind.PERIODIC, ("__coordination__", None)
         )
         for hook in self._periodic:
-            self._events.push(hook.period, Event(EventKind.PERIODIC, (hook.name, hook)))
+            self._events.push(hook.period, EventKind.PERIODIC, (hook.name, hook))
         for time, hook in self._oneshots:
-            self._events.push(time, Event(EventKind.PERIODIC, (hook.name, hook)))
+            self._events.push(time, EventKind.PERIODIC, (hook.name, hook))
 
         horizon = self.config.horizon
         while self._events and not self._stopped:
-            time, event = self._events.pop()
+            time, kind, payload = self._events.pop()
             if time > horizon:
                 break
             self.now = time
-            if event.kind is EventKind.SOURCE_RELEASE:
-                self._handle_source_release(event.payload)
-            elif event.kind is EventKind.JOB_FINISH:
-                self._handle_finish(event.payload)
+            if kind is EventKind.SOURCE_RELEASE:
+                self._handle_source_release(payload)
+            elif kind is EventKind.JOB_FINISH:
+                self._handle_finish(payload)
             else:
-                self._handle_periodic(event.payload)
+                self._handle_periodic(payload)
             self._dispatch()
         self.now = min(self.now, horizon)
         if self.recorder is not None:
@@ -403,7 +405,7 @@ class RTExecutor:
         period = 1.0 / self._rates[task_name]
         next_time = self.now + period
         if next_time <= self.config.horizon:
-            self._events.push(next_time, Event(EventKind.SOURCE_RELEASE, task_name))
+            self._events.push(next_time, EventKind.SOURCE_RELEASE, task_name)
 
     def _release_job(
         self, spec: TaskSpec, provenance: Optional[Dict[str, float]]
@@ -423,10 +425,8 @@ class RTExecutor:
         if self.recorder is not None:
             self.recorder.release(job)
         # Bounded channel: evict the oldest queued job of the same task.
-        queued_same = [j for j in self.ready if j.task.name == spec.name]
-        if len(queued_same) >= self.config.max_pending_per_task:
-            victim = queued_same[0]
-            self.ready.remove(victim)
+        victim = self.ready.evict(spec.name, self.config.max_pending_per_task)
+        if victim is not None:
             victim.state = JobState.MISSED
             victim.finish_time = self.now
             if self.recorder is not None:
@@ -466,7 +466,7 @@ class RTExecutor:
     def _deliver(self, job: Job) -> None:
         """Propagate a completed job's output to its successors."""
         spec = job.task
-        if self.graph.kind(spec.name) is TaskKind.SINK:
+        if spec.name in self._sinks:
             response = job.response_time or 0.0
             if self.recorder is not None:
                 self.recorder.control(self.now, response)
@@ -474,7 +474,7 @@ class RTExecutor:
             if self.on_control is not None:
                 self.on_control(job, self.now)
             return
-        for succ in self.graph.isucc(spec.name):
+        for succ in self._successors[spec.name]:
             pending = self._pending_inputs[succ.name]
             pending[spec.name] = dict(job.provenance)
             if succ.activation == "newest-only":
@@ -486,8 +486,7 @@ class RTExecutor:
                 # never delivered simply contributes nothing yet.
                 self._release_job(succ, provenance=self._merge_pending(pending))
                 continue
-            needed = {p.name for p in self.graph.ipred(succ.name)}
-            if needed.issubset(pending.keys()):
+            if self._predecessors[succ.name].issubset(pending.keys()):
                 merged = self._merge_pending(pending)
                 pending.clear()
                 self._release_job(succ, provenance=merged)
@@ -510,9 +509,7 @@ class RTExecutor:
             self._coordination_step()
             next_time = self.now + self.config.coordination_period
             if next_time <= self.config.horizon:
-                self._events.push(
-                    next_time, Event(EventKind.PERIODIC, ("__coordination__", None))
-                )
+                self._events.push(next_time, EventKind.PERIODIC, ("__coordination__", None))
             return
         assert hook is not None
         hook.fn(self.now)
@@ -520,7 +517,7 @@ class RTExecutor:
             return  # one-shot (see at())
         next_time = self.now + hook.period
         if next_time <= self.config.horizon:
-            self._events.push(next_time, Event(EventKind.PERIODIC, (name, hook)))
+            self._events.push(next_time, EventKind.PERIODIC, (name, hook))
 
     def _busy_integral(self) -> float:
         """Total processor-busy time so far, including in-flight jobs."""
@@ -551,29 +548,34 @@ class RTExecutor:
     # Dispatch
     # ------------------------------------------------------------------
     def _dispatch(self) -> None:
-        if self.scheduler.drop_expired:
-            for job in self.ready.drop_expired(self.now):
+        now = self.now
+        ready = self.ready
+        scheduler = self.scheduler
+        if scheduler.drop_expired:
+            for job in ready.drop_expired(now):
                 job.state = JobState.MISSED
-                job.finish_time = self.now
+                job.finish_time = now
                 if self.recorder is not None:
-                    self.recorder.drop(job, self.now, reason="expired")
+                    self.recorder.drop(job, now, reason="expired")
                 self.metrics.on_miss(job, dropped=True)
-                self.scheduler.on_job_miss(job, self.now, self.view)
-        free = [p for p in self.processors if p.idle and p.available]
-        if not free or not self.ready:
+                scheduler.on_job_miss(job, now, self.view)
+        if not ready:
             return
-        self.scheduler.on_dispatch_round(self.now, self.view)
+        free = [p for p in self.processors if p.job is None and p.available]
+        if not free:
+            return
+        # γ, ``now`` and every estimate are fixed until the next event: one
+        # ranking serves every free processor of the round.
+        scheduler.on_dispatch_round(now, self.view)
+        ranked = ready.ranked(scheduler.order(ready.jobs(), now, self.view))
         for proc in free:
-            if not self.ready:
+            if not ready:
                 break
-            job = self.ready.pop_best(
-                key=lambda j: self.scheduler.rank(j, self.now, self.view),
-                predicate=lambda j: self.scheduler.eligible(j, proc),
-            )
+            job = ready.pop_best(ranked, lambda j: scheduler.eligible(j, proc))
             if job is None:
                 continue  # nothing eligible for this (bound/typed) processor
             job.state = JobState.RUNNING
-            job.start_time = self.now
+            job.start_time = now
             job.processor = proc.index
             job.unit = proc.unit_type
             # Wall duration on this unit: the sampled execution time divided
@@ -581,10 +583,8 @@ class RTExecutor:
             # keeping identity platforms byte-identical to the scalar model).
             job.unit_exec_time = job.exec_time / proc.effective_speedup(job.task)
             proc.job = job
-            proc.busy_until = self.now + job.unit_exec_time
-            self._events.push(
-                proc.busy_until, Event(EventKind.JOB_FINISH, (proc.index, job))
-            )
+            proc.busy_until = now + job.unit_exec_time
+            self._events.push(proc.busy_until, EventKind.JOB_FINISH, (proc.index, job))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -241,6 +241,8 @@ class Job:
     #: speedup-1.0 units (``x / 1.0`` is float-exact).
     unit_exec_time: Optional[float] = None
     job_id: int = field(default_factory=lambda: next(_job_counter))
+    #: ``release_time + D_i``, set once at construction.
+    absolute_deadline: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.exec_time < 0:
@@ -248,11 +250,7 @@ class Job:
         if not self.provenance:
             # A source job senses the world at its own release instant.
             self.provenance = {self.task.name: self.release_time}
-
-    @property
-    def absolute_deadline(self) -> float:
-        """``release_time + D_i``."""
-        return self.release_time + self.task.relative_deadline
+        self.absolute_deadline = self.release_time + self.task.relative_deadline
 
     @property
     def sense_time(self) -> float:

@@ -46,10 +46,6 @@ class ProcessorState:
     #: ``speedup`` override wins (see :meth:`effective_speedup`).
     speedup: float = 1.0
 
-    @property
-    def idle(self) -> bool:
-        return self.job is None
-
     def remaining(self, now: float) -> float:
         """Remaining processing time ``T_p`` of the running job (Eq. 11)."""
         if self.job is None:
@@ -111,21 +107,4 @@ class SystemView:
 
     def busy_remaining(self, now: float) -> float:
         """Sum of remaining processing times over all processors (ΣT_p)."""
-        return sum(p.remaining(now) for p in self.processors)
-
-    def unit_counts(self) -> Dict[str, int]:
-        """Live typed capacity: available unit count per unit type.
-
-        The typed refinement of :attr:`n_processors` — affinity-aware
-        policies can see how much of each resource class is actually
-        accepting work (failed units excluded, same as ``n_processors``).
-        """
-        counts: Dict[str, int] = {}
-        for p in self.processors:
-            if p.available:
-                counts[p.unit_type] = counts.get(p.unit_type, 0) + 1
-        return counts
-
-    def compatible_processors(self, spec: TaskSpec) -> List[ProcessorState]:
-        """Available processors ``spec`` may run on (binding + affinity)."""
-        return [p for p in self.processors if p.available and p.can_run(spec)]
+        return sum([p.remaining(now) for p in self.processors if p.job is not None], 0.0)

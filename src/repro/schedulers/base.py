@@ -1,8 +1,9 @@
 """Scheduler interface of the scheduling framework.
 
-The executor is policy-agnostic: at every dispatch opportunity it asks the
-active :class:`Scheduler` to rank the ready queue, and once per coordination
-window it hands the scheduler the window's metrics (which is where HCPerf's
+The executor is policy-agnostic: once per dispatch round it ranks the ready
+queue by the active :class:`Scheduler`'s keys (:meth:`Scheduler.order`, by
+default :meth:`Scheduler.rank` per job), and once per coordination window it
+hands the scheduler the window's metrics (which is where HCPerf's
 coordinators run).  Baselines only implement :meth:`rank`.
 
 Ranking contract: **smaller rank value is dispatched first**, matching the
@@ -11,7 +12,7 @@ paper's convention that a smaller priority value means higher priority.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..rt.metrics import WindowSample
 from ..rt.task import Job
@@ -28,8 +29,9 @@ class Scheduler:
     """Base scheduling policy.
 
     Subclasses override :meth:`rank`; HCPerf additionally overrides
-    :meth:`on_window` (coordination) and :meth:`on_dispatch_round`
-    (γ recomputation before each dispatch decision).
+    :meth:`on_window` (coordination), :meth:`on_dispatch_round`
+    (γ recomputation before each dispatch decision) and :meth:`order`
+    (ranking the round from the γ search's per-job table).
     """
 
     #: Human-readable policy name, used in reports and experiment tables.
@@ -61,12 +63,19 @@ class Scheduler:
         """Dispatch key for ``job`` — the smallest rank runs next."""
         raise NotImplementedError
 
+    def order(self, jobs: List[Job], now: float, view: SystemView) -> List[float]:
+        """:meth:`rank` of every job of the ready queue, once per dispatch round.
+
+        Overrides must return the same keys bit for bit, computed more cheaply.
+        """
+        return [self.rank(job, now, view) for job in jobs]
+
     def eligible(self, job: Job, processor: ProcessorState) -> bool:
         """Whether ``job`` may be dispatched to ``processor``.
 
-        The executor filters the ready queue through this before ranking,
-        so every policy — EDF, HPF, HCPerf and the rest — is affinity-aware
-        on typed :class:`~repro.rt.resources.ProcessorProfile` platforms
+        Each free processor takes the first job of the round's ranking that
+        this admits, so every policy — EDF, HPF, HCPerf and the rest — is
+        affinity-aware on typed :class:`~repro.rt.resources.ProcessorProfile` platforms
         through this one check.  The base rule admits a job iff the
         processor satisfies the task's static binding *and* its typed-unit
         affinity set; policies that want stricter placement (e.g. reserving

@@ -15,7 +15,7 @@ Wiring per coordination window (paper Fig. 6 workflow):
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..core.coordinator import HCPerfConfig, HierarchicalCoordinator
 from ..obs.metrics import MetricsRegistry
@@ -79,11 +79,11 @@ class HCPerfScheduler(Scheduler):
                 self.coordinator.rate_adapter.set_rate_range(src.name, lo, hi)
 
     def on_dispatch_round(self, now: float, view: SystemView) -> None:
-        jobs = view.ready.jobs()
+        estimate = view.observer.estimate
         result = self.coordinator.resolve_gamma(
             now,
-            jobs,
-            exec_estimate=lambda j: view.observer.estimate(j.task.name, j.exec_time),
+            view.ready.jobs(),
+            exec_estimate=lambda j: estimate(j.task.name, j.exec_time),
             busy_remaining=view.busy_remaining(now),
             n_processors=view.n_processors,
         )
@@ -94,6 +94,14 @@ class HCPerfScheduler(Scheduler):
     def rank(self, job: Job, now: float, view: SystemView) -> float:
         c_est = view.observer.estimate(job.task.name, job.exec_time)
         return self.coordinator.policy.dynamic_priority(job, self._gamma, now, c_est)
+
+    def order(self, jobs: List[Job], now: float, view: SystemView) -> List[float]:
+        # rank()'s P_i, operation for operation, from the table the round's
+        # γ search built: one estimate per queued job per round.
+        search = self.coordinator.last_result
+        assert search is not None and len(search.entries) == len(jobs)
+        gamma = self._gamma
+        return [gamma * p + slack for p, slack, _, _ in search.entries]
 
     def on_window(self, now: float, view: SystemView, window: WindowSample) -> None:
         self._windows_seen += 1

@@ -155,10 +155,6 @@ class CarFollowingPlant:
         """``E = v_lead − v_follow`` at the current instant (signed)."""
         return self.lead_profile.speed(self._last_t) - self.follower.speed
 
-    def distance_error(self) -> float:
-        """Gap deviation from the controller's desired gap (signed, m)."""
-        return self.gap - self.controller.desired_gap(self.follower.speed)
-
     def mean_gap(self) -> float:
         """Average inter-vehicle distance over the recorded run."""
         return sum(s.gap for s in self._history) / len(self._history)

@@ -71,7 +71,7 @@ GOLDEN_JSON = """\
     {
       "col": 5,
       "line": 7,
-      "message": "TypoPolicy.on_windows looks like an executor hook but is not one (known hooks: desired_rates, on_dispatch_round, on_job_complete, on_job_miss, on_window, prepare, rank); it would never be called",
+      "message": "TypoPolicy.on_windows looks like an executor hook but is not one (known hooks: desired_rates, on_dispatch_round, on_job_complete, on_job_miss, on_window, order, prepare, rank); it would never be called",
       "path": "repro/schedulers/bad_policy.py",
       "rule": "HC003",
       "severity": "error"

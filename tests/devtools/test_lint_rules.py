@@ -139,6 +139,39 @@ def test_hc003_wrong_hook_arity(tmp_path):
     assert "takes 2 positional parameter(s)" in diags[0].message
 
 
+def test_hc003_order_hook_arity(tmp_path):
+    write_tree(
+        tmp_path,
+        {
+            "repro/schedulers/short_order.py": (
+                "from .base import Scheduler\n"
+                "\n"
+                "class ShortOrder(Scheduler):\n"
+                "    def rank(self, job, now, view):\n"
+                "        return 0\n"
+                "\n"
+                "    def order(self, jobs, now):\n"
+                "        return [0.0 for _ in jobs]\n"
+            ),
+            "repro/schedulers/good_order.py": (
+                "from .base import Scheduler\n"
+                "\n"
+                "class GoodOrder(Scheduler):\n"
+                "    def rank(self, job, now, view):\n"
+                "        return 0\n"
+                "\n"
+                "    def order(self, jobs, now, view):\n"
+                "        return [0.0 for _ in jobs]\n"
+            ),
+        },
+    )
+    diags = run_lint([tmp_path], root=tmp_path)
+    assert [(d.path, d.rule) for d in diags] == [("repro/schedulers/short_order.py", "HC003")]
+    assert "ShortOrder.order takes 3 positional parameter(s), the order hook takes 4" in (
+        diags[0].message
+    )
+
+
 def test_hc006_is_a_warning_and_tolerates_sanctioned_helpers(tmp_path):
     write_tree(
         tmp_path,

@@ -9,6 +9,15 @@ def runs_on(index):
     return lambda j: proc.can_run(j.task)
 
 
+def anywhere(job):
+    return True
+
+
+def ranked(q, key):
+    """The executor's once-per-round ranking of ``q`` under ``key``."""
+    return q.ranked([key(j) for j in q])
+
+
 def job(name="t", priority=1, release=0.0, exec_time=0.01, deadline=0.1, binding=None):
     spec = TaskSpec(
         name=name,
@@ -60,9 +69,10 @@ class TestPopBest:
         hi = job("hi", priority=5)
         q.push(hi)
         q.push(lo)
-        picked = q.pop_best(key=lambda j: j.task.priority)
+        order = ranked(q, lambda j: j.task.priority)
+        picked = q.pop_best(order, anywhere)
         assert picked is lo
-        assert hi in q
+        assert hi in q and order == [hi]
 
     def test_pop_best_tie_breaks_by_insertion(self):
         q = ReadyQueue()
@@ -70,10 +80,10 @@ class TestPopBest:
         second = job("second", priority=2)
         q.push(first)
         q.push(second)
-        assert q.pop_best(key=lambda j: j.task.priority) is first
+        assert q.pop_best(ranked(q, lambda j: j.task.priority), anywhere) is first
 
     def test_pop_best_empty_returns_none(self):
-        assert ReadyQueue().pop_best(key=lambda j: 0.0) is None
+        assert ReadyQueue().pop_best([], anywhere) is None
 
     def test_pop_best_respects_binding(self):
         q = ReadyQueue()
@@ -82,16 +92,18 @@ class TestPopBest:
         q.push(bound)
         q.push(free)
         # Processor 1 cannot run the bound job even though it ranks better.
-        picked = q.pop_best(key=lambda j: j.task.priority, predicate=runs_on(1))
+        order = ranked(q, lambda j: j.task.priority)
+        picked = q.pop_best(order, runs_on(1))
         assert picked is free
         # Processor 0 may run it.
-        picked0 = q.pop_best(key=lambda j: j.task.priority, predicate=runs_on(0))
+        picked0 = q.pop_best(order, runs_on(0))
         assert picked0 is bound
 
     def test_pop_best_no_eligible_returns_none(self):
         q = ReadyQueue()
         q.push(job("bound", binding=0))
-        assert q.pop_best(key=lambda j: 0.0, predicate=runs_on(3)) is None
+        assert q.pop_best(list(q), runs_on(3)) is None
+        assert len(q) == 1
 
 
 class TestEligible:
