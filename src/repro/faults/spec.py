@@ -29,6 +29,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Type, Union
@@ -44,7 +46,28 @@ __all__ = [
     "FAULT_KINDS",
     "FaultSpec",
     "load_fault_spec",
+    "check_seed",
+    "is_finite_number",
 ]
+
+
+def check_seed(value: object, where: str) -> int:
+    """``value`` as an int seed: ``2`` or ``2.0``, never a truncated ``1.5``."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{where}: a seed must be an integer, got {value!r}")
+
+
+def is_finite_number(value: object) -> bool:
+    """Whether ``value`` is an int or float (not a bool) of finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 def _check_window(t_on: float, t_off: float) -> None:
@@ -280,6 +303,24 @@ def _model_to_dict(model: FaultModel) -> Dict[str, object]:
     return out
 
 
+#: Kind tag -> field name -> resolved annotation, for checking JSON values.
+_FIELD_TYPES = {kind: typing.get_type_hints(cls) for kind, cls in FAULT_KINDS.items()}
+
+
+def _fits(hint: object, value: object) -> bool:
+    """Whether a JSON value fits a field annotated ``hint`` (``None`` only if Optional)."""
+    args = typing.get_args(hint)
+    if args:  # Optional[X]
+        if value is None:
+            return True
+        hint = args[0]
+    if hint is str:
+        return isinstance(value, str)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return is_finite_number(value)
+
+
 def _model_from_dict(data: object, i: int) -> FaultModel:
     if not isinstance(data, Mapping):
         raise ValueError(f"faults[{i}] must be an object, got {type(data).__name__}")
@@ -297,8 +338,16 @@ def _model_from_dict(data: object, i: int) -> FaultModel:
             f"fault kind {kind!r}: unknown fields {unknown}; "
             f"supported: {sorted(known)}"
         )
-    if cls is ExecTimeBurst and payload.get("t_off") is None:
-        payload["t_off"] = math.inf
+    for f in fields(cls):
+        if f.name not in payload:
+            continue
+        value = payload[f.name]
+        if value is None and f.default == math.inf:
+            payload[f.name] = math.inf  # JSON's "unbounded" (see _model_to_dict)
+        elif not _fits(_FIELD_TYPES[kind][f.name], value):
+            raise ValueError(
+                f"faults[{i}] ({kind!r}): field {f.name!r} does not take {value!r}"
+            )
     try:
         return cls(**payload)  # type: ignore[arg-type]
     except TypeError as exc:
@@ -326,7 +375,7 @@ class FaultSpec:
     faults: List[FaultModel] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.seed = int(self.seed)
+        self.seed = check_seed(self.seed, "fault spec")
         for i, f in enumerate(self.faults):
             if not isinstance(f, tuple(FAULT_KINDS.values())):
                 raise TypeError(f"faults[{i}] is not a fault model: {f!r}")
@@ -372,14 +421,11 @@ class FaultSpec:
         if not isinstance(raw, (list, tuple)):
             raise ValueError(f"fault-spec 'faults' must be a list, got {type(raw).__name__}")
         faults = [_model_from_dict(f, i) for i, f in enumerate(raw)]
-        try:
-            return cls(
-                name=str(data.get("name", "")),
-                seed=data.get("seed", 0),  # type: ignore[arg-type]
-                faults=faults,
-            )
-        except TypeError as exc:
-            raise ValueError(f"malformed fault spec: {exc}") from None
+        return cls(
+            name=str(data.get("name", "")),
+            seed=data.get("seed", 0),  # type: ignore[arg-type]
+            faults=faults,
+        )
 
     def spec_hash(self) -> str:
         """Stable 16-hex-digit content hash (fleet-manifest convention)."""

@@ -15,6 +15,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence, Union
 
+from ..faults.spec import FaultSpec, check_seed, is_finite_number
+from ..rt.resources import ProcessorProfile
+
 __all__ = ["OVERRIDE_KEYS", "CampaignSpec", "load_spec"]
 
 #: Config-override keys a job may carry, and what they retune.
@@ -39,6 +42,14 @@ def _check_overrides(overrides: Mapping[str, object], where: str) -> Dict[str, o
             f"{where}: unknown override keys {unknown}; "
             f"supported: {sorted(OVERRIDE_KEYS)}"
         )
+    for key, value in overrides.items():
+        if key == "processor_profile":
+            ProcessorProfile.parse(value)  # type: ignore[arg-type]
+        elif key == "n_processors":
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"{where}: n_processors must be a positive integer, got {value!r}")
+        elif not is_finite_number(value):
+            raise ValueError(f"{where}: {key} must be a finite number, got {value!r}")
     return dict(overrides)
 
 
@@ -83,15 +94,21 @@ class CampaignSpec:
     metric: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"spec name must be a string, got {self.name!r}")
+        if self.metric is not None and not isinstance(self.metric, str):
+            raise ValueError(f"spec metric must be a string or null, got {self.metric!r}")
         self.scenarios = [str(s) for s in self.scenarios]
         self.schedulers = [str(s) for s in self.schedulers]
-        self.seeds = [int(s) for s in self.seeds]
+        self.seeds = [check_seed(s, f"seeds #{i}") for i, s in enumerate(self.seeds)]
         self.variants = [
             _check_overrides(v, f"variant #{i}") for i, v in enumerate(self.variants)
         ]
         self.faults = list(self.faults)
         for i, f in enumerate(self.faults):
-            if f is not None and not isinstance(f, (str, Mapping)):
+            if isinstance(f, Mapping):
+                FaultSpec.from_dict(f)  # raises on malformed inline specs
+            elif f is not None and not isinstance(f, str):
                 raise ValueError(
                     f"faults #{i}: expected None, a named spec, or a "
                     f"fault-spec mapping, got {type(f).__name__}"
@@ -112,7 +129,6 @@ class CampaignSpec:
     # ------------------------------------------------------------------
     def validate(self) -> "CampaignSpec":
         """Check scenario/scheduler/fault names against the registries."""
-        from ..faults.spec import FaultSpec
         from ..faults.suite import NAMED_SPECS
         from ..schedulers import SCHEDULERS
         from ..workloads import SCENARIOS
@@ -133,8 +149,6 @@ class CampaignSpec:
                     f"faults #{i}: unknown named spec {f!r}; "
                     f"available: {sorted(NAMED_SPECS)}"
                 )
-            if isinstance(f, Mapping):
-                FaultSpec.from_dict(f)  # raises on malformed inline specs
         return self
 
     @property

@@ -27,6 +27,7 @@ are case-normalized to upper case.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
@@ -35,6 +36,10 @@ __all__ = ["UnitSpec", "ProcessorProfile", "ProfileLike"]
 
 #: Canonical unit type of the homogeneous (identity) platform.
 DEFAULT_UNIT_TYPE = "CPU"
+
+#: Most units a profile may name.  The executor keeps per-unit state, so
+#: ``parse`` refuses a count like ``10**12xCPU`` before building the tuple.
+MAX_UNITS = 1024
 
 _SEGMENT_RE = re.compile(
     r"^\s*(?:(?P<count>\d+)\s*[xX]\s*)?(?P<type>[A-Za-z_][A-Za-z0-9_]*)"
@@ -56,11 +61,11 @@ class UnitSpec:
     speedup: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.type or not re.match(r"^[A-Za-z_][A-Za-z0-9_]*$", self.type):
+        if not self.type or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", self.type):
             raise ValueError(f"invalid unit type {self.type!r}")
-        if self.speedup <= 0:
+        if not math.isfinite(self.speedup) or self.speedup <= 0:
             raise ValueError(
-                f"unit {self.type!r}: speedup must be positive, got {self.speedup}"
+                f"unit {self.type!r}: speedup must be positive and finite, got {self.speedup}"
             )
 
     @property
@@ -89,6 +94,8 @@ class ProcessorProfile:
     def __post_init__(self) -> None:
         if not self.units:
             raise ValueError("a profile needs at least one unit")
+        if len(self.units) > MAX_UNITS:
+            raise ValueError(f"a profile has at most {MAX_UNITS} units, got {len(self.units)}")
         for u in self.units:
             if not isinstance(u, UnitSpec):
                 raise TypeError(f"profile units must be UnitSpec, got {u!r}")
@@ -108,8 +115,10 @@ class ProcessorProfile:
     @classmethod
     def parse(cls, text: str) -> "ProcessorProfile":
         """Parse the compact ``2xCPU+1xGPU@3`` form (see module docstring)."""
+        if not isinstance(text, str):
+            raise ValueError(f"a profile must be a string, got {type(text).__name__}")
         units: List[UnitSpec] = []
-        for segment in str(text).split("+"):
+        for segment in text.split("+"):
             m = _SEGMENT_RE.match(segment)
             if m is None:
                 raise ValueError(
@@ -119,6 +128,8 @@ class ProcessorProfile:
             count = int(m.group("count") or 1)
             if count < 1:
                 raise ValueError(f"profile segment {segment.strip()!r}: count must be >= 1")
+            if len(units) + count > MAX_UNITS:
+                raise ValueError(f"a profile has at most {MAX_UNITS} units")
             speedup = float(m.group("speedup") or 1.0)
             spec = UnitSpec(type=m.group("type").upper(), speedup=speedup)
             units.extend([spec] * count)
@@ -223,7 +234,7 @@ class ProcessorProfile:
                 raise ValueError(f"profile unit #{i} must be an object with a 'type', got {u!r}")
             try:
                 units.append(UnitSpec(type=str(u["type"]), speedup=float(u.get("speedup", 1.0))))
-            except TypeError as exc:
+            except (TypeError, OverflowError) as exc:
                 raise ValueError(f"profile unit #{i}: {exc}") from None
         return cls(units=tuple(units))
 

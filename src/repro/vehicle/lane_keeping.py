@@ -11,6 +11,7 @@ appears as stale steering.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -89,8 +90,6 @@ class LaneKeepingPlant:
         self.offset_noise = offset_noise
 
         x0, y0, h0 = self.track.pose(0.0)
-        import math
-
         self.state = BicycleState(
             x=x0 - initial_offset * math.sin(h0),
             y=y0 + initial_offset * math.cos(h0),
@@ -124,8 +123,6 @@ class LaneKeepingPlant:
         self._record(now)
 
     def _record(self, t: float) -> None:
-        import math
-
         s, offset = self.track.project(self.state.x, self.state.y, self._arc)
         if abs(offset) > self.max_offset:
             if not self.departed:

@@ -104,30 +104,40 @@ class OvalTrack:
     def project(self, x: float, y: float, s_hint: float) -> Tuple[float, float]:
         """Project a world point to ``(s, lateral_offset)``.
 
-        Uses a local search around ``s_hint`` (the previously known arc
-        length) — the vehicle moves continuously, so a ±5 m window with fine
-        refinement is both fast and unambiguous.  The signed offset is
-        positive to the left of the driving direction.
+        A coarse-to-fine search around ``s_hint`` (the previously known arc
+        length) in steps of 1, 0.1 and 0.01 m.  Each candidate is scored with
+        the float operations of :meth:`pose`, written out inline for speed.
+        The signed offset is positive to the left of the driving direction.
         """
-        best_s = self.wrap(s_hint)
-        best_d2 = self._dist2(x, y, best_s)
-        # Coarse-to-fine local search.
-        for step, half_span in ((1.0, 8.0), (0.1, 1.5), (0.01, 0.2)):
+        L, R, length = self.straight_length, self.radius, self.length
+        arc = math.pi * R
+        sin, cos = math.sin, math.cos
+        best_s = s_hint % length
+        best_d2 = math.inf
+        head = [best_s]  # the hint itself is scored before the first grid
+        for step, k in ((1.0, 8), (0.1, 15), (0.01, 20)):
             center = best_s
-            k = int(half_span / step)
-            for i in range(-k, k + 1):
-                s = self.wrap(center + i * step)
-                d2 = self._dist2(x, y, s)
+            for s in head + [(center + i * step) % length for i in range(-k, k + 1)]:
+                # pose() wraps again: this is s, or 0.0 if s rounded up to length.
+                u = s % length
+                if u < L:  # bottom straight
+                    cx, cy = u, 0.0
+                elif (u := u - L) < arc:  # right turn
+                    theta = u / R
+                    cx, cy = L + R * sin(theta), R - R * cos(theta)
+                elif (u := u - arc) < L:  # top straight
+                    cx, cy = L - u, 2.0 * R
+                else:  # left turn
+                    theta = (u - L) / R
+                    cx, cy = 0.0 - R * sin(theta), R + R * cos(theta)
+                d2 = (x - cx) ** 2 + (y - cy) ** 2
                 if d2 < best_d2:
                     best_d2 = d2
                     best_s = s
+            head = []
         cx, cy, heading = self.pose(best_s)
         # Signed lateral offset: cross product of heading direction with the
         # displacement vector.
         dx, dy = x - cx, y - cy
         offset = -math.sin(heading) * dx + math.cos(heading) * dy
         return best_s, offset
-
-    def _dist2(self, x: float, y: float, s: float) -> float:
-        cx, cy, _ = self.pose(s)
-        return (x - cx) ** 2 + (y - cy) ** 2

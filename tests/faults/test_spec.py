@@ -107,6 +107,14 @@ class TestRoundTrip:
             {"faults": [{"kind": "sensor_dropout", "task": "x", "t_on": "a", "t_off": 1.0}]},
             {"seed": None},
             {"seed": "q"},
+            {"seed": 1.5},
+            {"seed": True},
+            {"seed": math.inf},
+            {"faults": [{"kind": "sensor_dropout", "task": "x", "t_on": 0.0, "t_off": math.nan}]},
+            {"faults": [{"kind": "sensor_dropout", "task": "x", "t_on": 0.0, "t_off": math.inf}]},
+            {"faults": [{"kind": "sensor_dropout", "task": 5, "t_on": 0.0, "t_off": 1.0}]},
+            {"faults": [{"kind": "deadline_storm", "t_on": 0.0, "t_off": 1.0, "factor": True}]},
+            {"faults": [{"kind": "processor_failure", "processor": 1.5, "t_fail": 1.0}]},
         ],
     )
     def test_malformed_json_is_a_value_error(self, bad):

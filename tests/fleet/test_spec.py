@@ -71,11 +71,26 @@ class TestCampaignSpec:
             {"variants": [5]},
             {"faults": "canonical"},
             {"faults": [5]},
+            {"faults": [{"seed": 1.5}]},
+            {"seeds": [1.5, 1.2]},
+            {"seeds": [True]},
+            {"seeds": ["3"]},
+            {"seeds": [float("inf")]},
+            {"variants": [{"horizon": float("nan")}]},
+            {"variants": [{"horizon": "5"}]},
+            {"variants": [{"n_processors": 2.5}]},
+            {"variants": [{"n_processors": 0}]},
+            {"variants": [{"processor_profile": "2xCPU+?"}]},
+            {"name": 5},
+            {"metric": ["miss_ratio"]},
         ],
     )
     def test_malformed_json_is_a_value_error(self, bad):
         with pytest.raises(ValueError):
             CampaignSpec.from_dict(bad)
+
+    def test_integral_float_seeds_are_kept(self):
+        assert CampaignSpec.from_dict({"seeds": [2.0, 3]}).seeds == [2, 3]
 
 
 class TestManifest:

@@ -1,5 +1,7 @@
 """ProcessorProfile / UnitSpec: parsing, identity, typed addressing, wiring."""
 
+import math
+
 import pytest
 
 from repro.rt import ProcessorProfile, SimConfig, UnitSpec
@@ -21,6 +23,13 @@ class TestUnitSpec:
             UnitSpec(speedup=0.0)
         with pytest.raises(ValueError):
             UnitSpec(speedup=-1.0)
+
+    @pytest.mark.parametrize("speedup", [math.nan, math.inf])
+    def test_rejects_non_finite_speedup(self, speedup):
+        with pytest.raises(ValueError, match="finite"):
+            UnitSpec(speedup=speedup)
+        with pytest.raises(ValueError):
+            ProcessorProfile.from_dict({"units": [{"type": "CPU", "speedup": speedup}]})
 
 
 class TestParse:
@@ -101,11 +110,18 @@ class TestProfile:
             {"units": ["CPU"]},
             {"units": [{"speedup": 2}]},
             {"units": [{"type": "GPU", "speedup": "fast"}]},
+            {"units": [{"type": "GPU", "speedup": 10**400}]},
+            {"units": [{"type": "CPU\n"}]},
         ],
     )
     def test_malformed_dict_is_a_value_error(self, bad):
         with pytest.raises(ValueError):
             ProcessorProfile.from_dict(bad)
+
+    @pytest.mark.parametrize("bad", [None, 5, ["CPU"], "2000xCPU", "GPU@1" + "0" * 400])
+    def test_parse_rejects_non_strings_and_absurd_profiles(self, bad):
+        with pytest.raises(ValueError):
+            ProcessorProfile.parse(bad)
 
     def test_empty_profile_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Unit tests for the lane-keeping plant."""
 
+import hashlib
+
 import pytest
 
 from repro.vehicle import LaneKeepingPlant, OvalTrack
@@ -113,3 +115,19 @@ class TestSnapshots:
         p = drive(make_plant(), 2.0)
         assert len(p.offset_series()) == len(p.times())
         assert len(p.offset_by_arc_series()) == len(p.times())
+
+
+class TestGolden:
+    # sha256 of repr(offset_by_arc_series()) after one lap of the 60/15 track
+    # from a 0.5 m initial offset, recorded before OvalTrack.project was
+    # inlined (when it still scored each candidate through pose()).  Any
+    # change here is a change of lane-keeping output; never regenerate it to
+    # make a speed-up pass.
+    LAP_SHA256 = "96ec332b8eebab7ce01f0d0920fd7488c40d80f001908417feabf0a1a3bb0f0c"
+
+    def test_one_lap_is_byte_identical(self):
+        p = make_plant(initial_offset=0.5)
+        drive(p, p.track.length / p.speed)
+        series = p.offset_by_arc_series()
+        assert len(series) == 4286
+        assert hashlib.sha256(repr(series).encode()).hexdigest() == self.LAP_SHA256

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.vehicle import OvalTrack
@@ -91,3 +91,110 @@ class TestProjection:
         x, y, _ = TRACK.pose(45.0)
         s_hat, offset = TRACK.project(x, y, s_hint=40.0)  # 5 m stale hint
         assert s_hat == pytest.approx(45.0, abs=0.1)
+
+
+def reference_project(track, x, y, s_hint):
+    """The ``pose``-based coarse-to-fine search that ``project`` inlines."""
+
+    def dist2(s):
+        cx, cy, _ = track.pose(s)
+        return (x - cx) ** 2 + (y - cy) ** 2
+
+    best_s = track.wrap(s_hint)
+    best_d2 = dist2(best_s)
+    for step, half_span in ((1.0, 8.0), (0.1, 1.5), (0.01, 0.2)):
+        center = best_s
+        k = int(half_span / step)
+        for i in range(-k, k + 1):
+            s = track.wrap(center + i * step)
+            d2 = dist2(s)
+            if d2 < best_d2:
+                best_d2 = d2
+                best_s = s
+    cx, cy, heading = track.pose(best_s)
+    dx, dy = x - cx, y - cy
+    return best_s, -math.sin(heading) * dx + math.cos(heading) * dy
+
+
+# The default track, the lane-keeping scenario's track, and a tiny one whose
+# ±8 m search window wraps past s = 0 and spans all four segments.
+TRACKS = [OvalTrack(), TRACK, OvalTrack(straight_length=3.0, radius=0.7)]
+
+
+def off_line_point(track, s, e):
+    """The point ``e`` metres left of the centerline at arc length ``s``."""
+    cx, cy, h = track.pose(s)
+    return cx - e * math.sin(h), cy + e * math.cos(h)
+
+
+class TestProjectionIsBitExact:
+    @given(
+        track=st.sampled_from(TRACKS),
+        frac=st.floats(min_value=0.0, max_value=1.0),
+        e=st.floats(min_value=-3.0, max_value=3.0),
+        hint_error=st.floats(min_value=-6.0, max_value=6.0),
+        laps=st.integers(min_value=-2, max_value=2),
+    )
+    @settings(max_examples=400, deadline=None)
+    # -1e-300 % length rounds up to length itself, which pose() wraps again.
+    @example(track=TRACK, frac=0.0, e=0.5, hint_error=-1e-300, laps=0)
+    @example(track=TRACKS[2], frac=0.0, e=0.0, hint_error=0.0, laps=-1)
+    def test_matches_pose_based_search(self, track, frac, e, hint_error, laps):
+        s = frac * track.length
+        x, y = off_line_point(track, s, e)
+        s_hint = s + hint_error + laps * track.length
+        assert track.project(x, y, s_hint) == reference_project(track, x, y, s_hint)
+
+
+def analytic_projection(track, x, y):
+    """Closed-form ``(s, offset)`` of a point within reach of the centerline.
+
+    Between the turn centres the foot point lies on a straight (offset ``y``
+    on the bottom one, ``2R - y`` on the top one); beyond them it lies on a
+    turn, at offset ``R - |p - c|``.
+    """
+    L, R = track.straight_length, track.radius
+    if 0.0 <= x <= L:
+        if y < R:
+            return x, y
+        return L + math.pi * R + (L - x), 2.0 * R - y
+    if x > L:  # right turn, centre (L, R), pose = c + R(sin t, -cos t)
+        d = math.hypot(x - L, y - R)
+        return L + R * math.atan2(x - L, R - y), R - d
+    # left turn, centre (0, R), pose = c + R(-sin t, cos t)
+    d = math.hypot(x, y - R)
+    return 2.0 * L + math.pi * R + R * math.atan2(-x, y - R), R - d
+
+
+class TestProjectionMatchesClosedForm:
+    # Tolerances, derived rather than fitted.  With h = 0.01 the finest grid
+    # step, e the true offset and D = s - s* the arc length from the foot
+    # point s*, the squared distance d2(s) exceeds e**2 by D**2 on a straight
+    # and by 2R(R -/+ |e|)(1 - cos(D/R)) on a turn, so by between
+    # (1 - |e|/R) D**2 and (1 + |e|/R) D**2.  Some grid point lies within h/2
+    # of s*, hence the winner has |D| <= (h/2) sqrt((1 + |e|/R) / (1 - |e|/R)).
+    # The offset is read along the normal at the winner, turned by at most
+    # |D|/R from the normal at s*, which errs by at most
+    # |D| sin(|D|/R) + (R + |e|)(1 - cos(|D|/R)) <= D**2 (1 + |e|/R) / R.
+    # FLOAT covers rounding in coordinates of up to ~250 m.
+    H = 0.01
+    FLOAT = 1e-9
+
+    @given(
+        track=st.sampled_from(TRACKS[:2]),
+        frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        e=st.floats(min_value=-3.0, max_value=3.0),
+        hint_error=st.floats(min_value=-6.0, max_value=6.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_offset_and_arc_length(self, track, frac, e, hint_error):
+        R = track.radius
+        x, y = off_line_point(track, frac * track.length, e)
+        s_star, e_star = analytic_projection(track, x, y)
+        s_hat, offset = track.project(x, y, frac * track.length + hint_error)
+
+        ratio = abs(e_star) / R
+        d_max = self.H / 2 * math.sqrt((1 + ratio) / (1 - ratio))
+        gap = abs(s_hat - s_star) % track.length
+        assert min(gap, track.length - gap) <= d_max + self.FLOAT
+        assert abs(offset - e_star) <= d_max**2 * (1 + ratio) / R + self.FLOAT
