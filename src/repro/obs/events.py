@@ -1,9 +1,12 @@
 """Typed trace events.
 
-Each event is a frozen dataclass with a class-level ``kind`` tag and an
-explicit, ordered ``to_dict`` — the serialization the JSONL exporter and
-the golden-trace regression test rely on being byte-stable.  ``t`` is
-always *simulated* time (seconds); no event ever carries wall-clock data.
+Each event is a slotted dataclass value object with a class-level ``kind``
+tag and an explicit, ordered ``to_dict`` — the serialization the JSONL
+exporter and the golden-trace regression test rely on being byte-stable.
+Events are built once and never mutated or hashed; ``slots=True`` rather
+than ``frozen=True`` keeps construction cheap on the recorder's hot path.
+``t`` is always *simulated* time (seconds); no event ever carries
+wall-clock data.
 
 Job identity is the ``(task, cycle)`` pair: cycles are assigned per task in
 release order by the executor, so the pair is unique within a run and the
@@ -39,7 +42,7 @@ SPAN_OUTCOMES = ("complete", "miss", "kill")
 DROP_REASONS = ("expired", "evicted")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
     """Base event: anything with a simulated timestamp."""
 
@@ -52,7 +55,7 @@ class TraceEvent:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReleaseEvent(TraceEvent):
     """A job entered the ready queue (``t`` is its release instant)."""
 
@@ -72,7 +75,7 @@ class ReleaseEvent(TraceEvent):
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SpanEvent(TraceEvent):
     """One executed interval of a job on a processor (``t`` = finish).
 
@@ -119,7 +122,7 @@ class SpanEvent(TraceEvent):
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DropEvent(TraceEvent):
     """A queued job was discarded without running (counted as a miss)."""
 
@@ -147,7 +150,7 @@ class DropEvent(TraceEvent):
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UnresolvedEvent(TraceEvent):
     """A job still queued or running when the recording ended.
 
@@ -172,7 +175,7 @@ class UnresolvedEvent(TraceEvent):
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GammaEvent(TraceEvent):
     """One γ resolution of HCPerf's Dynamic Priority Scheduler.
 
@@ -197,7 +200,7 @@ class GammaEvent(TraceEvent):
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ControllerEvent(TraceEvent):
     """One Performance Directed Controller sample (MFC step).
 
@@ -215,7 +218,7 @@ class ControllerEvent(TraceEvent):
         return {"ev": self.kind, "t": self.t, "u": self.u, "f_hat": self.f_hat}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RateAdapterEvent(TraceEvent):
     """One Task Rate Adapter step (Eq. 13) at a coordination window."""
 
@@ -235,7 +238,7 @@ class RateAdapterEvent(TraceEvent):
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RateEvent(TraceEvent):
     """A source task's rate was retuned (``rate`` is the applied, clamped value)."""
 
@@ -248,7 +251,7 @@ class RateEvent(TraceEvent):
         return {"ev": self.kind, "t": self.t, "task": self.task, "rate": self.rate}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WindowEvent(TraceEvent):
     """One closed coordination window (``t`` = window end)."""
 
@@ -277,7 +280,7 @@ class WindowEvent(TraceEvent):
         }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ControlEvent(TraceEvent):
     """A sink (control) job completed in time and produced a command."""
 
@@ -289,7 +292,7 @@ class ControlEvent(TraceEvent):
         return {"ev": self.kind, "t": self.t, "response": self.response}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FaultMarkEvent(TraceEvent):
     """A fault-injection marker (mirrors the harness's event log)."""
 

@@ -43,8 +43,9 @@ _CHROME_PHASES = frozenset({"X", "i", "C", "M"})
 _US = 1_000_000.0  # seconds -> microseconds
 
 
-def _dumps(obj: Any) -> str:
-    return json.dumps(obj, separators=(",", ":"), sort_keys=False)
+#: One compact encoder for every JSONL line: ``json.dumps`` with non-default
+#: separators would build a new ``JSONEncoder`` per call.
+_JSONL_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def to_chrome_trace(rec: Recorder) -> Dict[str, Any]:
@@ -194,10 +195,11 @@ def validate_chrome_trace(trace: Any) -> List[str]:
 def to_jsonl(rec: Recorder) -> str:
     """Byte-stable JSONL: one meta line, then one line per event."""
     meta = {"ev": "meta"}
-    meta.update(rec.to_dict()["meta"])
+    meta.update((k, v) for k, v in rec.meta.items() if k != "schema")
     meta["schema"] = SCHEMA
-    lines = [_dumps(meta)]
-    lines.extend(_dumps(e.to_dict()) for e in rec.events)
+    encode = _JSONL_ENCODER.encode
+    lines = [encode(meta)]
+    lines.extend(encode(e.to_dict()) for e in rec.events)
     return "\n".join(lines) + "\n"
 
 

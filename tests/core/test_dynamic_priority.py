@@ -1,10 +1,12 @@
 """Unit and property tests for the Dynamic Priority Scheduler core."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DynamicPriorityConfig, DynamicPriorityPolicy
+from repro.core.dynamic_priority import _eq11_grid, _eq11_holds
 from repro.rt import ConstantExecTime, Job, TaskSpec
 
 
@@ -262,7 +264,7 @@ class TestSearchModeAgreement:
                 st.floats(min_value=0.0, max_value=0.05),   # release
             ),
             min_size=0,
-            max_size=8,
+            max_size=20,
         ),
         now=st.floats(min_value=0.0, max_value=0.2),
         busy=st.floats(min_value=0.0, max_value=0.1),
@@ -275,3 +277,167 @@ class TestSearchModeAgreement:
             for i, (p, c, d, r) in enumerate(specs)
         ]
         _assert_matches_scan(jobs, now, busy, n_p)
+
+
+#: The default grid: ``resolution`` points over ``[0, gamma_cap]``.
+_CFG = DynamicPriorityConfig()
+_STEP = _CFG.gamma_cap / (_CFG.resolution - 1)
+_GRID = np.arange(_CFG.resolution) * _STEP
+
+
+def _scalar_rows(entries, base, n_p):
+    return [_eq11_holds(i * _STEP, entries, base, n_p) for i in range(_CFG.resolution)]
+
+
+def _few_or_any(values, lo, hi):
+    """A few fixed values (so exact key ties are common) or any float in range."""
+    return st.one_of(st.sampled_from(values), st.floats(min_value=lo, max_value=hi))
+
+
+#: One queued job as the search sees it, ``(p_i, slack_i, c_i, D_i − now)``.
+_entry = st.builds(
+    lambda p, slack, c: (p, slack, c, c + slack),
+    st.integers(min_value=0, max_value=3),
+    _few_or_any([0.01, 0.02, 0.05, 0.1], -0.005, 0.3),
+    _few_or_any([0.002, 0.005, 0.01], 0.0, 0.02),
+)
+
+
+@st.composite
+def _interior_queue(draw):
+    """A queue whose top grid point fails and whose γ = 0 passes.
+
+    A planted pair crosses inside the grid: ``heavy`` (larger ``p``, less
+    slack) runs first below the crossover γ* and meets its deadline;
+    above γ*, ``light`` runs first and its ``c / n_p`` pushes ``heavy``
+    past its deadline by at least 1 ms / n_p.  Filler jobs have at least
+    1 s of slack, so they rank behind the pair at every γ and always fit.
+    """
+    n_p = draw(st.integers(min_value=1, max_value=3))
+    busy = draw(st.floats(min_value=1e-4, max_value=0.02))
+    base = busy / n_p
+    p_light = draw(st.integers(min_value=0, max_value=2))
+    p_heavy = draw(st.integers(min_value=p_light + 1, max_value=3))
+    slack_h = base + draw(st.floats(min_value=0.005, max_value=0.05))
+    crossover = draw(st.floats(min_value=2 * _STEP, max_value=_CFG.gamma_cap - 2 * _STEP))
+    slack_l = slack_h + (p_heavy - p_light) * crossover
+    c_h = n_p * (slack_h - base) * draw(st.floats(min_value=0.0, max_value=0.9))
+    c_l = n_p * (slack_h - base) + 0.001
+    fillers = draw(
+        st.lists(
+            st.builds(
+                lambda p, slack, c: (p, slack, c, c + slack),
+                st.integers(min_value=0, max_value=3),
+                _few_or_any([1.0, 1.25, 1.5], 1.0, 2.0),
+                _few_or_any([0.005, 0.01, 0.02], 0.0, 0.02),
+            ),
+            max_size=18,
+        )
+    )
+    entries = fillers + [
+        (p_heavy, slack_h, c_h, c_h + slack_h),
+        (p_light, slack_l, c_l, c_l + slack_l),
+    ]
+    return draw(st.permutations(entries)), busy, n_p
+
+
+class TestBatchedGridWalk:
+    """The batched walk against :func:`_eq11_holds`, row by row, bit for bit."""
+
+    @given(
+        entries=st.lists(_entry, min_size=1, max_size=20),
+        busy=st.floats(min_value=1e-6, max_value=0.02),
+        n_p=st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_row_matches_scalar(self, entries, busy, n_p):
+        base = busy / n_p
+        batch = _eq11_grid(_GRID, entries, base, n_p)
+        assert batch.tolist() == _scalar_rows(entries, base, n_p)
+
+    @given(case=_interior_queue())
+    @settings(max_examples=200, deadline=None)
+    def test_top_fails_interior_passes(self, case):
+        entries, busy, n_p = case
+        base = busy / n_p
+        rows = _scalar_rows(entries, base, n_p)
+        assert not rows[-1] and rows[0]
+        assert _eq11_grid(_GRID, entries, base, n_p).tolist() == rows
+        top_pass = max(i for i, ok in enumerate(rows) if ok)
+        assert POLICY._search(entries, busy, n_p) == top_pass * _STEP
+
+    def test_rounding_at_the_boundary(self):
+        # (0.1 + 0.2) + 0.3 rounds to 0.6000000000000001, while 0.1 + (0.2 + 0.3)
+        # and (0.3 + 0.2) + 0.1 give 0.6.  Each last job's deadline sits on
+        # that difference, so the batch agrees with the scalar test only if
+        # it adds in the same order: (c + base) first, and the tied group's
+        # c in queue order (a stable sort).
+        edge = (0.1 + 0.2) + 0.3
+        tied = [(0, 0.0, c, 10.0) for c in (0.1, 0.2, 0.3)] + [(0, 0.0, 0.0, 10.0)] * 15
+        by_sum_order = tied + [(0, 1.0, 0.0, edge)]
+        assert _scalar_rows(by_sum_order, 0.0, 1) == [False] * _CFG.resolution
+        assert _eq11_grid(_GRID, by_sum_order, 0.0, 1).tolist() == [False] * _CFG.resolution
+        by_association = [(0, 0.0, 0.3, 10.0), (0, 1.0, 0.1, edge)]
+        assert _scalar_rows(by_association, 0.2, 1) == [False] * _CFG.resolution
+        assert _eq11_grid(_GRID, by_association, 0.2, 1).tolist() == [False] * _CFG.resolution
+
+    def test_hand_built_interior_gamma_max(self):
+        # heavy (p = 3, slack 0.02 s) and light (p = 0, slack 0.05 s) tie at
+        # γ* = 0.01.  Above it light runs first and heavy needs
+        # 0.03 + 0.03 >= 0.05; at or below it both fit.  The largest grid
+        # point not above 0.01 is 31 · 0.02/63 ≈ 0.00984.
+        heavy = job("heavy", priority=3, exec_time=0.03, deadline=0.05)
+        light = job("light", priority=0, exec_time=0.03, deadline=0.08)
+        relaxed = job("relaxed", priority=1, exec_time=0.001, deadline=1.0)
+        jobs = [relaxed, light, heavy]
+        assert not POLICY.is_feasible(_CFG.gamma_cap, jobs, 0.0, EST, 0.0, 1)
+        assert POLICY.gamma_max(jobs, 0.0, EST, 0.0, 1) == 31 * _STEP
+
+
+class TestGammaMaxMetamorphic:
+    """γ_max never rises when the platform gets less room for the same queue.
+
+    The ranking keys ``γ·p_i + slack_i`` do not involve ``n_p`` or ``ΣT_p``,
+    so at every γ the sorted order and each job's ``ahead`` sum stay bit for
+    bit the same.  Only ``(c + ΣT_p/n_p) + ahead/n_p`` changes, and it cannot
+    fall: ``ΣT_p`` and ``ahead`` are non-negative, IEEE division and
+    addition round correctly, and a correctly rounded monotone function is
+    monotone, so a larger ``ΣT_p`` or a smaller ``n_p`` never gives a
+    smaller left-hand side.  Every job that failed
+    still fails (the early exit too), so the passing grid points shrink to
+    a subset and their maximum cannot rise.  ``None`` ranks below every
+    grid point.
+    """
+
+    @staticmethod
+    def _rank(gamma_max):
+        return -1.0 if gamma_max is None else gamma_max
+
+    @given(
+        specs=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),
+                st.sampled_from([0.005, 0.01, 0.02, 0.04]),
+                st.sampled_from([0.05, 0.08, 0.1, 0.2]),
+                st.sampled_from([0.0, 0.01, 0.02]),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        busy=st.floats(min_value=0.0, max_value=0.1),
+        extra=st.floats(min_value=0.0, max_value=0.1),
+        n_p=st.integers(min_value=1, max_value=4),
+        fewer=st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_less_room_never_raises_gamma_max(self, specs, busy, extra, n_p, fewer):
+        jobs = [
+            job(f"t{i}", priority=p, exec_time=c, deadline=d, release=r)
+            for i, (p, c, d, r) in enumerate(specs)
+        ]
+        now = 0.02
+        gmax = POLICY.gamma_max(jobs, now, EST, busy, n_p)
+        fewer_procs = POLICY.gamma_max(jobs, now, EST, busy, max(1, n_p - fewer))
+        more_busy = POLICY.gamma_max(jobs, now, EST, busy + extra, n_p)
+        assert self._rank(fewer_procs) <= self._rank(gmax)
+        assert self._rank(more_busy) <= self._rank(gmax)
