@@ -10,13 +10,14 @@ Run:  python examples/car_following_demo.py [--horizon 90] [--seed 1]
 import argparse
 
 from repro.analysis import format_comparison, sparkline
+from repro.cli import horizon_seconds
 from repro.experiments.runner import compare_schedulers
 from repro.workloads import fig13_car_following
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--horizon", type=float, default=40.0)
+    parser.add_argument("--horizon", type=horizon_seconds, default=40.0)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 

@@ -19,22 +19,33 @@ Modes:
   run's full event stream, export it as a Chrome trace / JSONL / text
   summary, and check the trace-invariant catalog
   (see docs/observability.md);
-* ``hcperf lint [--rule ID] [--severity error] [--format text|json|sarif]``
-  — hclint, the two-pass whole-program invariant checker (determinism,
-  scheduler contracts, taint into recorded results; see
-  docs/static_analysis.md).
+* ``hcperf lint [--rule ID] [--severity error] [--format text|json]``
+  — hclint, the per-file invariant checker (determinism, scheduler
+  contracts, hygiene; see docs/static_analysis.md).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
 from .experiments import EXPERIMENTS
 
 __all__ = ["main", "build_parser", "build_run_parser", "build_fleet_parser"]
+
+
+def horizon_seconds(text: str) -> float:
+    """The argparse type of every ``--horizon`` flag: positive, finite seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +79,7 @@ def build_run_parser() -> argparse.ArgumentParser:
     parser.add_argument("scheduler", choices=sorted(SCHEDULERS))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--horizon", type=float, default=None, help="override the simulated horizon (s)"
+        "--horizon", type=horizon_seconds, default=None, help="override the simulated horizon (s)"
     )
     parser.add_argument(
         "--json", action="store_true", help="emit the run summary as JSON"
@@ -121,7 +132,7 @@ def _list_experiments() -> str:
     )
     lines.append(
         "Static analysis:  hcperf lint [PATH ...] [--rule ID] "
-        "[--severity error] [--format text|json|sarif] [--list-rules]"
+        "[--severity error] [--format text|json] [--list-rules]"
     )
     return "\n".join(lines)
 
@@ -132,7 +143,7 @@ def _run_scenario_command(argv: List[str]) -> int:
 
     args = build_run_parser().parse_args(argv)
     factory = SCENARIOS[args.scenario]
-    scenario = factory(horizon=args.horizon) if args.horizon else factory()
+    scenario = factory(horizon=args.horizon) if args.horizon is not None else factory()
     recorder = None
     if args.gantt or args.chains:
         from .obs.recorder import Recorder
@@ -206,7 +217,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
-        "--horizon", type=float, default=None, help="override the simulated horizon (s)"
+        "--horizon", type=horizon_seconds, default=None, help="override the simulated horizon (s)"
     )
     run.add_argument(
         "--faults", default=None,
@@ -280,7 +291,7 @@ def _trace_command(argv: List[str]) -> int:
                     return 2
             before_run = InjectionHarness(spec).attach
         factory = SCENARIOS[SCENARIO_ALIASES.get(args.scenario, args.scenario)]
-        scenario = factory(horizon=args.horizon) if args.horizon else factory()
+        scenario = factory(horizon=args.horizon) if args.horizon is not None else factory()
         recorder = Recorder()
         run_scenario(
             scenario, scheduler, seed=args.seed, recorder=recorder,
@@ -369,7 +380,7 @@ def build_faults_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
-        "--horizon", type=float, default=None, help="override the simulated horizon (s)"
+        "--horizon", type=horizon_seconds, default=None, help="override the simulated horizon (s)"
     )
     run.add_argument(
         "--json", action="store_true", help="emit the resilience report as JSON"
@@ -432,7 +443,7 @@ def _faults_command(argv: List[str]) -> int:
 
     factory = SCENARIOS[SCENARIO_ALIASES.get(args.scenario, args.scenario)]
     scenario_factory = (
-        (lambda: factory(horizon=args.horizon)) if args.horizon else factory
+        (lambda: factory(horizon=args.horizon)) if args.horizon is not None else factory
     )
     report = run_resilience(scenario_factory, scheduler, spec, seed=args.seed)
     if args.json:
@@ -490,7 +501,7 @@ def build_fleet_parser() -> argparse.ArgumentParser:
             help="comma-separated seed list (default 0,1,2,3)",
         )
         p.add_argument(
-            "--horizon", type=float, default=None,
+            "--horizon", type=horizon_seconds, default=None,
             help="horizon override applied to every job (s)",
         )
         p.add_argument(

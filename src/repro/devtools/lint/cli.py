@@ -1,11 +1,11 @@
 """``hcperf lint`` — the command-line front-end of hclint.
 
-Exit codes: 0 clean, 1 diagnostics reported, 2 usage error.  The JSON
+Exit codes: 0 clean, 1 diagnostics reported, 2 usage error (an unknown
+rule, a path that does not exist, a file that is not Python).  The JSON
 format is version-pinned and golden-tested so CI annotation tooling can
-rely on it byte-for-byte; ``--format sarif`` emits SARIF 2.1.0 for code
-scanning.  Every run is the same whole-tree, two-pass :func:`run_lint`
-the tier-1 gate calls; the CLI only selects rules, filters severity and
-formats the result.
+rely on it byte-for-byte.  Every run is the same per-file
+:func:`run_lint` the tier-1 gate calls; the CLI only selects rules,
+filters severity and formats the result.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import List, Optional
 
 from .diagnostics import Diagnostic, Severity
 from .engine import get_rules, run_lint
-from .sarif import format_sarif
 
 __all__ = ["build_lint_parser", "format_text", "format_json", "main"]
 
@@ -29,9 +28,8 @@ def build_lint_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hcperf lint",
         description=(
-            "hclint: two-pass whole-program invariant checks (determinism, "
-            "scheduler contracts, taint into recorded results) over the "
-            "reproduction's source tree"
+            "hclint: per-file invariant checks (determinism, scheduler "
+            "contracts, hygiene) over the reproduction's source tree"
         ),
     )
     parser.add_argument(
@@ -48,7 +46,7 @@ def build_lint_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="output format (default text)",
     )
@@ -124,8 +122,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.format == "json":
         print(format_json(diagnostics))
-    elif args.format == "sarif":
-        print(format_sarif(diagnostics))
     else:
         print(format_text(diagnostics))
     return 1 if diagnostics else 0

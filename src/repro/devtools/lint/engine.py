@@ -1,4 +1,4 @@
-"""The hclint engine: rule registry, file walking, suppression filtering.
+"""The hclint engine: rule registry and file walking.
 
 A :class:`Rule` inspects one parsed module at a time and yields
 :class:`Diagnostic` records.  Rules are pure over ``(tree, ctx)`` — no
@@ -15,17 +15,15 @@ in tests scope identically to the real source tree).
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .diagnostics import Diagnostic, Severity
-from .suppressions import parse_suppressions
 
 __all__ = [
     "FileContext",
     "Rule",
-    "ProjectRule",
     "register",
     "get_rules",
     "rule_ids",
@@ -49,13 +47,6 @@ class FileContext:
     path: Path
     #: POSIX path relative to the lint root (diagnostic coordinate).
     relpath: str
-    #: Raw source split into lines (1-indexed via ``line(n)``).
-    source_lines: Sequence[str] = field(default_factory=list)
-
-    def line(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.source_lines):
-            return self.source_lines[lineno - 1]
-        return ""
 
 
 class Rule:
@@ -93,37 +84,6 @@ class Rule:
             path=ctx.relpath,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
-            rule=self.id,
-            severity=self.severity,
-            message=message,
-        )
-
-
-class ProjectRule(Rule):
-    """A whole-program rule: runs over the :class:`ProjectIndex`, not files.
-
-    Project rules participate in the same registry, id space, scoping and
-    suppression machinery as per-file rules, but their unit of analysis is
-    the linked index built by pass 1 (see ``index.py``).  ``check`` is a
-    deliberate no-op — ``lint_file`` skips these — and subclasses
-    implement :meth:`check_project` instead.  The engine applies
-    ``applies_to`` and per-file suppressions to whatever they yield, so a
-    rule may emit for any module and let scoping do the filtering.
-    """
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Diagnostic]:
-        return iter(())
-
-    def check_project(self, index: "ProjectIndex") -> Iterator[Diagnostic]:
-        raise NotImplementedError
-
-    def project_diagnostic(
-        self, relpath: str, lineno: int, col: int, message: str
-    ) -> Diagnostic:
-        return Diagnostic(
-            path=relpath,
-            line=lineno,
-            col=col + 1,
             rule=self.id,
             severity=self.severity,
             message=message,
@@ -194,7 +154,11 @@ def default_root() -> Path:
 
 
 def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
-    """Expand files/directories into a sorted, de-duplicated ``.py`` list."""
+    """Expand files/directories into a sorted, de-duplicated ``.py`` list.
+
+    Raises ``ValueError`` for a path that does not exist or a file that is
+    not Python source: a typo must not lint nothing and report clean.
+    """
     seen = set()
     result: List[Path] = []
     for entry in paths:
@@ -202,10 +166,12 @@ def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
         candidates: Iterable[Path]
         if p.is_dir():
             candidates = sorted(p.rglob("*.py"))
+        elif not p.exists():
+            raise ValueError(f"no such file or directory: {entry}")
         elif p.suffix == ".py":
             candidates = [p]
         else:
-            continue
+            raise ValueError(f"not a Python file: {entry}")
         for candidate in candidates:
             resolved = candidate.resolve()
             if resolved not in seen:
@@ -237,56 +203,20 @@ def lint_file(
     root: Optional[Path] = None,
     rules: Optional[Sequence[Rule]] = None,
 ) -> List[Diagnostic]:
-    """Run the *per-file* rules over one file (project rules are skipped —
-    they need the whole-program index; use :func:`run_lint` for those).
-    Unparsable files yield a single HC000 diagnostic."""
+    """Run the rules over one file; an unparsable file yields a single HC000."""
     path = Path(path).resolve()
     root = (root or default_root()).resolve()
     active = list(rules) if rules is not None else get_rules()
     ctx = FileContext(path=path, relpath=_relpath(path, root))
-
-    source = path.read_text(encoding="utf-8")
-    ctx.source_lines = source.splitlines()
     try:
-        tree = ast.parse(source, filename=str(path))
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     except SyntaxError as exc:
         return [_parse_error_diag(ctx.relpath, exc)]
-
     found: List[Diagnostic] = []
     for rule in active:
-        if isinstance(rule, ProjectRule) or not rule.applies_to(ctx.relpath):
-            continue
-        found.extend(rule.check(tree, ctx))
-
-    suppressions = parse_suppressions(ctx.source_lines)
-    return sorted(d for d in found if not suppressions.suppresses(d))
-
-
-def _analyze_file(
-    path: Path,
-    relpath: str,
-    source: str,
-    file_rules: Sequence[Rule],
-) -> "Tuple[List[Diagnostic], ModuleSummary, FileSuppressions]":
-    """Pass 1 for one file: per-file diagnostics + module summary."""
-    from .index import ModuleSummary, summarize_module
-
-    ctx = FileContext(path=path, relpath=relpath)
-    ctx.source_lines = source.splitlines()
-    suppressions = parse_suppressions(ctx.source_lines)
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        summary = ModuleSummary(module="", relpath=relpath, parse_failed=True)
-        return [_parse_error_diag(relpath, exc)], summary, suppressions
-
-    found: List[Diagnostic] = []
-    for rule in file_rules:
-        if not rule.applies_to(ctx.relpath):
-            continue
-        found.extend(rule.check(tree, ctx))
-    diagnostics = sorted(d for d in found if not suppressions.suppresses(d))
-    return diagnostics, summarize_module(tree, relpath), suppressions
+        if rule.applies_to(ctx.relpath):
+            found.extend(rule.check(tree, ctx))
+    return sorted(found)
 
 
 def run_lint(
@@ -295,11 +225,8 @@ def run_lint(
     root: Optional[Union[str, Path]] = None,
     min_severity: Severity = Severity.WARNING,
 ) -> List[Diagnostic]:
-    """Two-pass lint of ``paths`` (default: the ``repro`` package tree).
+    """Lint ``paths`` (default: the ``repro`` package tree), one file at a time.
 
-    Pass 1 maps over files: per-file rules run on each AST and a
-    :class:`ModuleSummary` is extracted.  Pass 2 links the summaries into
-    a :class:`ProjectIndex` and runs the whole-program rules (HC010).
     This is the only way hclint runs: the CLI is a thin front end over
     it, and the repo-clean gate is ``assert run_lint() == []``.
 
@@ -320,34 +247,9 @@ def run_lint(
     if paths is None:
         paths = [root_path / "repro"]
     active = get_rules(only=list(rules) if rules is not None else None)
-    file_rules = [r for r in active if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in active if isinstance(r, ProjectRule)]
-
-    diagnostics: List[Diagnostic] = []
-    summaries = []
-    supp_by_path: Dict[str, "FileSuppressions"] = {}
-
-    for path in iter_python_files(paths):
-        relpath = _relpath(path, root_path)
-        source = path.read_text(encoding="utf-8")
-        file_diags, summary, suppressions = _analyze_file(
-            path, relpath, source, file_rules
-        )
-        diagnostics.extend(file_diags)
-        summaries.append(summary)
-        supp_by_path[relpath] = suppressions
-
-    if project_rules:
-        from .index import ProjectIndex
-
-        index = ProjectIndex([s for s in summaries if not s.parse_failed])
-        for rule in project_rules:
-            for diag in rule.check_project(index):
-                if not rule.applies_to(diag.path):
-                    continue
-                supp = supp_by_path.get(diag.path)
-                if supp is not None and supp.suppresses(diag):
-                    continue
-                diagnostics.append(diag)
-
-    return sorted(d for d in diagnostics if d.severity >= min_severity)
+    return sorted(
+        diag
+        for path in iter_python_files(paths)
+        for diag in lint_file(path, root_path, active)
+        if diag.severity >= min_severity
+    )

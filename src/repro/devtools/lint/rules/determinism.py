@@ -6,7 +6,10 @@ repeatable Fig. 13/14 tracking-error curves — requires simulation output
 to be a pure function of (scenario, scheduler, seed).  Wall-clock reads
 and process-global RNG are the two ways real repos silently lose that
 property, so both are banned from the simulation packages outright
-rather than hunted per-bug.
+rather than hunted per-bug.  A leak from outside these packages into an
+output is caught by running the code: the cross-process determinism test
+(``tests/test_cross_process_determinism.py``) compares every output's
+bytes between two interpreters.
 """
 
 from __future__ import annotations
@@ -17,12 +20,6 @@ from typing import Iterator, Optional, Tuple
 
 from ..diagnostics import Diagnostic, Severity
 from ..engine import FileContext, Rule, register
-from ..taintspec import (
-    GLOBAL_RANDOM_ATTRS as _GLOBAL_RANDOM_ATTRS,
-    NUMPY_RANDOM_OK as _NUMPY_RANDOM_OK,
-    WALL_CLOCK_DATETIME as _WALL_CLOCK_DATETIME,
-    WALL_CLOCK_TIME_ATTRS as _WALL_CLOCK_TIME_ATTRS,
-)
 from .common import dotted_chain
 
 __all__ = [
@@ -47,9 +44,58 @@ DETERMINISM_SCOPE: Tuple[str, ...] = (
     "repro/fleet/worker.py",
 )
 
-# The source vocabulary (wall-clock / global-RNG tables) lives in
-# ..taintspec, shared with the inter-procedural HC010 rule so the two can
-# never disagree about what a nondeterminism source is.
+#: ``time`` module members that read (or block on) the wall clock.
+_WALL_CLOCK_TIME_ATTRS = frozenset(
+    {
+        "time",
+        "time_ns",
+        "monotonic",
+        "monotonic_ns",
+        "perf_counter",
+        "perf_counter_ns",
+        "process_time",
+        "process_time_ns",
+        "clock",
+        "sleep",
+    }
+)
+
+#: ``(owner, attr)`` suffixes of datetime-style wall-clock constructors.
+_WALL_CLOCK_DATETIME = frozenset(
+    {("datetime", "now"), ("datetime", "utcnow"), ("datetime", "today"), ("date", "today")}
+)
+
+#: Process-global sampling functions of the ``random`` module.
+_GLOBAL_RANDOM_ATTRS = frozenset(
+    {
+        "random",
+        "randint",
+        "randrange",
+        "randbytes",
+        "getrandbits",
+        "uniform",
+        "triangular",
+        "gauss",
+        "normalvariate",
+        "lognormvariate",
+        "expovariate",
+        "vonmisesvariate",
+        "gammavariate",
+        "betavariate",
+        "paretovariate",
+        "weibullvariate",
+        "choice",
+        "choices",
+        "sample",
+        "shuffle",
+        "seed",
+        "setstate",
+    }
+)
+
+#: ``numpy.random`` members that are fine to *reference* (constructing an
+#: explicit generator); everything else on ``np.random`` is global state.
+_NUMPY_RANDOM_OK = frozenset({"Generator", "SeedSequence", "BitGenerator", "PCG64"})
 
 
 @register

@@ -32,6 +32,7 @@ Semantics (paper §III-A, resolved per DESIGN.md §2):
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
@@ -111,10 +112,12 @@ class SimConfig:
             self.n_processors = self.processor_profile.n_units
         if self.n_processors < 1:
             raise ValueError("need at least one processor")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.coordination_period <= 0:
-            raise ValueError("coordination_period must be positive")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
+        if not (math.isfinite(self.coordination_period) and self.coordination_period > 0):
+            raise ValueError(
+                f"coordination_period must be positive and finite, got {self.coordination_period!r}"
+            )
         if self.max_pending_per_task < 1:
             raise ValueError("max_pending_per_task must be >= 1")
         if not (0.0 < self.drift_alpha <= 1.0):
@@ -378,21 +381,26 @@ class RTExecutor:
             self._events.push(time, EventKind.PERIODIC, (hook.name, hook))
 
         horizon = self.config.horizon
-        while self._events and not self._stopped:
-            time, kind, payload = self._events.pop()
-            if time > horizon:
-                break
-            self.now = time
-            if kind is EventKind.SOURCE_RELEASE:
-                self._handle_source_release(payload)
-            elif kind is EventKind.JOB_FINISH:
-                self._handle_finish(payload)
-            else:
-                self._handle_periodic(payload)
-            self._dispatch()
-        self.now = min(self.now, horizon)
-        if self.recorder is not None:
-            self.recorder.finalize_run(self)
+        # The finally pairs finalize_run with bind_run by construction: a
+        # run that raises part-way still leaves a closed recording (t_end
+        # plus an ``unresolved`` event per leftover job).
+        try:
+            while self._events and not self._stopped:
+                time, kind, payload = self._events.pop()
+                if time > horizon:
+                    break
+                self.now = time
+                if kind is EventKind.SOURCE_RELEASE:
+                    self._handle_source_release(payload)
+                elif kind is EventKind.JOB_FINISH:
+                    self._handle_finish(payload)
+                else:
+                    self._handle_periodic(payload)
+                self._dispatch()
+        finally:
+            self.now = min(self.now, horizon)
+            if self.recorder is not None:
+                self.recorder.finalize_run(self)
         return self.metrics
 
     # ------------------------------------------------------------------

@@ -43,8 +43,19 @@ MAX_UNITS = 1024
 
 _SEGMENT_RE = re.compile(
     r"^\s*(?:(?P<count>\d+)\s*[xX]\s*)?(?P<type>[A-Za-z_][A-Za-z0-9_]*)"
-    r"\s*(?:@\s*(?P<speedup>[0-9]*\.?[0-9]+))?\s*$"
+    r"\s*(?:@\s*(?P<speedup>[0-9]*\.?[0-9]+(?:[eE]-?[0-9]+)?))?\s*$"
 )
+
+
+def _speedup_text(speedup: float) -> str:
+    """The shortest text that parses back to ``speedup`` exactly.
+
+    ``repr`` is the shortest round-tripping form; a trailing ``.0`` goes
+    (``3.0`` -> ``3``) and the exponent loses its ``+`` (``1e+20`` ->
+    ``1e20``), because ``+`` separates profile segments.
+    """
+    text = repr(speedup).replace("e+", "e")
+    return text[:-2] if text.endswith(".0") else text
 
 
 @dataclass(frozen=True)
@@ -213,7 +224,7 @@ class ProcessorProfile:
         for spec, n in groups:
             part = f"{n}x{spec.type}"
             if spec.speedup != 1.0:
-                part += f"@{spec.speedup:g}"
+                part += f"@{_speedup_text(spec.speedup)}"
             parts.append(part)
         return "+".join(parts)
 

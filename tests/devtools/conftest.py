@@ -73,32 +73,6 @@ VIOLATION_FIXTURES: Dict[str, Tuple[str, str, int]] = {
         "HC007",
         4,
     ),
-    # HC010 (whole-program): the wall-clock read is in stamp(), outside any
-    # per-file rule's reach here, and leaks into the store via a call edge.
-    "repro/fleet/bad_taint.py": (
-        "import time\n"
-        "\n"
-        "\n"
-        "def stamp():\n"
-        "    return time.time()\n"
-        "\n"
-        "\n"
-        "def record(store):\n"
-        '    store.append({"t": stamp()})\n',
-        "HC010",
-        9,
-    ),
-    # HC011: an early return escapes between bind_run and finalize_run.
-    "repro/obs/bad_span.py": (
-        "def run(recorder, ok):\n"
-        "    recorder.bind_run(ok)\n"
-        "    if not ok:\n"
-        "        return None\n"
-        "    recorder.finalize_run(ok)\n"
-        "    return ok\n",
-        "HC011",
-        2,
-    ),
 }
 
 

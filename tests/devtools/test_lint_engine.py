@@ -1,5 +1,5 @@
-"""Engine-level behavior: suppressions, severity filtering, rule selection,
-parse errors, and the registry."""
+"""Engine-level behavior: severity filtering, rule selection, parse errors,
+and the registry."""
 
 from __future__ import annotations
 
@@ -27,79 +27,7 @@ def test_shipped_rule_ids():
         "HC005",
         "HC006",
         "HC007",
-        "HC010",
-        "HC011",
     ]
-
-
-def test_line_suppression_silences_only_that_rule(tmp_path):
-    write_tree(
-        tmp_path,
-        {
-            "repro/rt/suppressed.py": (
-                "import time\n"
-                "\n"
-                "def stamp():\n"
-                "    return time.time()  # hclint: disable=HC001\n"
-            )
-        },
-    )
-    assert run_lint([tmp_path], root=tmp_path) == []
-
-
-def test_line_suppression_is_line_scoped(tmp_path):
-    write_tree(
-        tmp_path,
-        {
-            "repro/rt/partial.py": (
-                "import time\n"
-                "\n"
-                "def stamp():\n"
-                "    a = time.time()  # hclint: disable=HC001\n"
-                "    return a + time.time()\n"
-            )
-        },
-    )
-    diags = run_lint([tmp_path], root=tmp_path)
-    assert [(d.rule, d.line) for d in diags] == [("HC001", 5)]
-
-
-def test_suppressing_an_unrelated_rule_does_not_silence(tmp_path):
-    write_tree(
-        tmp_path,
-        {
-            "repro/rt/wrong_rule.py": (
-                "import time\n"
-                "\n"
-                "def stamp():\n"
-                "    return time.time()  # hclint: disable=HC006\n"
-            )
-        },
-    )
-    diags = run_lint([tmp_path], root=tmp_path)
-    assert [d.rule for d in diags] == ["HC001"]
-
-
-def test_file_wide_suppression_and_disable_all(tmp_path):
-    write_tree(
-        tmp_path,
-        {
-            "repro/rt/filewide.py": (
-                '"""Fixture."""  # hclint: disable-file=HC001\n'
-                "import time\n"
-                "\n"
-                "def stamp():\n"
-                "    return time.time()\n"
-            ),
-            "repro/rt/all_off.py": (
-                "import time\n"
-                "\n"
-                "def stamp():\n"
-                "    return time.time()  # hclint: disable=all\n"
-            ),
-        },
-    )
-    assert run_lint([tmp_path], root=tmp_path) == []
 
 
 def test_severity_filter_drops_warnings(violation_tree):

@@ -13,8 +13,7 @@ from .conftest import VIOLATION_FIXTURES, write_tree
 
 
 def test_every_rule_fires_once_on_its_fixture(violation_tree):
-    # run_lint (not lint_file) so the whole-program rules participate;
-    # every fixture is deliberately self-contained in one file.
+    # Every rule is per-file, so each fixture file is linted on its own.
     for relpath, (_, rule, line) in VIOLATION_FIXTURES.items():
         diags = run_lint([violation_tree / relpath], root=violation_tree)
         assert [(d.rule, d.line) for d in diags] == [(rule, line)], relpath

@@ -8,6 +8,7 @@ from repro.obs.events import (
     SpanEvent,
     event_from_dict,
 )
+from repro.obs.invariants import check_recording
 from repro.obs.recorder import SCHEMA, Recorder
 from repro.rt import RTExecutor, SimConfig
 from repro.rt.task import Job
@@ -135,3 +136,32 @@ class TestRecorder:
         rec.control(0.1, 0.01)
         assert [e.kind for e in rec.by_kind("gamma")] == ["gamma"]
         assert isinstance(rec.by_kind("gamma")[0], GammaEvent)
+
+
+class TestRunPairing:
+    """``RTExecutor.run`` finalizes the recording in a ``finally``."""
+
+    def test_a_raising_run_still_closes_its_recording(self):
+        graph = build_chain_graph(exec_times=(0.03, 0.04, 0.03))
+        config = SimConfig(n_processors=2, horizon=2.0, coordination_period=0.25, seed=42)
+        executor = RTExecutor(graph, EDFScheduler(), config)
+        rec = executor.recorder = Recorder()
+        calls = []
+
+        def explode(now: float) -> None:
+            calls.append(now)
+            if len(calls) == 7:
+                raise RuntimeError("hook failed")
+
+        executor.add_periodic("explode", 0.1, explode)
+        with pytest.raises(RuntimeError, match="hook failed"):
+            executor.run()
+        assert rec.meta["t_end"] == pytest.approx(0.7)
+        leftover = [(job.task.name, job.cycle) for job in executor.ready] + [
+            (proc.job.task.name, proc.job.cycle)
+            for proc in executor.processors
+            if proc.job is not None
+        ]
+        unresolved = [(e.task, e.cycle) for e in rec.by_kind("unresolved")]
+        assert leftover and sorted(unresolved) == sorted(leftover)
+        assert [v for v in check_recording(rec) if v.code == "OBS003"] == []

@@ -263,6 +263,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(max_pending_per_task=0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_horizon_and_coordination_period_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            SimConfig(horizon=value)
+        with pytest.raises(ValueError, match="coordination_period must be positive and finite"):
+            SimConfig(coordination_period=value)
+
     def test_invalid_graph_rejected_at_construction(self):
         g = TaskGraph()
         g.add_task(

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.rt import ProcessorProfile, SimConfig, UnitSpec
 
@@ -47,6 +49,36 @@ class TestParse:
             p = ProcessorProfile.parse(text)
             assert ProcessorProfile.parse(p.describe()) == p
             assert p.describe() == text
+
+    @pytest.mark.parametrize(
+        "speedup, text",
+        [
+            (1.2345678, "1.2345678"),
+            (1e20, "1e20"),
+            (2.5e-7, "2.5e-07"),
+            (123456789012.0, "123456789012"),
+        ],
+    )
+    def test_describe_writes_the_shortest_exact_speedup(self, speedup, text):
+        p = ProcessorProfile(units=(UnitSpec("GPU", speedup),))
+        assert p.describe() == f"1xGPU@{text}"
+        assert ProcessorProfile.parse(p.describe()) == p
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["CPU", "GPU", "DSP"]),
+                st.floats(min_value=1e-8, max_value=1e25),
+                st.integers(min_value=1, max_value=3),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_parse_describe_round_trips_every_speedup(self, groups):
+        units = tuple(UnitSpec(kind, speedup) for kind, speedup, n in groups for _ in range(n))
+        p = ProcessorProfile(units=units)
+        assert ProcessorProfile.parse(p.describe()) == p
 
     def test_describe_groups_runs_and_omits_unit_speedup(self):
         p = ProcessorProfile(

@@ -90,3 +90,22 @@ class TestValidateSubcommand:
         rc = main(["validate", "fig13", "--processors", "8"])
         assert rc == 0
         assert "8 processors" in capsys.readouterr().out
+
+
+class TestHorizonFlag:
+    """Every ``--horizon`` flag takes positive, finite seconds or exits 2."""
+
+    COMMANDS = [
+        ["run", "fig13", "HCPerf"],
+        ["faults", "run", "fig13", "HCPerf", "--spec", "fusion_spike"],
+        ["trace", "run", "--scenario", "fig13", "--out", "unused.json"],
+        ["fleet", "run", "--scenarios", "fig13", "--schedulers", "EDF", "--seeds", "0"],
+    ]
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "-inf", "soon"])
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: " ".join(c[:2]))
+    def test_bad_horizon_is_a_usage_error(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--horizon", value])
+        assert exc.value.code == 2
+        assert "--horizon" in capsys.readouterr().err
