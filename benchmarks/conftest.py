@@ -1,12 +1,13 @@
 """Benchmark configuration.
 
-Every bench regenerates one of the paper's tables/figures (DESIGN.md §5) and
-prints it; run with ``pytest benchmarks/ --benchmark-only -s`` to see the
-reproduced artifacts alongside the timings.
+The remaining benches time the simulator's micro-kernels and scaling
+(executor, coordination step, fusion, graph and processor count); run them
+with ``pytest benchmarks/bench_*.py --benchmark-only -s``.  The paper's
+tables and figures live in the claims ledger (``test_claims.py``), and the
+exact work counts in ``test_work_counters.py``.
 
-Simulation benches run one round (they are deterministic end-to-end
-experiments, not micro-kernels); micro-benches (Hungarian, coordination
-step) use normal multi-round timing.
+Expensive deterministic runs time one round; micro-benches use normal
+multi-round timing.
 """
 
 import pytest
@@ -23,20 +24,3 @@ def once(benchmark):
         return run_once(benchmark, fn, *args, **kwargs)
 
     return _run
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--jobs",
-        type=int,
-        default=1,
-        help=(
-            "worker processes for fleet-backed benches (bench_multi_seed); "
-            ">1 also times the serial run and reports the speedup"
-        ),
-    )
-
-
-@pytest.fixture
-def fleet_jobs(request):
-    return request.config.getoption("--jobs")

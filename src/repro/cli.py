@@ -663,11 +663,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for exp_id in targets:
         module = EXPERIMENTS[exp_id]
         print(f"\n===== {exp_id} =====")
-        try:
-            module.main(seed=args.seed)
-        except TypeError:
-            # fig05_toy / parameter-free experiments take no seed.
-            module.main()
+        module.main(seed=args.seed)
     return 0
 
 

@@ -1,8 +1,9 @@
 """Experiment modules — one per table/figure of the paper's evaluation.
 
 Every module exposes ``EXPERIMENT_ID``, ``run(...) -> <Result>``,
-``render(result) -> str`` and ``main()``; the benchmark harness and the CLI
-drive them uniformly.  See DESIGN.md §5 for the experiment index.
+``render(result) -> str`` and ``main(seed: int = 0) -> str``; the claims
+ledger (``benchmarks/test_claims.py``) and the CLI drive them uniformly.
+See DESIGN.md §5 for the experiment index.
 """
 
 from . import (
@@ -15,12 +16,9 @@ from . import (
     fig17_responsiveness,
     fig18_ablation,
     heterogeneous,
-    multi_seed,
     overhead,
     resilience,
-    sweep,
 )
-from .multi_seed import MultiSeedResult, run_multi_seed
 from .runner import DEFAULT_SCHEMES, RunResult, compare_schedulers, run_scenario
 
 #: Registry for the CLI: experiment id -> module.
@@ -42,9 +40,6 @@ EXPERIMENTS = {
 }
 
 __all__ = [
-    "sweep",
-    "MultiSeedResult",
-    "run_multi_seed",
     "DEFAULT_SCHEMES",
     "RunResult",
     "compare_schedulers",

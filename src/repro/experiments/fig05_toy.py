@@ -135,7 +135,8 @@ def render(result: Fig05Result) -> str:
     )
 
 
-def main() -> str:  # pragma: no cover - CLI glue
+def main(seed: int = 0) -> str:  # pragma: no cover - CLI glue
+    """``seed`` is unused: the toy schedule draws no random numbers."""
     out = render(run())
     print(out)
     return out

@@ -1,4 +1,4 @@
-"""E-HET — homogeneous vs heterogeneous platforms (§VII extension).
+"""E12 — homogeneous vs heterogeneous platforms (§VII extension).
 
 The paper evaluates on a fixed symmetric platform; this experiment asks
 what changes when the same compute budget is reorganized into typed units.

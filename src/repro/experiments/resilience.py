@@ -1,4 +1,4 @@
-"""E10 — resilience: EDF vs HCPerf recovery under the canonical fault suite.
+"""E11 — resilience: EDF vs HCPerf recovery under the canonical fault suite.
 
 Drives the fig13 car-following setup through the canonical fault sequence
 (fusion overload spike, camera dropout, processor failure — see

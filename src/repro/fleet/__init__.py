@@ -13,8 +13,8 @@ into that grid and runs it at the hardware's width:
               finished summary into the store and skips stored jobs on
               resume;
 ``store``     append-only JSONL keyed by job hash — interrupt-safe;
-``aggregate`` store → per-cell mean/std/CI tables, win counts, charts,
-              and the bridge back to the serial multi-seed result type.
+``aggregate`` store → per-cell mean/std/CI tables, win counts and
+              charts; the claims ledger's Appendices B and C read them.
 
 CLI: ``hcperf fleet run|status|report`` (see ``repro.cli``).
 """
@@ -25,7 +25,6 @@ from .aggregate import (
     load_groups,
     render_group,
     render_store,
-    to_multi_seed_result,
 )
 from .engine import CampaignReport, campaign_status, default_store_path, run_campaign
 from .manifest import Job, build_manifest, job_id
@@ -52,5 +51,4 @@ __all__ = [
     "render_group",
     "render_store",
     "run_campaign",
-    "to_multi_seed_result",
 ]

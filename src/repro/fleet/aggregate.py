@@ -2,10 +2,9 @@
 
 Loads the JSONL records back into the ``analysis.stats`` helpers: one
 :class:`CellStats` per (scenario, variant, scheduler) cell with the mean /
-std / 95% CI over its seeds, scheduler-vs-scheduler tables per group, a
-per-seed ASCII chart, and a bridge back to
-:class:`~repro.experiments.multi_seed.MultiSeedResult` so the fleet
-backend reproduces the serial multi-seed harness bit-for-bit.
+std / 95% CI over its seeds, scheduler-vs-scheduler tables per group and
+a per-seed ASCII chart.  The claims ledger reads its seed and overload
+appendices straight from :func:`load_groups`.
 
 Everything here orders by sorted job fields — never by store line order —
 so the same set of finished jobs renders identically regardless of how
@@ -17,10 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
-
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
-    from ..experiments.multi_seed import MultiSeedResult
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..analysis.ascii_plot import line_chart
 from ..analysis.report import format_table
@@ -31,7 +27,6 @@ __all__ = [
     "CellStats",
     "CampaignGroup",
     "load_groups",
-    "to_multi_seed_result",
     "render_group",
     "render_store",
     "pick_metric",
@@ -97,19 +92,19 @@ class CampaignGroup:
 
     @property
     def seeds(self) -> List[int]:
-        return next(iter(self.cells.values())).seeds if self.cells else []
+        """The seeds every cell has (a partially resumed store may hold
+        more for some schedulers; only shared seeds are comparable)."""
+        cells = list(self.cells.values())
+        if not cells:
+            return []
+        common = set(cells[0].seeds).intersection(*(c.seeds for c in cells[1:]))
+        return sorted(common)
 
     def wins(self) -> Dict[str, int]:
-        """Per-scheduler count of seeds where it had the lowest metric.
-
-        Only seeds present for every scheduler count (a partially resumed
-        store never awards a win by forfeit).
-        """
+        """Per-scheduler count of shared seeds where it had the lowest metric
+        (a partially resumed store never awards a win by forfeit)."""
         counts = {s: 0 for s in self.cells}
-        common = set(self.seeds)
-        for cell in self.cells.values():
-            common &= set(cell.seeds)
-        for seed in sorted(common):
+        for seed in self.seeds:
             per_seed = {
                 s: c.values[c.seeds.index(seed)] for s, c in self.cells.items()
             }
@@ -192,21 +187,6 @@ def load_groups(
             )
         )
     return groups
-
-
-def to_multi_seed_result(group: CampaignGroup) -> "MultiSeedResult":
-    """Bridge one group back into the multi-seed harness's result type."""
-    from ..experiments.multi_seed import MetricSummary, MultiSeedResult
-
-    return MultiSeedResult(
-        metric_name=group.metric,
-        seeds=group.seeds,
-        summaries={
-            s: MetricSummary(scheme=s, values=list(c.values))
-            for s, c in group.cells.items()
-        },
-        wins=group.wins(),
-    )
 
 
 def render_group(group: CampaignGroup, chart: bool = True) -> str:

@@ -4,8 +4,8 @@ One line per finished job, keyed by the job's content hash.  Append-only
 makes interruption safe: a killed campaign leaves at most one torn final
 line, which :meth:`ResultStore.load` skips, and every intact record is a
 job that never needs recomputing.  ``path=None`` gives an in-memory store
-with the same interface — the backend the rewired ``multi_seed``/``sweep``
-harnesses use when the caller did not ask to persist anything.
+with the same interface, for campaigns whose records need not outlive the
+process (the claims ledger's appendices, tests).
 """
 
 from __future__ import annotations

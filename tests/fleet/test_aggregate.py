@@ -9,7 +9,6 @@ from repro.fleet import (
     render_group,
     render_store,
     run_campaign,
-    to_multi_seed_result,
 )
 from repro.fleet.aggregate import CellStats, pick_metric
 
@@ -105,25 +104,47 @@ class TestRender:
         assert "per seed" in out  # chart present with >1 seed
         assert "per seed" not in render_group(group, chart=False)
 
+    def test_partial_store_counts_only_shared_seeds(self):
+        """EDF on seeds 0-2 and HCPerf on seed 0 only compare one seed."""
+        store = synthetic_store(
+            {("EDF", 0): 2.0, ("EDF", 1): 2.0, ("EDF", 2): 2.0, ("HCPerf", 0): 1.0}
+        )
+        (group,) = load_groups(store)
+        assert group.seeds == [0]
+        out = render_group(group)
+        assert "over 1 seed(s)" in out
+        assert "1/1" in out and "/3" not in out
+
     def test_empty_store(self):
         assert render_store(ResultStore(None)) == "(store is empty)"
 
 
 class TestMultiSeedBridge:
     def test_matches_serial_multi_seed_exactly(self):
-        """fleet report reproduces one serial run_scenario per pair."""
-        from repro.experiments.multi_seed import render
-        from tests.experiments.test_multi_seed import serial_reference
+        """A fleet group holds exactly one serial run_scenario per (scheme, seed)."""
+        from repro.experiments import run_scenario
+        from repro.workloads import fig13_car_following
 
-        schemes = ("EDF", "HCPerf")
+        schemes, seeds = ("EDF", "HCPerf"), [0, 1]
         store = ResultStore(None)
         run_campaign(
             CampaignSpec(
-                scenarios=["fig13"], schedulers=list(schemes), seeds=[0, 1],
+                scenarios=["fig13"], schedulers=list(schemes), seeds=seeds,
                 variants=[{"horizon": 5.0}],
             ),
             store=store,
             jobs=2,
         )
         (group,) = load_groups(store, schemes=schemes)
-        assert render(to_multi_seed_result(group)) == render(serial_reference(schemes, [0, 1]))
+        serial = {
+            s: [
+                run_scenario(fig13_car_following(horizon=5.0), s, seed=seed).speed_error_rms()
+                for seed in seeds
+            ]
+            for s in schemes
+        }
+        assert {s: c.values for s, c in group.cells.items()} == serial
+        expected_wins = {s: 0 for s in schemes}
+        for i in range(len(seeds)):
+            expected_wins[min(schemes, key=lambda s: serial[s][i])] += 1
+        assert group.wins() == expected_wins

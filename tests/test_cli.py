@@ -35,6 +35,33 @@ class TestCLI:
         for exp_id in EXPERIMENTS:
             assert parser.parse_args([exp_id]).experiment == exp_id
 
+    def test_all_propagates_an_experiments_type_error(self, monkeypatch, capsys):
+        """A TypeError inside an experiment is a bug, never a cue to retry."""
+        import types
+
+        calls = []
+
+        def broken_main(seed=0):
+            calls.append(seed)
+            raise TypeError("raised deep inside the experiment")
+
+        monkeypatch.setattr(
+            "repro.cli.EXPERIMENTS", {"boom": types.SimpleNamespace(main=broken_main)}
+        )
+        with pytest.raises(TypeError, match="deep inside"):
+            main(["all", "--seed", "1"])
+        assert calls == [1]
+
+    def test_experiment_labels_are_unique(self):
+        """Each module's docstring opens with its E-number, as `hcperf list` shows."""
+        import re
+
+        from repro.experiments import EXPERIMENTS
+
+        labels = [m.__doc__.split()[0] for m in EXPERIMENTS.values()]
+        assert all(re.fullmatch(r"E\d+", label) for label in labels), labels
+        assert len(set(labels)) == len(labels), sorted(labels)
+
 
 class TestRunSubcommand:
     def test_run_text_output(self, capsys):
