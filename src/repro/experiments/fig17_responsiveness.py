@@ -96,6 +96,13 @@ def _phase_stats(result: RunResult, label: str, t0: float, t1: float) -> PhaseSt
 
 
 def run(seed: int = 0, horizon: float = 40.0) -> Fig17Result:
+    """Run HCPerf through the jam and summarize each of :data:`PHASES`.
+
+    Raises ``ValueError`` if ``horizon`` ends before the last phase does: a
+    phase with no samples would read as 0 ms response and 0 commands/s.
+    """
+    if not horizon >= PHASES[-1][2]:
+        raise ValueError(f"horizon must cover every phase (>= {PHASES[-1][2]} s), got {horizon}")
     scenario = traffic_jam_responsiveness(horizon=horizon)
     result = run_scenario(scenario, "HCPerf", seed=seed)
     phases = [_phase_stats(result, *phase) for phase in PHASES]

@@ -73,12 +73,14 @@ class LaneKeepingPlant:
         command_timeout: float = 0.5,
         max_offset: float = 3.0,
     ) -> None:
-        if speed <= 0:
-            raise ValueError("speed must be positive")
-        if command_timeout <= 0:
-            raise ValueError("command_timeout must be positive")
-        if max_offset <= 0:
-            raise ValueError("max_offset must be positive")
+        if not 0 < speed < math.inf:
+            raise ValueError("speed must be positive and finite")
+        if not 0 < command_timeout < math.inf:
+            raise ValueError("command_timeout must be positive and finite")
+        if not 0 < max_offset < math.inf:
+            raise ValueError("max_offset must be positive and finite")
+        if not math.isfinite(initial_offset):
+            raise ValueError("initial_offset must be finite")
         self.command_timeout = command_timeout
         self.max_offset = max_offset
         self.departed = False

@@ -37,8 +37,8 @@ class OvalTrack:
     radius: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.straight_length <= 0 or self.radius <= 0:
-            raise ValueError("straight_length and radius must be positive")
+        if not (0 < self.straight_length < math.inf and 0 < self.radius < math.inf):
+            raise ValueError("straight_length and radius must be positive and finite")
 
     @property
     def length(self) -> float:
@@ -108,16 +108,31 @@ class OvalTrack:
         length) in steps of 1, 0.1 and 0.01 m.  Each candidate is scored with
         the float operations of :meth:`pose`, written out inline for speed.
         The signed offset is positive to the left of the driving direction.
+
+        Only candidates within one step of the closed-form foot point are
+        scored: while the offset plus the step is at most R/2, every farther
+        one has a larger d2 than the nearest grid point (:meth:`_kept` has
+        the bound), so the result is bit for bit the full grid's.  A departed
+        car, a window that wraps the loop, or a hint so stale that the foot
+        point is outside the window scores the full grid.
         """
         L, R, length = self.straight_length, self.radius, self.length
         arc = math.pi * R
         sin, cos = math.sin, math.cos
+        # Foot point s* and e = |p - c(s*)|: on a straight between the turn centres, else on a turn.
+        if 0.0 <= x <= L:
+            s_star, e = (x, abs(y)) if y < R else (L + arc + (L - x), abs(2.0 * R - y))
+        elif x > L:
+            s_star, e = L + R * math.atan2(x - L, R - y), abs(R - math.hypot(x - L, y - R))
+        else:
+            s_star, e = 2.0 * L + arc + R * math.atan2(-x, y - R), abs(R - math.hypot(x, y - R))
         best_s = s_hint % length
         best_d2 = math.inf
         head = [best_s]  # the hint itself is scored before the first grid
         for step, k in ((1.0, 8), (0.1, 15), (0.01, 20)):
             center = best_s
-            for s in head + [(center + i * step) % length for i in range(-k, k + 1)]:
+            kept = self._kept(s_star, e, center, step, k, length)
+            for s in head + [(center + i * step) % length for i in kept]:
                 # pose() wraps again: this is s, or 0.0 if s rounded up to length.
                 u = s % length
                 if u < L:  # bottom straight
@@ -141,3 +156,27 @@ class OvalTrack:
         dx, dy = x - cx, y - cy
         offset = -math.sin(heading) * dx + math.cos(heading) * dy
         return best_s, offset
+
+    def _kept(
+        self, s_star: float, e: float, center: float, step: float, k: int, length: float
+    ) -> range:
+        """Indices ``i`` of the candidates ``center + i*step`` (``|i| <= k``)
+        that can still win, in increasing order."""
+        # With D(s) = |p - c(s)|**2, delta = |s - s*| and |c'| = 1, |c''| <= 1/R:
+        # D'(s*) = 0 and 2(1 - (e + delta)/R) <= D'' <= 2(1 + (e + delta)/R),
+        # so D increases with delta while delta < 2(R - e).  Let that hold over
+        # the window, s* lie in it, the window not wrap past s = 0, and
+        # t = (e + step)/R <= 1/2.  The grid point nearest s* (delta <= step/2)
+        # has D <= e**2 + (1 + t) step**2/4 <= e**2 + 3 step**2/8, and D being
+        # increasing, every candidate with delta > step has D >= e**2 +
+        # (1 - t) step**2 >= e**2 + step**2/2.  The gap step**2/8 >= 1.25e-5
+        # m**2 is over twice the rounding of d2 (under 2**-47 R length for
+        # coordinates up to the length) on loops of up to 50 km, so a candidate
+        # more than a step (plus 1e-6 steps of slack for rounding in s) from s*
+        # has a float d2 strictly above the nearest grid point's.
+        span, off, R = k * step, s_star - center, self.radius
+        if (e + step <= 0.5 * R and abs(off) <= span and span + abs(off) < 2.0 * (R - e)
+                and span <= center and center + span < length <= 5e4):
+            q = off / step
+            return range(max(-k, math.ceil(q - 1.000001)), min(k, math.floor(q + 1.000001)) + 1)
+        return range(-k, k + 1)  # a premise fails: keep every candidate

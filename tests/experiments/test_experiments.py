@@ -5,6 +5,8 @@ reproduction claims (HCPerf wins, misses regulated to zero, collision in the
 motivation) are asserted on horizons long enough for the effects to appear.
 """
 
+import math
+
 import pytest
 
 from repro.experiments import (
@@ -173,6 +175,12 @@ class TestFig17:
     def test_render(self, result):
         out = fig17_responsiveness.render(result)
         assert "jam" in out
+
+    @pytest.mark.parametrize("horizon", [10.5, 39.9, math.nan])
+    def test_horizon_short_of_the_last_phase_rejected(self, horizon):
+        # A phase past the horizon used to read 0 ms response, 0 commands/s.
+        with pytest.raises(ValueError, match="every phase"):
+            fig17_responsiveness.run(seed=1, horizon=horizon)
 
 
 class TestFig18:

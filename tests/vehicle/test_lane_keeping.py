@@ -1,6 +1,7 @@
 """Unit tests for the lane-keeping plant."""
 
 import hashlib
+import math
 
 import pytest
 
@@ -34,6 +35,13 @@ class TestConstruction:
             make_plant(max_offset=0.0)
         with pytest.raises(ValueError):
             LaneKeepingPlant(speed=0.0)
+
+    @pytest.mark.parametrize("field", ["speed", "command_timeout", "max_offset", "initial_offset"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_rejected(self, field, value):
+        # NaN compares false with everything, so a bare "<= 0" check let it in.
+        with pytest.raises(ValueError, match=field):
+            LaneKeepingPlant(**{field: value})
 
     def test_initial_offset_applied(self):
         p = make_plant(initial_offset=0.5)

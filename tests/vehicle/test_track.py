@@ -18,6 +18,13 @@ class TestGeometry:
         with pytest.raises(ValueError):
             OvalTrack(straight_length=10.0, radius=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_dimensions_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            OvalTrack(straight_length=value, radius=10.0)
+        with pytest.raises(ValueError, match="finite"):
+            OvalTrack(straight_length=10.0, radius=value)
+
     def test_length(self):
         assert TRACK.length == pytest.approx(2 * 60.0 + 2 * math.pi * 15.0)
 
@@ -131,19 +138,94 @@ class TestProjectionIsBitExact:
     @given(
         track=st.sampled_from(TRACKS),
         frac=st.floats(min_value=0.0, max_value=1.0),
-        e=st.floats(min_value=-3.0, max_value=3.0),
-        hint_error=st.floats(min_value=-6.0, max_value=6.0),
+        e=st.floats(min_value=-12.0, max_value=12.0),
+        hint_error=st.floats(min_value=-12.0, max_value=12.0),
         laps=st.integers(min_value=-2, max_value=2),
     )
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=600, deadline=None)
     # -1e-300 % length rounds up to length itself, which pose() wraps again.
     @example(track=TRACK, frac=0.0, e=0.5, hint_error=-1e-300, laps=0)
     @example(track=TRACKS[2], frac=0.0, e=0.0, hint_error=0.0, laps=-1)
+    # The stage-1 window [center - 8, center + 8] just fits above s = 0, just
+    # wraps past it, and ends exactly at the loop length.
+    @example(track=TRACK, frac=0.0, e=0.5, hint_error=8.0, laps=0)
+    @example(track=TRACK, frac=0.0, e=0.5, hint_error=7.999, laps=0)
+    @example(track=TRACK, frac=1.0, e=0.5, hint_error=-8.0, laps=1)
+    # The foot point on the edge of the stage-1 window, and just beyond it.
+    @example(track=TRACK, frac=0.25, e=1.0, hint_error=8.0, laps=0)
+    @example(track=TRACK, frac=0.25, e=1.0, hint_error=-8.0, laps=0)
+    @example(track=TRACK, frac=0.25, e=1.0, hint_error=8.001, laps=0)
+    # Offset plus step at half the radius for steps 1, 0.1 and 0.01 (R = 15
+    # and 20), and just past it; the tiny track's stage 2 is never monotone.
+    @example(track=TRACK, frac=0.1, e=6.5, hint_error=0.3, laps=0)
+    @example(track=TRACK, frac=0.1, e=-6.5000001, hint_error=0.3, laps=0)
+    @example(track=TRACK, frac=0.1, e=7.4, hint_error=0.3, laps=0)
+    @example(track=TRACK, frac=0.1, e=7.49, hint_error=0.3, laps=0)
+    @example(track=TRACKS[0], frac=0.3, e=-9.0, hint_error=0.3, laps=0)
+    @example(track=TRACKS[2], frac=0.5, e=0.34, hint_error=0.05, laps=0)
+    # A departed car, inside and outside a turn.
+    @example(track=TRACK, frac=0.4, e=12.0, hint_error=0.0, laps=0)
+    @example(track=TRACK, frac=0.4, e=-12.0, hint_error=3.0, laps=0)
     def test_matches_pose_based_search(self, track, frac, e, hint_error, laps):
         s = frac * track.length
         x, y = off_line_point(track, s, e)
         s_hint = s + hint_error + laps * track.length
         assert track.project(x, y, s_hint) == reference_project(track, x, y, s_hint)
+
+    def test_first_of_two_tied_candidates_wins(self):
+        # x lies exactly halfway between the finest-grid candidates 30.01 and
+        # 30.02 on the bottom straight, so both score the same d2.
+        lo, hi = 30.0 + 1 * 0.01, 30.0 + 2 * 0.01
+        x = (lo + hi) / 2
+        assert x - lo == hi - x
+        assert TRACK.project(x, 1.0, 30.0) == reference_project(TRACK, x, 1.0, 30.0)
+        assert TRACK.project(x, 1.0, 30.0)[0] == lo
+
+
+STAGES = ((1.0, 8), (0.1, 15), (0.01, 20))
+
+
+class TestCandidatePruningIsSound:
+    """Every candidate ``_kept`` drops scores strictly worse than one it keeps.
+
+    Checked on the float d2 of :meth:`OvalTrack.pose`, the scores the search
+    compares, without running the search: the foot point comes from
+    :func:`analytic_projection` and the window centre from a random hint.
+    """
+
+    @given(
+        track=st.sampled_from(TRACKS),
+        frac=st.floats(min_value=0.0, max_value=1.0),
+        junction=st.sampled_from([None, 0, 1, 2, 3]),
+        near=st.floats(min_value=-1.0, max_value=1.0),
+        e=st.floats(min_value=-12.0, max_value=12.0),
+        stage=st.sampled_from(STAGES),
+        shift=st.floats(min_value=-1.5, max_value=1.5),
+    )
+    @settings(max_examples=600, deadline=None)
+    # 0.06 m into the top straight and 3 m inside the loop: the candidate
+    # 0.52 m back on the turn scores lower than the one 0.48 m ahead.
+    @example(
+        track=TRACK, frac=0.0, junction=2, near=0.06, e=3.0, stage=STAGES[0], shift=-0.19
+    )
+    def test_dropped_candidates_cannot_win(self, track, frac, junction, near, e, stage, shift):
+        L, R, length = track.straight_length, track.radius, track.length
+        step, k = stage
+        s = frac * length
+        if junction is not None:  # where a straight meets a turn, D is lopsided
+            s = ((0.0, L, L + math.pi * R, 2 * L + math.pi * R)[junction] + near * step) % length
+        x, y = off_line_point(track, s, e)
+        s_star, e_star = analytic_projection(track, x, y)
+        center = (s + shift * k * step) % length  # a hint up to 1.5 windows off
+        kept = track._kept(s_star, abs(e_star), center, step, k, length)
+
+        assert list(kept) == sorted(set(kept)) and set(kept) <= set(range(-k, k + 1))
+        d2 = {}
+        for i in range(-k, k + 1):
+            cx, cy, _ = track.pose((center + i * step) % length)
+            d2[i] = (x - cx) ** 2 + (y - cy) ** 2
+        best = min((d2[i] for i in kept), default=math.inf)
+        assert all(d2[i] > best for i in d2 if i not in kept)
 
 
 def analytic_projection(track, x, y):
