@@ -224,11 +224,11 @@ def build_trace_parser() -> argparse.ArgumentParser:
         help="optional fault spec (JSON file path or named suite entry)",
     )
     run.add_argument(
-        "--out", required=True, help="recording output path (canonical JSON)"
+        "--out", required=True, help="recording output path (JSONL)"
     )
 
     export = sub.add_parser("export", help="convert a recording to another format")
-    export.add_argument("recording", help="recording file (canonical JSON or JSONL)")
+    export.add_argument("recording", help="JSONL recording file")
     export.add_argument(
         "--format",
         choices=("chrome", "jsonl", "summary"),
@@ -240,7 +240,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
     )
 
     check = sub.add_parser("check", help="run the trace-invariant catalog")
-    check.add_argument("recording", help="recording file (canonical JSON or JSONL)")
+    check.add_argument("recording", help="JSONL recording file")
     check.add_argument(
         "--list", action="store_true", dest="list_invariants",
         help="list the invariant catalog instead of checking",
@@ -253,7 +253,6 @@ def _trace_command(argv: List[str]) -> int:
 
     from .obs.export import (
         load_recording,
-        save_recording,
         summary_text,
         to_chrome_trace,
         to_jsonl,
@@ -297,7 +296,7 @@ def _trace_command(argv: List[str]) -> int:
             scenario, scheduler, seed=args.seed, recorder=recorder,
             before_run=before_run,
         )
-        save_recording(recorder, args.out)
+        Path(args.out).write_text(to_jsonl(recorder))
         stats = recorder.stats()
         print(
             f"recorded {stats['_total']} events "

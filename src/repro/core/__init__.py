@@ -11,7 +11,7 @@
 """
 
 from .ade import AlgebraicDifferentiator
-from .coordinator import GammaHistory, HCPerfConfig, HierarchicalCoordinator
+from .coordinator import HCPerfConfig, HierarchicalCoordinator
 from .dynamic_priority import (
     DynamicPriorityConfig,
     DynamicPriorityPolicy,
@@ -22,7 +22,6 @@ from .rate_adapter import RateAdapterConfig, TaskRateAdapter
 
 __all__ = [
     "AlgebraicDifferentiator",
-    "GammaHistory",
     "HCPerfConfig",
     "HierarchicalCoordinator",
     "DynamicPriorityConfig",

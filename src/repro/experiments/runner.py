@@ -225,14 +225,10 @@ def run_scenario(
         utilization=executor.utilization(),
         final_rates=executor.rates(),
         horizon=executor.now,
-        gamma_history=(
-            list(sched.coordinator.gamma_history) if is_hcperf else []
-        ),
+        gamma_history=sched.coordinator.gamma_history if is_hcperf else [],
         overload_duty_cycle=(
-            # .total counts every resolution ever appended, so the duty
-            # cycle stays correct even after the bounded ring evicts samples.
             sched.coordinator.overload_windows
-            / max(1, sched.coordinator.gamma_history.total)
+            / max(1, len(sched.coordinator.gamma_history))
             if is_hcperf
             else 0.0
         ),

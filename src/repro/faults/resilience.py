@@ -13,11 +13,11 @@ one fault-free, one with the spec injected — and reduces them to a
 * **overload-flag duty cycle / rate-adapter resets** — how hard HCPerf's
   Eq. (11) overload detection and §V gain reset worked during the run.
 
-The faulty run carries a :class:`~repro.obs.recorder.Recorder`, and every
-aggregate (miss-ratio curve, overload duty cycle, §V resets, fault-event
-log) is reduced from that one event stream — this module holds no private
-bookkeeping — so a report is a pure function of (scenario, scheduler,
-seed, spec) and the recording can be exported for inspection alongside it.
+Every aggregate comes from the faulty run itself: the miss-ratio curve
+from its executor's window series, the overload duty cycle and §V resets
+from its coordinator, and the fault-event log from the injection harness.
+A report is therefore a pure function of (scenario, scheduler, seed,
+spec).
 """
 
 from __future__ import annotations
@@ -28,13 +28,6 @@ from typing import Callable, Dict, List, Optional, Union
 
 from ..analysis.stats import rms_series
 from ..experiments.runner import RunResult, run_scenario
-from ..obs.events import FaultMarkEvent
-from ..obs.recorder import Recorder
-from ..obs.reduce import (
-    miss_ratio_series,
-    overload_duty_cycle,
-    rate_adapter_resets,
-)
 from ..vehicle.car_following import CarFollowingPlant
 from ..workloads.scenarios import Scenario
 from .harness import InjectionHarness
@@ -138,13 +131,9 @@ def run_resilience(
 
     clean = run_scenario(factory(), scheduler, seed=seed)
     harness = InjectionHarness(spec)
-    recording = Recorder()
-    faulty = run_scenario(
-        factory(), scheduler, seed=seed, recorder=recording,
-        before_run=harness.attach,
-    )
+    faulty = run_scenario(factory(), scheduler, seed=seed, before_run=harness.attach)
 
-    series = miss_ratio_series(recording)
+    series = faulty.miss_ratio_series()
     onset = spec.first_onset()
     clear = spec.last_clear()
     if clear is not None:
@@ -194,12 +183,8 @@ def run_resilience(
         steady_state_miss_ratio=steady,
         tracking_error_rms=_tracking_rms(faulty),
         tracking_error_rms_clean=_tracking_rms(clean),
-        overload_duty_cycle=overload_duty_cycle(recording),
-        rate_adapter_resets=rate_adapter_resets(recording),
-        fault_events=[
-            {"t": e.t, "kind": e.fault, "detail": e.detail}
-            for e in recording.events
-            if isinstance(e, FaultMarkEvent)
-        ],
+        overload_duty_cycle=faulty.overload_duty_cycle,
+        rate_adapter_resets=faulty.rate_adapter_resets,
+        fault_events=harness.events_dict(),
         miss_ratio_series=[[t, ratio] for t, ratio in series],
     )

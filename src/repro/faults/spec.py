@@ -35,6 +35,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Type, Union
 
+from ..obs.events import is_finite_number
+
 __all__ = [
     "ExecTimeSpike",
     "ExecTimeBurst",
@@ -58,16 +60,6 @@ def check_seed(value: object, where: str) -> int:
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     raise ValueError(f"{where}: a seed must be an integer, got {value!r}")
-
-
-def is_finite_number(value: object) -> bool:
-    """Whether ``value`` is an int or float (not a bool) of finite float value."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond float range
-        return False
 
 
 def _check_window(t_on: float, t_off: float) -> None:

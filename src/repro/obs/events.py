@@ -15,8 +15,9 @@ invariant checker can match every release to its resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Type
+import math
+from dataclasses import dataclass, fields
+from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple, Type
 
 __all__ = [
     "TraceEvent",
@@ -324,11 +325,63 @@ EVENT_KINDS: Dict[str, Type[TraceEvent]] = {
 }
 
 
-def event_from_dict(data: Mapping[str, Any]) -> TraceEvent:
-    """Rebuild a typed event from its ``to_dict`` form (JSONL round-trip)."""
+def is_finite_number(value: object) -> bool:
+    """Whether ``value`` is an int or float (not a bool) of finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+#: Value check per field annotation (the annotations are strings here).
+_FIELD_CHECKS: Dict[str, Callable[[Any], bool]] = {
+    "float": is_finite_number,
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+    "Optional[float]": lambda v: v is None or is_finite_number(v),
+    "Optional[str]": lambda v: v is None or isinstance(v, str),
+}
+
+
+def _field_table(cls: Type[TraceEvent]) -> Tuple[Dict[str, str], FrozenSet[str]]:
+    """(field -> annotation, keys every serialized event carries) of ``cls``."""
+    types = {f.name: str(f.type) for f in fields(cls)}
+    unchecked = set(types.values()) - _FIELD_CHECKS.keys()
+    if unchecked:
+        raise TypeError(f"{cls.__name__}: no value check for {sorted(unchecked)}")
+    required = frozenset(cls(t=0.0).to_dict()) - {"ev"}
+    return types, required
+
+
+_FIELDS = {kind: _field_table(cls) for kind, cls in EVENT_KINDS.items()}
+
+
+def event_from_dict(data: Any) -> TraceEvent:
+    """Rebuild a typed event from its ``to_dict`` form (JSONL round-trip).
+
+    Raises :class:`ValueError` for anything ``to_dict`` cannot have
+    written: a non-object, an unknown kind, a missing or extra field, a
+    value of the wrong type (a bool is not a number) or a non-finite float.
+    """
+    if not isinstance(data, Mapping):
+        raise ValueError(f"an event must be a JSON object, got {type(data).__name__}")
     payload = dict(data)
     tag = payload.pop("ev", None)
-    cls = EVENT_KINDS.get(str(tag))
-    if cls is None:
+    if not isinstance(tag, str) or tag not in EVENT_KINDS:
         raise ValueError(f"unknown event kind {tag!r}")
-    return cls(**payload)
+    types, required = _FIELDS[tag]
+    missing = sorted(required - payload.keys())
+    if missing:
+        raise ValueError(f"{tag} event is missing {', '.join(missing)}")
+    extra = sorted(str(k) for k in payload.keys() - types.keys())
+    if extra:
+        raise ValueError(f"{tag} event has unknown field {', '.join(extra)}")
+    for name, value in payload.items():
+        if not _FIELD_CHECKS[types[name]](value):
+            raise ValueError(
+                f"{tag} event field {name!r} must be {types[name]}, got {value!r}"
+            )
+    return EVENT_KINDS[tag](**payload)

@@ -13,8 +13,8 @@
 * :func:`summary_text` renders a human-readable digest.
 * :func:`render_gantt` draws the execution spans as an ASCII Gantt chart,
   one row per processor.
-* :func:`save_recording` / :func:`load_recording` write/read the canonical
-  single-object JSON form (also accepting JSONL on load).
+* :func:`load_recording` reads a JSONL recording file, the one on-disk
+  recording format.
 """
 
 from __future__ import annotations
@@ -23,7 +23,21 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
-from .events import SpanEvent, event_from_dict
+from ..rt.resources import MAX_UNITS
+from .events import (
+    ControlEvent,
+    DropEvent,
+    FaultMarkEvent,
+    GammaEvent,
+    RateAdapterEvent,
+    RateEvent,
+    ReleaseEvent,
+    SpanEvent,
+    UnresolvedEvent,
+    WindowEvent,
+    event_from_dict,
+    is_finite_number,
+)
 from .recorder import SCHEMA, Recorder
 
 __all__ = [
@@ -33,7 +47,6 @@ __all__ = [
     "from_jsonl",
     "summary_text",
     "render_gantt",
-    "save_recording",
     "load_recording",
 ]
 
@@ -203,34 +216,145 @@ def to_jsonl(rec: Recorder) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_meta(meta: Dict[str, Any]) -> None:
+    """Reject meta values the exporters and invariants cannot read."""
+    n_processors = meta.get("n_processors")
+    if n_processors is not None and not (
+        isinstance(n_processors, int)
+        and not isinstance(n_processors, bool)
+        and 1 <= n_processors <= MAX_UNITS
+    ):
+        raise ValueError(
+            f"meta 'n_processors' must be an int in 1..{MAX_UNITS}, got {n_processors!r}"
+        )
+    for key in ("horizon", "coordination_period", "gamma_cap", "t_end"):
+        value = meta.get(key)
+        if value is not None and not is_finite_number(value):
+            raise ValueError(f"meta {key!r} must be a finite number, got {value!r}")
+    tasks = meta.get("tasks")
+    if tasks is None:
+        return
+    if not isinstance(tasks, list) or not all(
+        isinstance(task, dict) and isinstance(task.get("name"), str) for task in tasks
+    ):
+        raise ValueError("meta 'tasks' must be a list of objects with a string name")
+    for task in tasks:
+        bounds = task.get("rate_range")
+        if bounds is not None and not (
+            isinstance(bounds, list)
+            and len(bounds) == 2
+            and all(map(is_finite_number, bounds))
+        ):
+            raise ValueError(
+                f"meta task {task['name']!r}: rate_range must be two finite numbers"
+            )
+
+
+def _read_line(rec: Recorder, line: str) -> None:
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON ({exc.msg}, column {exc.colno})") from None
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    if isinstance(data, dict) and data.get("ev") == "meta":
+        schema = data.pop("schema", None)
+        if schema != SCHEMA:
+            raise ValueError(f"unsupported recording schema {schema!r}")
+        data.pop("ev")
+        _check_meta(data)
+        rec.meta.update(data)
+    else:
+        rec.emit(event_from_dict(data))
+
+
 def from_jsonl(text: str) -> Recorder:
-    """Rebuild a recording from its JSONL export."""
+    """Rebuild a recording from its JSONL export.
+
+    Raises :class:`ValueError` naming the line of the first malformed entry.
+    """
     rec = Recorder()
     for i, line in enumerate(text.splitlines()):
-        if not line.strip():
-            continue
-        data = json.loads(line)
-        if data.get("ev") == "meta":
-            schema = data.pop("schema", None)
-            if schema != SCHEMA:
-                raise ValueError(f"unsupported recording schema {schema!r}")
-            data.pop("ev")
-            rec.meta.update(data)
-            continue
-        try:
-            rec.emit(event_from_dict(data))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"line {i + 1}: {exc}") from exc
+        if line.strip():
+            try:
+                _read_line(rec, line)
+            except ValueError as exc:
+                raise ValueError(f"line {i + 1}: {exc}") from exc
     return rec
 
 
-def summary_text(rec: Recorder) -> str:
-    """Human-readable digest of a recording."""
-    from .reduce import reduce_recording
+#: The counters and histograms :func:`summary_text` always prints.
+_COUNTERS = (
+    "control_commands",
+    "fault_events",
+    "gamma_overloads",
+    "jobs_completed",
+    "jobs_dropped",
+    "jobs_killed",
+    "jobs_missed",
+    "jobs_released",
+    "jobs_unresolved",
+    "rate_adapter_resets",
+)
+_HISTOGRAMS = ("control_response_s", "gamma", "span_duration_s", "window_miss_ratio")
 
+
+def summary_text(rec: Recorder) -> str:
+    """Human-readable digest of a recording.
+
+    One pass over the events folds the job, γ, rate and window counters,
+    the last rate and utilization gauges, and the count and mean of each
+    histogrammed quantity (summed in event order).
+    """
+    counters = dict.fromkeys(_COUNTERS, 0)
+    gauges: Dict[str, float] = {}
+    hist_n = dict.fromkeys(_HISTOGRAMS, 0)
+    hist_sum = dict.fromkeys(_HISTOGRAMS, 0.0)
+
+    def observe(name: str, value: float) -> None:
+        hist_n[name] += 1
+        hist_sum[name] += value
+
+    for event in rec.events:
+        if isinstance(event, ReleaseEvent):
+            counters["jobs_released"] += 1
+        elif isinstance(event, SpanEvent):
+            observe("span_duration_s", event.finish - event.start)
+            if event.outcome == "complete":
+                counters["jobs_completed"] += 1
+            else:
+                counters["jobs_missed"] += 1
+                if event.outcome == "kill":
+                    counters["jobs_killed"] += 1
+        elif isinstance(event, DropEvent):
+            counters["jobs_missed"] += 1
+            counters["jobs_dropped"] += 1
+        elif isinstance(event, UnresolvedEvent):
+            counters["jobs_unresolved"] += 1
+        elif isinstance(event, ControlEvent):
+            counters["control_commands"] += 1
+            observe("control_response_s", event.response)
+        elif isinstance(event, GammaEvent):
+            observe("gamma", event.gamma)
+            counters["gamma_overloads"] += event.overloaded
+        elif isinstance(event, RateAdapterEvent):
+            counters["rate_adapter_resets"] += event.reset
+        elif isinstance(event, RateEvent):
+            gauges[f"rate_hz.{event.task}"] = event.rate
+        elif isinstance(event, WindowEvent):
+            observe("window_miss_ratio", event.miss_ratio)
+            gauges["utilization"] = event.utilization
+        elif isinstance(event, FaultMarkEvent):
+            counters["fault_events"] += 1
+
+    rows = [(name, f"counter   {value}") for name, value in counters.items()]
+    rows += [(name, f"gauge     {value:.6g}") for name, value in gauges.items()]
+    rows += [
+        (name, f"histogram n={n} mean={hist_sum[name] / n if n else 0.0:.6g}")
+        for name, n in hist_n.items()
+    ]
     meta = rec.meta
     stats = rec.stats()
-    registry = reduce_recording(rec)
     lines = [
         f"recording  : {meta.get('scenario', '?')} / {meta.get('scheduler', '?')} "
         f"(seed {meta.get('seed', '?')})",
@@ -238,8 +362,7 @@ def summary_text(rec: Recorder) -> str:
         f"({int(meta['n_processors'])} processors)"
         if meta.get("n_processors")
         else f"time span  : 0.0 .. {rec.t_end:.3f} s",
-        f"events     : {stats['_total']}"
-        + (f" (+{stats['_dropped']} dropped, capacity-bounded)" if rec.dropped else ""),
+        f"events     : {stats['_total']}",
     ]
     by_kind = ", ".join(
         f"{kind}={count}"
@@ -248,7 +371,7 @@ def summary_text(rec: Recorder) -> str:
     )
     lines.append(f"by kind    : {by_kind}")
     lines.append("")
-    lines.append(registry.render_text())
+    lines.extend(f"{name:32s} {text}" for name, text in sorted(rows))
     return "\n".join(lines)
 
 
@@ -295,27 +418,24 @@ def render_gantt(rec: Recorder, t_start: float, t_end: float, width: int = 100) 
     return "\n".join(lines)
 
 
-def save_recording(rec: Recorder, path: Union[str, Path]) -> None:
-    """Write the canonical single-object JSON form."""
-    Path(path).write_text(json.dumps(rec.to_dict(), indent=1) + "\n")
-
-
 def load_recording(path: Union[str, Path]) -> Recorder:
-    """Load a recording from canonical JSON or JSONL export."""
+    """Load a JSONL recording file."""
     text = Path(path).read_text()
     stripped = text.lstrip()
     if not stripped:
         raise ValueError(f"{path}: empty recording file")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError:
-        return from_jsonl(text)
+    except (json.JSONDecodeError, RecursionError):
+        data = None  # several lines: the JSONL reader below reports problems
     if isinstance(data, dict) and "traceEvents" in data:
         raise ValueError(
             f"{path}: this is a Chrome trace export, not a recording; "
-            f"re-export from the canonical file"
+            f"re-export from the recording file"
         )
-    if isinstance(data, dict) and "events" in data:
-        return Recorder.from_dict(data)
-    # A single-line JSONL file parses as one object; fall through.
+    if isinstance(data, dict) and "events" in data and "schema" in data:
+        raise ValueError(
+            f"{path}: the single-object JSON recording form is no longer read; "
+            f"regenerate it with `hcperf trace run --out FILE.jsonl`"
+        )
     return from_jsonl(text)

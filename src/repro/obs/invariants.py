@@ -27,10 +27,6 @@ OBS008    window counters reconcile with the event stream: summed window
           events at the final window boundary and after the last window)
 OBS009    applied rate retunes stay inside each task's allowable range
 ========  ==============================================================
-
-Count-sensitive checks (OBS003, OBS008) are skipped for truncated
-(capacity-bounded) recordings — a recorder that dropped events cannot
-account for every job.
 """
 
 from __future__ import annotations
@@ -137,8 +133,6 @@ def check_time_order(rec: Recorder) -> List[Violation]:
 
 @_invariant("OBS003", "every release resolves exactly once")
 def check_release_resolution(rec: Recorder) -> List[Violation]:
-    if rec.truncated:
-        return []
     releases: Dict[Tuple[str, int], int] = {}
     resolutions: Dict[Tuple[str, int], List[str]] = {}
     for event in rec.events:
@@ -280,8 +274,6 @@ def check_window_tiling(rec: Recorder) -> List[Violation]:
 
 @_invariant("OBS008", "window counters reconcile with the event stream")
 def check_window_counts(rec: Recorder) -> List[Violation]:
-    if rec.truncated:
-        return []
     windows = [e for e in rec.events if isinstance(e, WindowEvent)]
     if not windows:
         return []

@@ -13,7 +13,7 @@ cannot change simulation output (pinned by test).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
 from .events import (
     ControlEvent,
@@ -28,7 +28,6 @@ from .events import (
     TraceEvent,
     UnresolvedEvent,
     WindowEvent,
-    event_from_dict,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
@@ -43,32 +42,16 @@ SCHEMA = "hcperf-trace/1"
 
 
 class Recorder:
-    """Accumulates typed trace events plus run metadata.
+    """Accumulates typed trace events plus run metadata."""
 
-    Parameters
-    ----------
-    capacity:
-        Maximum number of retained events (``None`` = unbounded).  Once
-        full, further events are counted in :attr:`dropped` instead of
-        stored; count-sensitive invariants are skipped for truncated
-        recordings.
-    """
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 (or None for unbounded)")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self.events: List[TraceEvent] = []
-        self.dropped = 0
         self.meta: Dict[str, Any] = {"schema": SCHEMA}
 
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
     def emit(self, event: TraceEvent) -> None:
-        if self.capacity is not None and len(self.events) >= self.capacity:
-            self.dropped += 1
-            return
         self.events.append(event)
 
     def release(self, job: "Job") -> None:
@@ -230,49 +213,15 @@ class Recorder:
             return float(t_end)
         return max((e.t for e in self.events), default=0.0)
 
-    @property
-    def truncated(self) -> bool:
-        return self.dropped > 0
-
     def task_meta(self) -> Dict[str, Dict[str, Any]]:
         """Per-task static metadata keyed by task name (empty if unbound)."""
         tasks = self.meta.get("tasks") or []
         return {str(entry["name"]): dict(entry) for entry in tasks}
 
     def stats(self) -> Dict[str, int]:
-        """Event counts by kind (plus drop bookkeeping), for quick summaries."""
+        """Event counts by kind plus ``_total``, for quick summaries."""
         counts: Dict[str, int] = {}
         for e in self.events:
             counts[e.kind] = counts.get(e.kind, 0) + 1
         counts["_total"] = len(self.events)
-        counts["_dropped"] = self.dropped
         return counts
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Canonical JSON form: ``{"schema", "meta", "events"}``."""
-        meta = {k: v for k, v in self.meta.items() if k != "schema"}
-        return {
-            "schema": SCHEMA,
-            "meta": meta,
-            "events": [e.to_dict() for e in self.events],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Recorder":
-        schema = data.get("schema")
-        if schema != SCHEMA:
-            raise ValueError(f"unsupported recording schema {schema!r} (want {SCHEMA})")
-        rec = cls()
-        meta = data.get("meta") or {}
-        if not isinstance(meta, Mapping):
-            raise ValueError("recording meta must be an object")
-        rec.meta.update(meta)
-        events = data.get("events")
-        if not isinstance(events, list):
-            raise ValueError("recording events must be a list")
-        for entry in events:
-            rec.emit(event_from_dict(entry))
-        return rec

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..core.coordinator import HCPerfConfig, HierarchicalCoordinator
-from ..obs.metrics import MetricsRegistry
 from ..rt.metrics import WindowSample
 from ..rt.task import Job
 from ..rt.taskgraph import TaskGraph
@@ -43,14 +42,8 @@ class HCPerfScheduler(Scheduler):
     #: execution-time regime change (a spurious §V gain reset).
     drift_warmup_windows = 4
 
-    def __init__(
-        self,
-        config: Optional[HCPerfConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        # A shared registry folds the coordinator's housekeeping counters
-        # (γ-history ring evictions) into the caller's metrics snapshot.
-        self.coordinator = HierarchicalCoordinator(config, metrics=metrics)
+    def __init__(self, config: Optional[HCPerfConfig] = None) -> None:
+        self.coordinator = HierarchicalCoordinator(config)
         self._gamma = 0.0
         self._desired_rates: Optional[Dict[str, float]] = None
         self._windows_seen = 0

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core import GammaHistory, HCPerfConfig, HierarchicalCoordinator
-from repro.obs.metrics import MetricsRegistry
+from repro.core import HCPerfConfig, HierarchicalCoordinator
 from repro.rt import ConstantExecTime, ExecTimeObserver, Job, TaskSpec
 
 
@@ -44,54 +43,18 @@ class TestInternalCoordinator:
         assert c.overload_windows == 1
 
 
-class TestGammaHistoryRing:
-    def test_limit_validation(self):
-        with pytest.raises(ValueError):
-            GammaHistory(0)
-        with pytest.raises(ValueError):
-            HCPerfConfig(gamma_history_limit=0)
-
-    def test_list_like_behaviour(self):
-        ring = GammaHistory(8)
-        ring.append((0.0, 0.1))
-        ring.append((0.5, 0.2))
-        assert len(ring) == 2
-        assert ring[0] == (0.0, 0.1) and ring[-1] == (0.5, 0.2)
-        assert ring[:1] == [(0.0, 0.1)]
-        assert list(ring) == [(0.0, 0.1), (0.5, 0.2)]
-        assert ring == [(0.0, 0.1), (0.5, 0.2)]
-
-    def test_eviction_keeps_newest_and_counts(self):
-        ring = GammaHistory(3)
-        for i in range(5):
-            ring.append((float(i), 0.0))
-        assert len(ring) == 3
-        assert ring.total == 5 and ring.dropped == 2
-        assert [t for t, _ in ring] == [2.0, 3.0, 4.0]
-
-    def test_clear_resets_counters(self):
-        ring = GammaHistory(2)
-        for i in range(4):
-            ring.append((float(i), 0.0))
-        ring.clear()
-        assert len(ring) == 0 and ring.total == 0 and ring.dropped == 0
-
-    def test_coordinator_bounds_history_and_reports_metric(self):
-        metrics = MetricsRegistry()
-        c = HierarchicalCoordinator(
-            HCPerfConfig(gamma_history_limit=4), metrics=metrics
-        )
-        jobs = [job(exec_time=0.001, deadline=1.0)]
-        for i in range(10):
-            c.resolve_gamma(i * 0.01, jobs, lambda j: j.exec_time, 0.0, 2)
-        assert len(c.gamma_history) == 4
-        assert c.gamma_history.total == 10
-        assert c.gamma_history.dropped == 6
-        assert metrics.counter("gamma_history_dropped").value == 6
-
-    def test_default_limit_is_generous(self):
+class TestGammaHistory:
+    def test_long_horizon_keeps_every_sample(self):
+        # More resolutions than fig13 makes in 90 s (61,744): every sample
+        # stays, from the first, and the history is a plain list.
         c = HierarchicalCoordinator()
-        assert c.gamma_history.limit == HCPerfConfig().gamma_history_limit >= 65536
+        jobs = [job(exec_time=0.001, deadline=1.0)]
+        n = 65_536 + 1_000
+        for i in range(n):
+            c.resolve_gamma(i * 1e-3, jobs, lambda j: j.exec_time, 0.0, 2)
+        assert type(c.gamma_history) is list
+        assert len(c.gamma_history) == n
+        assert [t for t, _ in c.gamma_history] == [i * 1e-3 for i in range(n)]
 
 
 class TestExternalCoordinator:

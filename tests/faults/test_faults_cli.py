@@ -72,10 +72,10 @@ class TestRun:
     def test_malformed_spec_file_is_a_usage_error(self, tmp_path, capsys, argv, text):
         path = tmp_path / "spec.json"
         path.write_text(text)
-        paths = {"SPEC": str(path), "OUT": str(tmp_path / "trace.json")}
+        paths = {"SPEC": str(path), "OUT": str(tmp_path / "trace.jsonl")}
         assert hcperf_main([paths.get(a, a) for a in argv]) == 2
         assert capsys.readouterr().err.startswith("error: ")
-        assert not (tmp_path / "trace.json").exists()
+        assert not (tmp_path / "trace.jsonl").exists()
 
     def test_unknown_scheduler_is_a_usage_error(self, capsys):
         code = hcperf_main(

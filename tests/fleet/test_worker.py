@@ -72,3 +72,17 @@ class TestExecuteJob:
         job = Job(scenario="fig13", scheduler="HCPerf", seed=1,
                   overrides={"horizon": 5.0})
         assert execute_job(job)["summary"] == execute_job(job)["summary"]
+
+    def test_record_events_override_adds_only_the_obs_verdict(self):
+        plain = Job(scenario="fig13", scheduler="HCPerf", seed=1, overrides={"horizon": 2.0})
+        recorded = Job(
+            scenario="fig13", scheduler="HCPerf", seed=1,
+            overrides={"horizon": 2.0, "record_events": True},
+        )
+        summary = execute_job(recorded)["summary"]
+        obs = summary.pop("obs")
+        events = obs["events"]
+        assert events["_total"] == sum(n for kind, n in events.items() if kind != "_total")
+        assert {"release", "span", "gamma", "window", "control"} <= set(events)
+        assert obs["violations"] == [] and obs["sound"] is True
+        assert summary == execute_job(plain)["summary"]

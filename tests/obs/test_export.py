@@ -1,6 +1,7 @@
-"""Exporters: Chrome trace validity, JSONL byte-stability, load/save, Gantt."""
+"""Exporters: Chrome trace validity, JSONL byte-stability and loading, Gantt."""
 
 import json
+import re
 
 import pytest
 
@@ -9,7 +10,6 @@ from repro.obs.export import (
     from_jsonl,
     load_recording,
     render_gantt,
-    save_recording,
     summary_text,
     to_chrome_trace,
     to_jsonl,
@@ -94,6 +94,38 @@ class TestJsonl:
         with pytest.raises(ValueError, match="schema"):
             from_jsonl('{"ev":"meta","schema":"hcperf-trace/99"}\n')
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[1]", "must be a JSON object"),
+            ("not json", "not valid JSON"),
+            ('{"ev":"release","t":"x"}', "missing cycle, deadline, task"),
+            ('{"ev":"control","t":"x","response":0.1}', "'t' must be float"),
+            ('{"ev":"window","t":1e999,"t_start":0.0,"completed":0,"missed":0,'
+             '"control_commands":0,"utilization":0.0}', "'t' must be float"),
+            ('{"ev":"control","t":NaN,"response":0.1}', "'t' must be float"),
+            ('{"ev":"gamma","t":0.0,"gamma":true,"gamma_max":null,"overloaded":false}',
+             "'gamma' must be float"),
+            ('{"ev":"gamma","t":0.0,"gamma":0.0,"gamma_max":0.1,"overloaded":1}',
+             "'overloaded' must be bool"),
+            ('{"ev":"unresolved","t":0.0,"task":"a","cycle":1.5,"state":"ready"}',
+             "'cycle' must be int"),
+            ('{"ev":"control","t":0.0,"response":0.1,"extra":1}', "unknown field extra"),
+            ('{"t":0.0}', "unknown event kind None"),
+            (f'{{"ev":"meta","schema":"{SCHEMA}","tasks":5}}', "meta 'tasks'"),
+            (f'{{"ev":"meta","schema":"{SCHEMA}","t_end":"late"}}', "meta 't_end'"),
+            (f'{{"ev":"meta","schema":"{SCHEMA}","n_processors":{2**62}}}',
+             "meta 'n_processors'"),
+            (f'{{"ev":"meta","schema":"{SCHEMA}","n_processors":2.0}}', "meta 'n_processors'"),
+            (f'{{"ev":"meta","schema":"{SCHEMA}","n_processors":true}}', "meta 'n_processors'"),
+            ("[" * 100_000, "nested too deeply"),
+        ],
+    )
+    def test_malformed_line_rejected_with_its_number(self, line, message):
+        text = f'{{"ev":"meta","schema":"{SCHEMA}"}}\n{line}\n'
+        with pytest.raises(ValueError, match=f"^line 2: .*{re.escape(message)}"):
+            from_jsonl(text)
+
     def test_bad_line_reported_with_number(self):
         text = (
             f'{{"ev":"meta","schema":"{SCHEMA}"}}\n'
@@ -104,23 +136,38 @@ class TestJsonl:
 
 
 class TestSaveLoad:
-    def test_canonical_json_round_trip(self, recorded_run, tmp_path):
-        path = tmp_path / "rec.json"
-        save_recording(recorded_run, path)
+    def test_canonical_json_round_trip(self, tmp_path, capsys):
+        """``hcperf trace run --out`` writes JSONL, the one recording format."""
+        from repro.cli import main
+
+        path = tmp_path / "rec.jsonl"
+        argv = ["trace", "run", "--scenario", "fig13", "--horizon", "1", "--out", str(path)]
+        assert main(argv) == 0
         clone = load_recording(path)
-        assert clone.events == recorded_run.events
-        assert clone.meta["scheduler"] == "HCPerf"
+        assert clone.events and clone.meta["scheduler"] == "HCPerf"
+        assert to_jsonl(clone) == path.read_text()
+        capsys.readouterr()
+        assert main(["trace", "export", str(path), "--format", "summary"]) == 0
+        assert capsys.readouterr().out == summary_text(clone) + "\n"
 
     def test_load_accepts_jsonl(self, recorded_run, tmp_path):
         path = tmp_path / "rec.jsonl"
         path.write_text(to_jsonl(recorded_run))
         clone = load_recording(path)
         assert clone.events == recorded_run.events
+        assert clone.meta == recorded_run.meta
 
     def test_load_rejects_chrome_export(self, recorded_run, tmp_path):
         path = tmp_path / "chrome.json"
         path.write_text(json.dumps(to_chrome_trace(recorded_run)))
         with pytest.raises(ValueError, match="Chrome"):
+            load_recording(path)
+
+    def test_load_rejects_single_object_form(self, tmp_path):
+        path = tmp_path / "rec.json"
+        old_form = {"schema": SCHEMA, "meta": {}, "events": []}
+        path.write_text(json.dumps(old_form, indent=1))
+        with pytest.raises(ValueError, match="single-object JSON recording form"):
             load_recording(path)
 
     def test_load_rejects_empty_file(self, tmp_path):

@@ -1,9 +1,12 @@
 """Golden-trace regression: byte-stable exports and a pre-PR baseline.
 
-Four independent pins:
+Five independent pins:
 
 * the canonical car-following recording serializes to exactly the bytes in
   ``tests/obs/golden/motivation_hcperf_s0_h2.jsonl``;
+* that golden's text summary is exactly
+  ``tests/obs/golden/motivation_hcperf_s0_h2_summary.txt``, captured while
+  the summary still read a separate metrics registry (never regenerate it);
 * its Chrome export stays schema-valid and the JSONL round-trips losslessly;
 * the recorder-disabled CLI path still prints byte-identical JSON to the
   goldens captured before the observability layer existed;
@@ -22,6 +25,7 @@ from repro.cli import main
 from repro.experiments.runner import run_scenario
 from repro.obs.export import (
     from_jsonl,
+    summary_text,
     to_chrome_trace,
     to_jsonl,
     validate_chrome_trace,
@@ -58,6 +62,11 @@ class TestGoldenJsonl:
 
     def test_golden_recording_is_invariant_clean(self, golden_run):
         assert check_recording(golden_run) == []
+
+    def test_summary_matches_committed_golden(self):
+        clone = from_jsonl((GOLDEN / "motivation_hcperf_s0_h2.jsonl").read_text())
+        golden = (GOLDEN / "motivation_hcperf_s0_h2_summary.txt").read_text()
+        assert summary_text(clone) + "\n" == golden
 
     def test_chrome_export_is_schema_valid(self, golden_run):
         trace = to_chrome_trace(golden_run)

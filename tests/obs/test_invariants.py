@@ -105,13 +105,6 @@ class TestOBS003Bijection:
         )
         assert INVARIANTS["OBS003"][1](rec) == []
 
-    def test_truncated_recording_skipped(self):
-        rec = Recorder(capacity=1)
-        rec.emit(ReleaseEvent(t=0.0, task="a", cycle=0, deadline=0.1))
-        rec.emit(ReleaseEvent(t=0.1, task="a", cycle=1, deadline=0.2))
-        assert rec.truncated
-        assert INVARIANTS["OBS003"][1](rec) == []
-
 
 class TestOBS004OutcomeDeadline:
     def test_late_complete_fires(self):

@@ -1,18 +1,31 @@
-"""Recorder unit behaviour: emission, capacity, run binding, views."""
+"""Recorder unit behaviour: emission, run binding, views, and agreement of
+a recording with the run state the experiments read."""
 
 import pytest
 
+from repro.experiments.runner import run_scenario
+from repro.faults import NAMED_SPECS
+from repro.faults.harness import InjectionHarness
+from repro.faults.spec import FaultSpec
 from repro.obs.events import (
     EVENT_KINDS,
+    ControlEvent,
+    DropEvent,
+    FaultMarkEvent,
     GammaEvent,
+    RateAdapterEvent,
+    ReleaseEvent,
     SpanEvent,
+    UnresolvedEvent,
+    WindowEvent,
     event_from_dict,
 )
 from repro.obs.invariants import check_recording
-from repro.obs.recorder import SCHEMA, Recorder
+from repro.obs.recorder import Recorder
 from repro.rt import RTExecutor, SimConfig
 from repro.rt.task import Job
 from repro.schedulers import EDFScheduler
+from repro.workloads import SCENARIOS
 
 from ..conftest import build_chain_graph
 
@@ -87,16 +100,6 @@ class TestRecorder:
         stats = rec.stats()
         assert stats["_total"] == 5 and stats["span"] == 1
 
-    def test_capacity_bounds_and_truncation_flag(self):
-        rec = Recorder(capacity=2)
-        for t in (0.0, 0.1, 0.2):
-            rec.gamma(t, 0.0, 0.0, False)
-        assert len(rec) == 2
-        assert rec.dropped == 1
-        assert rec.truncated
-        with pytest.raises(ValueError):
-            Recorder(capacity=0)
-
     def test_span_without_start_falls_back_to_finish(self):
         rec = Recorder()
         rec.span(make_job(), processor=0, outcome="kill", finish=0.5)
@@ -115,20 +118,6 @@ class TestRecorder:
         tasks = rec.task_meta()
         assert set(tasks) == {"source", "middle", "sink"}
         assert tasks["source"]["rate_range"] == [10.0, 50.0]
-
-    def test_to_dict_round_trip(self):
-        rec = Recorder()
-        rec.annotate(scenario="toy", seed=7)
-        rec.gamma(0.5, 0.01, 0.02, False)
-        data = rec.to_dict()
-        assert data["schema"] == SCHEMA
-        clone = Recorder.from_dict(data)
-        assert clone.meta["scenario"] == "toy"
-        assert clone.events == rec.events
-
-    def test_from_dict_rejects_wrong_schema(self):
-        with pytest.raises(ValueError, match="schema"):
-            Recorder.from_dict({"schema": "hcperf-trace/99", "meta": {}, "events": []})
 
     def test_by_kind_filter(self):
         rec = Recorder()
@@ -165,3 +154,77 @@ class TestRunPairing:
         unresolved = [(e.task, e.cycle) for e in rec.by_kind("unresolved")]
         assert leftover and sorted(unresolved) == sorted(leftover)
         assert [v for v in check_recording(rec) if v.code == "OBS003"] == []
+
+
+def early(spec: FaultSpec, onset: float = 1.0) -> FaultSpec:
+    """``spec`` with every fault window moved so the first one opens at ``onset``."""
+    shift = spec.first_onset() - onset
+    data = spec.to_dict()
+    for fault in data["faults"]:
+        for key in ("t_on", "t_off", "t_fail", "t_recover"):
+            if isinstance(fault.get(key), (int, float)):
+                fault[key] -= shift
+    return FaultSpec.from_dict(data)
+
+
+class TestRecordingMatchesRunState:
+    """A recording tells the same story as the executor and coordinator.
+
+    The experiments and the resilience report read the run state directly,
+    so every recorded series must agree with it exactly.
+    """
+
+    @pytest.mark.parametrize("scheduler", ["EDF", "HCPerf"])
+    @pytest.mark.parametrize("spec_name", sorted(NAMED_SPECS))
+    def test_named_fault_spec(self, spec_name, scheduler):
+        harness = InjectionHarness(early(NAMED_SPECS[spec_name]()))
+        rec = Recorder()
+        result = run_scenario(
+            SCENARIOS["fig13"](horizon=6.0), scheduler, seed=2, recorder=rec,
+            before_run=harness.attach,
+        )
+        metrics = result.metrics
+
+        windows = [e for e in rec.events if isinstance(e, WindowEvent)]
+        assert [
+            (e.t_start, e.t, e.completed, e.missed, e.control_commands, e.utilization)
+            for e in windows
+        ] == [
+            (w.t_start, w.t_end, w.completed, w.missed, w.control_commands, w.utilization)
+            for w in metrics.windows
+        ]
+        assert sum(isinstance(e, ControlEvent) for e in rec.events) == len(
+            metrics.control_events
+        )
+
+        marks = [
+            {"t": e.t, "kind": e.fault, "detail": e.detail}
+            for e in rec.events
+            if isinstance(e, FaultMarkEvent)
+        ]
+        assert marks == harness.events_dict()
+        # fusion_bursts draws its first burst after this short horizon.
+        assert marks or spec_name == "fusion_bursts"
+
+        gammas = [e for e in rec.events if isinstance(e, GammaEvent)]
+        overloaded = sum(e.overloaded for e in gammas)
+        assert overloaded / max(1, len(gammas)) == result.overload_duty_cycle
+        assert len(gammas) == len(result.gamma_history)
+        resets = [e for e in rec.events if isinstance(e, RateAdapterEvent) and e.reset]
+        assert len(resets) == result.rate_adapter_resets
+
+        stats = metrics.per_task.values()
+        released = sum(isinstance(e, ReleaseEvent) for e in rec.events)
+        completed = sum(
+            isinstance(e, SpanEvent) and e.outcome == "complete" for e in rec.events
+        )
+        missed = sum(
+            isinstance(e, DropEvent)
+            or (isinstance(e, SpanEvent) and e.outcome != "complete")
+            for e in rec.events
+        )
+        unresolved = sum(isinstance(e, UnresolvedEvent) for e in rec.events)
+        assert released == sum(s.released for s in stats)
+        assert completed == sum(s.completed for s in stats)
+        assert missed == sum(s.missed for s in stats)
+        assert completed + missed + unresolved == released

@@ -125,7 +125,7 @@ class TestHorizonFlag:
     COMMANDS = [
         ["run", "fig13", "HCPerf"],
         ["faults", "run", "fig13", "HCPerf", "--spec", "fusion_spike"],
-        ["trace", "run", "--scenario", "fig13", "--out", "unused.json"],
+        ["trace", "run", "--scenario", "fig13", "--out", "unused.jsonl"],
         ["fleet", "run", "--scenarios", "fig13", "--schedulers", "EDF", "--seeds", "0"],
     ]
 
@@ -136,3 +136,25 @@ class TestHorizonFlag:
             main(command + ["--horizon", value])
         assert exc.value.code == 2
         assert "--horizon" in capsys.readouterr().err
+
+
+class TestTraceInput:
+    """A malformed recording is a usage error naming its line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1]",
+            '{"ev":"release","t":"x"}',
+            '{"ev":"window","t":1e999}',
+            "{not json",
+            "[" * 100_000,
+        ],
+    )
+    @pytest.mark.parametrize("command", [["check"], ["export", "--format", "summary"]])
+    def test_malformed_line_exits_2(self, tmp_path, capsys, command, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        argv = ["trace", command[0], str(path), *command[1:]]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: line 1: ")
