@@ -240,7 +240,9 @@ def build_trace_parser() -> argparse.ArgumentParser:
     )
 
     check = sub.add_parser("check", help="run the trace-invariant catalog")
-    check.add_argument("recording", help="JSONL recording file")
+    check.add_argument(
+        "recording", nargs="?", help="JSONL recording file (not needed with --list)"
+    )
     check.add_argument(
         "--list", action="store_true", dest="list_invariants",
         help="list the invariant catalog instead of checking",
@@ -260,7 +262,16 @@ def _trace_command(argv: List[str]) -> int:
     from .obs.invariants import INVARIANTS, check_recording
     from .obs.recorder import Recorder
 
-    args = build_trace_parser().parse_args(argv)
+    parser = build_trace_parser()
+    args = parser.parse_args(argv)
+
+    if args.command == "check" and args.list_invariants:
+        for code in sorted(INVARIANTS):
+            description, _ = INVARIANTS[code]
+            print(f"{code}  {description}")
+        return 0
+    if args.command == "check" and args.recording is None:
+        parser.error("check needs a recording file (or --list)")
 
     if args.command == "run":
         from .experiments.runner import run_scenario
@@ -326,11 +337,6 @@ def _trace_command(argv: List[str]) -> int:
         return 0
 
     # check
-    if args.list_invariants:
-        for code in sorted(INVARIANTS):
-            description, _ = INVARIANTS[code]
-            print(f"{code}  {description}")
-        return 0
     violations = check_recording(recorder)
     if violations:
         for violation in violations:

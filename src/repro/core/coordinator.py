@@ -50,7 +50,8 @@ class HierarchicalCoordinator:
     """Runtime state of HCPerf's two coordinators.
 
     ``gamma_history`` keeps one ``(t, γ)`` sample per dispatch round, every
-    one of them from the first.
+    one of them from the first; ``overload_rounds`` counts the rounds whose
+    Eq. (11) search found no feasible γ_max.
     """
 
     def __init__(self, config: Optional[HCPerfConfig] = None) -> None:
@@ -61,7 +62,7 @@ class HierarchicalCoordinator:
         self.tracking_error = 0.0
         self.last_result: Optional[GammaSearchResult] = None
         self.gamma_history: List[Tuple[float, float]] = []
-        self.overload_windows = 0
+        self.overload_rounds = 0
 
     # ------------------------------------------------------------------
     # Driving-performance input (from the vehicle application)
@@ -93,7 +94,7 @@ class HierarchicalCoordinator:
         self.last_result = result
         self.gamma_history.append((now, result.gamma))
         if result.overloaded:
-            self.overload_windows += 1
+            self.overload_rounds += 1
         return result
 
     # ------------------------------------------------------------------
@@ -125,4 +126,4 @@ class HierarchicalCoordinator:
         self.tracking_error = 0.0
         self.last_result = None
         self.gamma_history.clear()
-        self.overload_windows = 0
+        self.overload_rounds = 0

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.discomfort import DiscomfortReport, discomfort
-from ..analysis.stats import rms, rms_series
+from ..analysis.stats import rms_series
 from ..rt.executor import RTExecutor
 from ..rt.metrics import MetricsRecorder
 from ..schedulers import Scheduler, make_scheduler
@@ -227,7 +227,7 @@ def run_scenario(
         horizon=executor.now,
         gamma_history=sched.coordinator.gamma_history if is_hcperf else [],
         overload_duty_cycle=(
-            sched.coordinator.overload_windows
+            sched.coordinator.overload_rounds
             / max(1, len(sched.coordinator.gamma_history))
             if is_hcperf
             else 0.0

@@ -57,8 +57,15 @@ _US = 1_000_000.0  # seconds -> microseconds
 
 
 #: One compact encoder for every JSONL line: ``json.dumps`` with non-default
-#: separators would build a new ``JSONEncoder`` per call.
-_JSONL_ENCODER = json.JSONEncoder(separators=(",", ":"))
+#: separators would build a new ``JSONEncoder`` per call.  Event dicts are
+#: flat and the meta holds plain labels and config values, so the cycle
+#: check (an id set per encoded container) is skipped.
+_JSONL_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+#: Events per block in :func:`to_jsonl`.  A block's lines are joined into
+#: one string straight away, so the export holds the joined blocks and the
+#: returned text, never a string per line.
+_JSONL_BLOCK = 1024
 
 
 def to_chrome_trace(rec: Recorder) -> Dict[str, Any]:
@@ -211,9 +218,13 @@ def to_jsonl(rec: Recorder) -> str:
     meta.update((k, v) for k, v in rec.meta.items() if k != "schema")
     meta["schema"] = SCHEMA
     encode = _JSONL_ENCODER.encode
-    lines = [encode(meta)]
-    lines.extend(encode(e.to_dict()) for e in rec.events)
-    return "\n".join(lines) + "\n"
+    events = rec.events
+    blocks = [encode(meta) + "\n"]
+    for i in range(0, len(events), _JSONL_BLOCK):
+        lines = [encode(e.to_dict()) for e in events[i : i + _JSONL_BLOCK]]
+        lines.append("")  # the block's last line ends with a newline too
+        blocks.append("\n".join(lines))
+    return "".join(blocks)
 
 
 def _check_meta(meta: Dict[str, Any]) -> None:

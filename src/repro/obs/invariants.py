@@ -100,58 +100,85 @@ def check_no_overlap(rec: Recorder) -> List[Violation]:
 @_invariant("OBS002", "span and stream timestamps are ordered")
 def check_time_order(rec: Recorder) -> List[Violation]:
     out: List[Violation] = []
-    for span in rec.spans():
-        if span.start < span.release - _EPS:
-            out.append(
-                Violation(
-                    "OBS002",
-                    f"{span.task}#{span.cycle} dispatched at {span.start:.6f} "
-                    f"before its release {span.release:.6f}",
-                )
-            )
-        if span.finish < span.start - _EPS:
-            out.append(
-                Violation(
-                    "OBS002",
-                    f"{span.task}#{span.cycle} finishes at {span.finish:.6f} "
-                    f"before its start {span.start:.6f}",
-                )
-            )
+    backwards: List[Violation] = []  # reported after every span breach
     last_t = 0.0
     for event in rec.events:
-        if event.t < last_t - _EPS:
-            out.append(
+        t = event.t
+        if t < last_t - _EPS:
+            backwards.append(
                 Violation(
                     "OBS002",
-                    f"event stream runs backwards: {event.kind} at {event.t:.6f} "
+                    f"event stream runs backwards: {event.kind} at {t:.6f} "
                     f"after t={last_t:.6f}",
                 )
             )
-        last_t = max(last_t, event.t)
+        elif t > last_t:  # max(last_t, t), NaN included
+            last_t = t
+        if not isinstance(event, SpanEvent):
+            continue
+        if event.start < event.release - _EPS:
+            out.append(
+                Violation(
+                    "OBS002",
+                    f"{event.task}#{event.cycle} dispatched at {event.start:.6f} "
+                    f"before its release {event.release:.6f}",
+                )
+            )
+        if event.finish < event.start - _EPS:
+            out.append(
+                Violation(
+                    "OBS002",
+                    f"{event.task}#{event.cycle} finishes at {event.finish:.6f} "
+                    f"before its start {event.start:.6f}",
+                )
+            )
+    out.extend(backwards)
     return out
 
 
 @_invariant("OBS003", "every release resolves exactly once")
 def check_release_resolution(rec: Recorder) -> List[Violation]:
+    # Count per job first; outcome lists are built, and keys sorted, only
+    # for the jobs that break the bijection.
     releases: Dict[Tuple[str, int], int] = {}
-    resolutions: Dict[Tuple[str, int], List[str]] = {}
+    resolutions: Dict[Tuple[str, int], int] = {}
     for event in rec.events:
         if isinstance(event, ReleaseEvent):
-            releases[(event.task, event.cycle)] = releases.get((event.task, event.cycle), 0) + 1
-        elif isinstance(event, SpanEvent):
-            resolutions.setdefault((event.task, event.cycle), []).append(event.outcome)
-        elif isinstance(event, DropEvent):
-            resolutions.setdefault((event.task, event.cycle), []).append("drop")
-        elif isinstance(event, UnresolvedEvent):
-            resolutions.setdefault((event.task, event.cycle), []).append("unresolved")
+            key = (event.task, event.cycle)
+            releases[key] = releases.get(key, 0) + 1
+        elif isinstance(event, (SpanEvent, DropEvent, UnresolvedEvent)):
+            key = (event.task, event.cycle)
+            resolutions[key] = resolutions.get(key, 0) + 1
+    outcomes: Dict[Tuple[str, int], List[str]] = {
+        key: [] for key, count in resolutions.items() if count > 1
+    }
+    if outcomes:
+        for event in rec.events:
+            if isinstance(event, SpanEvent):
+                what = event.outcome
+            elif isinstance(event, DropEvent):
+                what = "drop"
+            elif isinstance(event, UnresolvedEvent):
+                what = "unresolved"
+            else:
+                continue
+            seen = outcomes.get((event.task, event.cycle))
+            if seen is not None:
+                seen.append(what)
     out: List[Violation] = []
-    for key, count in sorted(releases.items()):
+    offending = [
+        key
+        for key, count in releases.items()
+        if count > 1 or resolutions.get(key, 0) != 1
+    ]
+    for key in sorted(offending):
         task, cycle = key
+        count = releases[key]
         if count > 1:
             out.append(Violation("OBS003", f"{task}#{cycle} released {count} times"))
-        resolved = resolutions.get(key, [])
-        if len(resolved) != 1:
-            what = "+".join(resolved) if resolved else "nothing"
+        resolved = resolutions.get(key, 0)
+        if resolved != 1:
+            what = "+".join(outcomes[key]) if resolved else "nothing"
             out.append(
                 Violation(
                     "OBS003",
@@ -159,7 +186,7 @@ def check_release_resolution(rec: Recorder) -> List[Violation]:
                     f"(want exactly one of complete/miss/kill/drop/unresolved)",
                 )
             )
-    for key in sorted(set(resolutions) - set(releases)):
+    for key in sorted(key for key in resolutions if key not in releases):
         task, cycle = key
         out.append(Violation("OBS003", f"{task}#{cycle} resolved without a release"))
     return out
@@ -274,14 +301,16 @@ def check_window_tiling(rec: Recorder) -> List[Violation]:
 
 @_invariant("OBS008", "window counters reconcile with the event stream")
 def check_window_counts(rec: Recorder) -> List[Violation]:
-    windows = [e for e in rec.events if isinstance(e, WindowEvent)]
-    if not windows:
+    last_end = None
+    for event in reversed(rec.events):
+        if isinstance(event, WindowEvent):
+            last_end = event.t
+            break
+    if last_end is None:
         return []
-    last_end = windows[-1].t
-    win_completed = sum(w.completed for w in windows)
-    win_missed = sum(w.missed for w in windows)
-    win_commands = sum(w.control_commands for w in windows)
+    limit = last_end + _EPS
 
+    win_completed = win_missed = win_commands = 0
     completed = missed = commands = 0
     boundary_completed = boundary_missed = 0  # at the final window close
     cmd_boundary = 0
@@ -292,23 +321,29 @@ def check_window_counts(rec: Recorder) -> List[Violation]:
         elif isinstance(event, DropEvent):
             resolved_at = event.t
             is_miss = True
+        elif isinstance(event, WindowEvent):
+            win_completed += event.completed
+            win_missed += event.missed
+            win_commands += event.control_commands
+            continue
         elif event.kind == "control":
-            if event.t <= last_end + _EPS:
+            if event.t <= limit:
                 commands += 1
                 if abs(event.t - last_end) <= _EPS:
                     cmd_boundary += 1
             continue
         else:
             continue
-        if resolved_at > last_end + _EPS:
+        if resolved_at > limit:
             continue  # after the last window: not counted anywhere yet
-        at_boundary = abs(resolved_at - last_end) <= _EPS
         if is_miss:
             missed += 1
-            boundary_missed += int(at_boundary)
+            if abs(resolved_at - last_end) <= _EPS:
+                boundary_missed += 1
         else:
             completed += 1
-            boundary_completed += int(at_boundary)
+            if abs(resolved_at - last_end) <= _EPS:
+                boundary_completed += 1
 
     out: List[Violation] = []
     # Events timestamped exactly at the final window close may have been

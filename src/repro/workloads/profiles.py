@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..rt.exectime import (
-    ConstantExecTime,
     ExecutionTimeModel,
     SceneCubicExecTime,
     UniformExecTime,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import (
-    DiscomfortReport,
     discomfort,
     format_comparison,
     format_series,

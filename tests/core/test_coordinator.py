@@ -40,7 +40,7 @@ class TestInternalCoordinator:
         doomed = [job(exec_time=0.5, deadline=0.1)]
         result = c.resolve_gamma(0.0, doomed, lambda j: j.exec_time, 0.0, 1)
         assert result.overloaded
-        assert c.overload_windows == 1
+        assert c.overload_rounds == 1
 
 
 class TestGammaHistory:
@@ -94,5 +94,5 @@ class TestReset:
         assert c.tracking_error == 0.0
         assert c.gamma_history == []
         assert c.last_result is None
-        assert c.overload_windows == 0
+        assert c.overload_rounds == 0
         assert c.mfc.history == []

@@ -2,9 +2,11 @@
 
 import json
 import re
+import tracemalloc
 
 import pytest
 
+from repro.experiments.runner import run_scenario
 from repro.obs.events import SpanEvent
 from repro.obs.export import (
     from_jsonl,
@@ -18,6 +20,7 @@ from repro.obs.export import (
 from repro.obs.recorder import SCHEMA, Recorder
 from repro.rt import RTExecutor, SimConfig
 from repro.schedulers import EDFScheduler, HCPerfScheduler
+from repro.workloads import SCENARIOS
 
 from ..conftest import build_chain_graph
 
@@ -89,6 +92,21 @@ class TestJsonl:
     def test_compact_separators(self, recorded_run):
         line = to_jsonl(recorded_run).splitlines()[1]
         assert ": " not in line and ", " not in line
+
+    def test_export_holds_one_buffer_and_its_result(self):
+        # Joined blocks plus the returned text: about twice the output.  A
+        # string per line, or a trailing-newline copy, would be 3.4x.
+        rec = Recorder()
+        run_scenario(SCENARIOS["fig13"](horizon=10.0), "HCPerf", seed=0, recorder=rec)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            text = to_jsonl(rec)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 1_000_000
+        assert peak <= 2.2 * len(text), f"peak {peak / len(text):.2f}x the output"
 
     def test_wrong_schema_rejected(self):
         with pytest.raises(ValueError, match="schema"):

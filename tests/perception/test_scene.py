@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.perception import Obstacle, Scene, SceneGenerator, ramp_timeline, spike_timeline
+from repro.perception import Obstacle, SceneGenerator, ramp_timeline, spike_timeline
 
 
 class TestObstacle:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.rt import (
     ConstantExecTime,
-    JobState,
     RTExecutor,
     SimConfig,
     TaskGraph,

@@ -158,3 +158,23 @@ class TestTraceInput:
         argv = ["trace", command[0], str(path), *command[1:]]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: line 1: ")
+
+
+class TestTraceCheckList:
+    """``trace check --list`` prints the catalog without reading a recording."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["trace", "check", "--list"], ["trace", "check", "/nonexistent.jsonl", "--list"]],
+        ids=["no-recording", "missing-recording"],
+    )
+    def test_list_needs_no_recording(self, argv, capsys):
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == [f"OBS00{i}" for i in range(1, 10)]
+
+    def test_check_without_recording_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "check"])
+        assert exc.value.code == 2
+        assert "recording" in capsys.readouterr().err
