@@ -1,13 +1,14 @@
 """Benchmark configuration.
 
-The remaining benches time the simulator's micro-kernels and scaling
-(executor, coordination step, fusion, graph and processor count); run them
-with ``pytest benchmarks/bench_*.py --benchmark-only -s``.  The paper's
-tables and figures live in the claims ledger (``test_claims.py``), and the
-exact work counts in ``test_work_counters.py``.
+Two bench modules remain, each behind a claim: E9's overhead report
+(``bench_overhead.py``) and E10's fusion calibration
+(``bench_fusion_profile.py``); run them with
+``pytest benchmarks/bench_*.py --benchmark-only -s``.  The paper's tables
+and figures live in the claims ledger (``test_claims.py``), and the exact
+work counts in ``test_work_counters.py``.
 
-Expensive deterministic runs time one round; micro-benches use normal
-multi-round timing.
+Expensive deterministic runs time one round; the Hungarian kernel bench
+uses normal multi-round timing.
 """
 
 import pytest

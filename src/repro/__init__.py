@@ -17,8 +17,8 @@ Package map
     Vehicle plants (car following, lane keeping), lead-car profiles,
     noise/lag models.
 ``repro.perception``
-    A runnable synthetic AD pipeline (Hungarian fusion, Kalman tracking,
-    prediction, planning, PID control).
+    Synthetic scenes for the scenario timelines, and the real camera/LiDAR
+    Hungarian fusion that E10 profiles to calibrate the fusion time model.
 ``repro.workloads``
     The Fig. 2 / Fig. 11 task-graph profiles and scenario scripts.
 ``repro.experiments``

@@ -6,7 +6,7 @@ from .chains import ChainBudget, StageBudget, chain_budget, render_chain_budget
 from .discomfort import COMFORT_JERK_THRESHOLD, DiscomfortReport, discomfort, jerk_series
 from .latency import LatencyReport, command_latencies, latency_report
 from .report import format_comparison, format_series, format_table, sparkline
-from .stats import clip_series, mean, percentile, resample_series, rms, rms_series
+from .stats import clip_series, mean, percentile, rms, rms_series
 
 __all__ = [
     "line_chart",
@@ -28,7 +28,6 @@ __all__ = [
     "clip_series",
     "mean",
     "percentile",
-    "resample_series",
     "rms",
     "rms_series",
 ]

@@ -13,7 +13,6 @@ __all__ = [
     "mean_ci95",
     "percentile",
     "clip_series",
-    "resample_series",
 ]
 
 
@@ -94,26 +93,3 @@ def clip_series(
         raise ValueError("t_max must be >= t_min")
     return [(t, v) for t, v in series if t_min <= t <= t_max]
 
-
-def resample_series(
-    series: Sequence[Tuple[float, float]], dt: float
-) -> List[Tuple[float, float]]:
-    """Zero-order-hold resampling of a ``(t, value)`` series onto a grid.
-
-    Used to compare series recorded at different cadences (e.g. plant traces
-    vs. window metrics).
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if not series:
-        return []
-    out: List[Tuple[float, float]] = []
-    t0, t_end = series[0][0], series[-1][0]
-    idx = 0
-    t = t0
-    while t <= t_end + 1e-12:
-        while idx + 1 < len(series) and series[idx + 1][0] <= t:
-            idx += 1
-        out.append((t, series[idx][1]))
-        t += dt
-    return out

@@ -33,6 +33,7 @@ import sys
 from typing import List, Optional
 
 from .experiments import EXPERIMENTS
+from .rt.resources import MAX_UNITS
 
 __all__ = ["main", "build_parser", "build_run_parser", "build_fleet_parser"]
 
@@ -45,6 +46,17 @@ def horizon_seconds(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
+def processor_count(text: str) -> int:
+    """The argparse type of ``--processors``: an integer in ``[1, MAX_UNITS]``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 1 <= value <= MAX_UNITS:
+        raise argparse.ArgumentTypeError(f"must be in [1, {MAX_UNITS}], got {text!r}")
     return value
 
 
@@ -630,13 +642,13 @@ def _validate_command(argv: List[str]) -> int:
         description="Static schedulability check of a scenario's task graph.",
     )
     parser.add_argument("scenario", choices=sorted(SCENARIOS))
-    parser.add_argument("--processors", type=int, default=None,
+    parser.add_argument("--processors", type=processor_count, default=None,
                         help="override the scenario's processor count")
     parser.add_argument("--complexity", type=float, default=0.0,
                         help="scene complexity operating point (obstacle count)")
     args = parser.parse_args(argv)
     scenario = SCENARIOS[args.scenario]()
-    n_proc = args.processors or scenario.sim.n_processors
+    n_proc = scenario.sim.n_processors if args.processors is None else args.processors
     report = validate_platform(
         scenario.graph_factory(), n_proc, scene_complexity=args.complexity
     )

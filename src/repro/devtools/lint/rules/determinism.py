@@ -102,9 +102,8 @@ _NUMPY_RANDOM_OK = frozenset({"Generator", "SeedSequence", "BitGenerator", "PCG6
 class NoWallClockRule(Rule):
     """HC001: simulation code must not read the wall clock.
 
-    Simulated time is ``executor.now``; profiling instrumentation must
-    take an injected timer defaulting from
-    :func:`repro.devtools.timing.default_timer`.
+    Simulated time is ``executor.now``.  Host timing of a run belongs in
+    the end-to-end tracer under ``benchmarks/e2e/``, outside ``src/``.
     """
 
     id = "HC001"
@@ -112,8 +111,8 @@ class NoWallClockRule(Rule):
     severity = Severity.ERROR
     description = (
         "no wall-clock reads (time.time/monotonic/perf_counter, datetime.now, "
-        "time.sleep) inside simulation packages; inject a timer from "
-        "repro.devtools.timing instead"
+        "time.sleep) inside simulation packages; time runs from the "
+        "benchmarks/e2e tracer instead"
     )
     scope = DETERMINISM_SCOPE
 
@@ -137,7 +136,7 @@ class NoWallClockRule(Rule):
                     ctx,
                     node,
                     f"import of wall-clock primitive time.{alias.name}; "
-                    "simulation code must use simulated time or an injected timer",
+                    "simulation code must use simulated time",
                 )
 
     @staticmethod
@@ -148,8 +147,8 @@ class NoWallClockRule(Rule):
         if len(chain) == 2 and chain[0] == "time" and chain[1] in _WALL_CLOCK_TIME_ATTRS:
             return (
                 f"wall-clock read time.{chain[1]}; simulation results must be a "
-                "pure function of the run seed (inject a timer from "
-                "repro.devtools.timing if this is profiling instrumentation)"
+                "pure function of the run seed (time host cost from the "
+                "benchmarks/e2e tracer, outside src/)"
             )
         if len(chain) >= 2 and (chain[-2], chain[-1]) in _WALL_CLOCK_DATETIME:
             return (

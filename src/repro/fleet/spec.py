@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Dict, Mapping, Optional, Sequence, Union
 
 from ..faults.spec import FaultSpec, check_seed, is_finite_number
-from ..rt.resources import ProcessorProfile
+from ..rt.resources import MAX_UNITS, ProcessorProfile
 
 __all__ = ["OVERRIDE_KEYS", "CampaignSpec", "load_spec"]
 
@@ -46,8 +46,10 @@ def _check_overrides(overrides: Mapping[str, object], where: str) -> Dict[str, o
         if key == "processor_profile":
             ProcessorProfile.parse(value)  # type: ignore[arg-type]
         elif key == "n_processors":
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{where}: n_processors must be a positive integer, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= MAX_UNITS:
+                raise ValueError(
+                    f"{where}: n_processors must be an integer in [1, {MAX_UNITS}], got {value!r}"
+                )
         elif not is_finite_number(value):
             raise ValueError(f"{where}: {key} must be a finite number, got {value!r}")
     return dict(overrides)

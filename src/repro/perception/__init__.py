@@ -1,26 +1,19 @@
-"""Perception substrate — a runnable synthetic AD pipeline.
+"""Perception substrate — synthetic scenes and the real fusion algorithm.
 
-Detection → Hungarian-based configurable sensor fusion → Kalman tracking →
-constant-velocity prediction → corridor planning → PID speed control.
-These are the real algorithms; the simulator's execution-time models are
-calibrated against them (``benchmarks/bench_fusion_profile.py``).
+Synthetic scenes and obstacle-count timelines (``scene``) drive the
+scenario scripts. Camera/LiDAR detection and Hungarian-based configurable
+sensor fusion are the real algorithms that E10 profiles to calibrate the
+simulator's fusion execution-time model
+(``benchmarks/bench_fusion_profile.py``). Simulations sample execution
+times from those models and never call these kernels.
 """
 
-from .control import PIDConfig, PIDController, SpeedController
 from .detection import CameraDetector, Detection, LidarDetector, SensorDetector
 from .fusion import ConfigurableSensorFusion, FusedObstacle, FusionConfig
 from .hungarian import assignment_cost, hungarian
-from .metrics import FrameMatch, TrackingEvaluator, TrackingQuality
-from .pipeline import FrameResult, PerceptionPipeline
-from .planning import LongitudinalPlanner, PlanningConfig, SpeedPlan
-from .prediction import ConstantVelocityPredictor, PredictedTrajectory
 from .scene import Obstacle, Scene, SceneGenerator, ramp_timeline, spike_timeline
-from .tracking import KalmanTrack, MultiObjectTracker, TrackerConfig
 
 __all__ = [
-    "PIDConfig",
-    "PIDController",
-    "SpeedController",
     "CameraDetector",
     "Detection",
     "LidarDetector",
@@ -30,22 +23,9 @@ __all__ = [
     "FusionConfig",
     "assignment_cost",
     "hungarian",
-    "FrameMatch",
-    "TrackingEvaluator",
-    "TrackingQuality",
-    "FrameResult",
-    "PerceptionPipeline",
-    "LongitudinalPlanner",
-    "PlanningConfig",
-    "SpeedPlan",
-    "ConstantVelocityPredictor",
-    "PredictedTrajectory",
     "Obstacle",
     "Scene",
     "SceneGenerator",
     "ramp_timeline",
     "spike_timeline",
-    "KalmanTrack",
-    "MultiObjectTracker",
-    "TrackerConfig",
 ]

@@ -80,7 +80,7 @@ class ConfigurableSensorFusion:
 
         Unmatched detections from either sensor pass through as
         single-sensor obstacles, so a sensor dropout degrades rather than
-        blinds the pipeline.
+        blinds the fusion.
         """
         if camera and lidar:
             pairs = hungarian(self.cost_matrix(camera, lidar))

@@ -2,7 +2,7 @@
 
 Substitute for CARLA / recorded sensor data (DESIGN.md §3): the scheduler
 only ever sees the *obstacle count* (which drives fusion cost) and the
-pipeline only needs obstacle kinematics, so a 2-D synthetic world exercises
+fusion only needs obstacle positions, so a 2-D synthetic world exercises
 the identical code paths.
 
 A :class:`SceneGenerator` materializes a scene whose obstacle count follows a

@@ -11,11 +11,8 @@ from .exectime import (
     ExecContext,
     ExecTimeObserver,
     ExecutionTimeModel,
-    ScaledExecTime,
     SceneCubicExecTime,
     StepExecTime,
-    TraceExecTime,
-    TruncatedNormalExecTime,
     UniformExecTime,
 )
 from .executor import RTExecutor, SimConfig
@@ -34,11 +31,8 @@ __all__ = [
     "ExecutionTimeModel",
     "ConstantExecTime",
     "UniformExecTime",
-    "TruncatedNormalExecTime",
     "SceneCubicExecTime",
     "StepExecTime",
-    "ScaledExecTime",
-    "TraceExecTime",
     "ExecTimeObserver",
     "ProcessorState",
     "ProcessorProfile",

@@ -9,14 +9,13 @@ a model that can depend on the simulated scenario:
 * :class:`ConstantExecTime` — fixed ``c_i``;
 * :class:`UniformExecTime` — uniform over a measured ``[lo, hi]`` range
   (Fig. 11 lists such ranges for all 23 tasks);
-* :class:`TruncatedNormalExecTime` — normal with clamping, for tasks whose
-  Fig. 12 histogram is bell-shaped;
 * :class:`SceneCubicExecTime` — ``base + coeff·n(t)³`` with ``n(t)`` supplied
   by the scenario's scene-complexity timeline (sensor fusion);
 * :class:`StepExecTime` — switches between two inner models on a time window
-  (the Fig. 13 setup: fusion 20 ms → 40 ms during ``t ∈ [10, 80)`` s);
-* :class:`TraceExecTime` — replays a recorded trace (used to couple the
-  simulator to wall-clock measurements of the real Hungarian implementation).
+  (the Fig. 13 setup: fusion 20 ms → 40 ms during ``t ∈ [10, 80)`` s).
+
+:class:`ExecTimeObserver` is the online ``c_i`` estimate that Eq. (11) and
+the Task Rate Adapter read.
 
 All models draw noise from an explicitly seeded :class:`random.Random` so
 experiments are reproducible.
@@ -26,19 +25,16 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 __all__ = [
     "ExecContext",
     "ExecutionTimeModel",
     "ConstantExecTime",
     "UniformExecTime",
-    "TruncatedNormalExecTime",
     "SceneCubicExecTime",
     "StepExecTime",
-    "ScaledExecTime",
-    "TraceExecTime",
     "ExecTimeObserver",
 ]
 
@@ -108,33 +104,6 @@ class UniformExecTime(ExecutionTimeModel):
 
 
 @dataclass
-class TruncatedNormalExecTime(ExecutionTimeModel):
-    """Normal(mu, sigma) clamped to ``[lo, hi]``.
-
-    Clamping (rather than rejection sampling) keeps the model O(1) per draw;
-    the resulting slight probability mass at the bounds is irrelevant for the
-    scheduler-level behaviour we reproduce.
-    """
-
-    mu: float
-    sigma: float
-    lo: float = 0.0
-    hi: float = math.inf
-
-    def __post_init__(self) -> None:
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        if self.lo < 0 or self.hi < self.lo:
-            raise ValueError(f"invalid bounds [{self.lo}, {self.hi}]")
-
-    def sample(self, ctx: ExecContext, rng: random.Random) -> float:
-        return min(self.hi, max(self.lo, rng.gauss(self.mu, self.sigma)))
-
-    def mean(self, ctx: ExecContext) -> float:
-        return min(self.hi, max(self.lo, self.mu))
-
-
-@dataclass
 class SceneCubicExecTime(ExecutionTimeModel):
     """``base + coeff·n³`` where ``n`` is the scene complexity.
 
@@ -195,54 +164,6 @@ class StepExecTime(ExecutionTimeModel):
 
     def mean(self, ctx: ExecContext) -> float:
         return self._active(ctx).mean(ctx)
-
-
-@dataclass
-class ScaledExecTime(ExecutionTimeModel):
-    """Multiply an inner model by a constant factor.
-
-    Useful for what-if sweeps (e.g. the overhead bench scales the whole graph
-    to explore different utilization levels) without rebuilding profiles.
-    """
-
-    inner: ExecutionTimeModel
-    factor: float
-
-    def __post_init__(self) -> None:
-        if self.factor < 0:
-            raise ValueError("factor must be >= 0")
-
-    def sample(self, ctx: ExecContext, rng: random.Random) -> float:
-        return self.inner.sample(ctx, rng) * self.factor
-
-    def mean(self, ctx: ExecContext) -> float:
-        return self.inner.mean(ctx) * self.factor
-
-
-@dataclass
-class TraceExecTime(ExecutionTimeModel):
-    """Replay a recorded execution-time trace, cycling when exhausted."""
-
-    trace: Sequence[float]
-    _idx: int = field(default=0, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.trace:
-            raise ValueError("trace must be non-empty")
-        if any(v < 0 for v in self.trace):
-            raise ValueError("trace values must be >= 0")
-
-    def sample(self, ctx: ExecContext, rng: random.Random) -> float:
-        value = self.trace[self._idx % len(self.trace)]
-        self._idx += 1
-        return value
-
-    def mean(self, ctx: ExecContext) -> float:
-        return sum(self.trace) / len(self.trace)
-
-    def reset(self) -> None:
-        """Rewind the trace to the beginning."""
-        self._idx = 0
 
 
 class ExecTimeObserver:
@@ -318,9 +239,3 @@ class ExecTimeObserver:
                 continue
             worst = max(worst, abs(est - ref) / ref)
         return worst
-
-    def reset(self) -> None:
-        """Forget all observations."""
-        self._est.clear()
-        self._slow.clear()
-        self._stable_ref.clear()

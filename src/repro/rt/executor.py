@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 from .exectime import ExecContext, ExecTimeObserver
 from .metrics import MetricsRecorder
 from .queue import ReadyQueue
-from .resources import ProcessorProfile, ProfileLike
+from .resources import MAX_UNITS, ProcessorProfile, ProfileLike
 from .task import Job, JobState, TaskKind, TaskSpec
 from .taskgraph import TaskGraph
 
@@ -110,8 +110,10 @@ class SimConfig:
         if self.processor_profile is not None:
             self.processor_profile = ProcessorProfile.coerce(self.processor_profile)
             self.n_processors = self.processor_profile.n_units
-        if self.n_processors < 1:
-            raise ValueError("need at least one processor")
+        if not (1 <= self.n_processors <= MAX_UNITS):
+            raise ValueError(
+                f"n_processors must be in [1, {MAX_UNITS}], got {self.n_processors!r}"
+            )
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         if not (math.isfinite(self.coordination_period) and self.coordination_period > 0):

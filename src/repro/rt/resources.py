@@ -119,8 +119,8 @@ class ProcessorProfile:
         cls, n: int, unit_type: str = DEFAULT_UNIT_TYPE, speedup: float = 1.0
     ) -> "ProcessorProfile":
         """``n`` identical units; the all-CPU speedup-1.0 case is identity."""
-        if n < 1:
-            raise ValueError("need at least one unit")
+        if not (1 <= n <= MAX_UNITS):
+            raise ValueError(f"a profile has 1 to {MAX_UNITS} units, got {n}")
         return cls(units=tuple(UnitSpec(unit_type, speedup) for _ in range(n)))
 
     @classmethod

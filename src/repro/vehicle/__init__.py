@@ -8,7 +8,7 @@ from .car_following import CarFollowingPlant, CFSnapshot
 from .lane_keeping import LaneKeepingPlant, LKSnapshot
 from .lateral import BicycleDynamics, BicycleState, StanleyController, SteeringCommand
 from .longitudinal import ACCCommand, ACCController, LongitudinalDynamics, LongitudinalState
-from .noise import GaussianNoise, QuantizedSensor
+from .noise import GaussianNoise
 from .profiles import (
     ConstantSpeed,
     PiecewiseLinearSpeed,
@@ -34,7 +34,6 @@ __all__ = [
     "LongitudinalDynamics",
     "LongitudinalState",
     "GaussianNoise",
-    "QuantizedSensor",
     "ConstantSpeed",
     "PiecewiseLinearSpeed",
     "SineSpeed",

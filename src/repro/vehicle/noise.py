@@ -1,19 +1,17 @@
-"""Sensor and actuation imperfections for the hardware-testbed emulation.
+"""Sensor noise for the hardware-testbed emulation.
 
 "Unlike the simulation, the speed record of the lead car is affected by the
 presence of noise … the lag in the throttle control of the scaled car can be
 observed" (paper §VII-B3).  The hardware scenario wraps the plant's sensor
-readings with :class:`GaussianNoise` and enables the actuator lag of
+readings with :class:`GaussianNoise`; the actuator lag lives in
 :class:`~repro.vehicle.longitudinal.LongitudinalDynamics`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
 
-__all__ = ["GaussianNoise", "QuantizedSensor"]
+__all__ = ["GaussianNoise"]
 
 
 class GaussianNoise:
@@ -35,29 +33,3 @@ class GaussianNoise:
         if self.sigma == 0.0:
             return value
         return value + self._rng.gauss(0.0, self.sigma)
-
-    def reset(self, seed: int = 0) -> None:
-        """Restart the noise stream."""
-        self._rng = random.Random(seed)
-
-
-@dataclass
-class QuantizedSensor:
-    """Quantize a reading to a fixed resolution (e.g. wheel-encoder ticks).
-
-    The scaled car's speed estimate comes from encoder counts; quantization
-    is the second visible artifact (besides noise) in the Fig. 15 traces.
-    """
-
-    resolution: float
-    noise: Optional[GaussianNoise] = None
-
-    def __post_init__(self) -> None:
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
-
-    def read(self, value: float) -> float:
-        """Noisy, quantized measurement of ``value``."""
-        if self.noise is not None:
-            value = self.noise.apply(value)
-        return round(value / self.resolution) * self.resolution

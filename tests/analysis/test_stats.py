@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import clip_series, mean, percentile, resample_series, rms, rms_series
+from repro.analysis import clip_series, mean, percentile, rms, rms_series
 
 
 class TestRMS:
@@ -75,22 +75,3 @@ class TestClip:
         with pytest.raises(ValueError):
             clip_series([], 2.0, 1.0)
 
-
-class TestResample:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            resample_series([], 0.0)
-
-    def test_empty(self):
-        assert resample_series([], 0.1) == []
-
-    def test_zero_order_hold(self):
-        series = [(0.0, 1.0), (1.0, 5.0)]
-        out = resample_series(series, 0.5)
-        assert out == [(0.0, 1.0), (0.5, 1.0), (1.0, 5.0)]
-
-    def test_downsampling(self):
-        series = [(k * 0.1, float(k)) for k in range(11)]
-        out = resample_series(series, 0.5)
-        assert len(out) == 3
-        assert out[1][1] == pytest.approx(5.0)

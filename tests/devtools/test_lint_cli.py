@@ -47,7 +47,7 @@ GOLDEN_JSON = """\
     {
       "col": 12,
       "line": 4,
-      "message": "wall-clock read time.time; simulation results must be a pure function of the run seed (inject a timer from repro.devtools.timing if this is profiling instrumentation)",
+      "message": "wall-clock read time.time; simulation results must be a pure function of the run seed (time host cost from the benchmarks/e2e tracer, outside src/)",
       "path": "repro/rt/bad_clock.py",
       "rule": "HC001",
       "severity": "error"

@@ -80,6 +80,8 @@ class TestCampaignSpec:
             {"variants": [{"horizon": "5"}]},
             {"variants": [{"n_processors": 2.5}]},
             {"variants": [{"n_processors": 0}]},
+            {"variants": [{"n_processors": 1025}]},
+            {"variants": [{"n_processors": 10**12}]},
             {"variants": [{"processor_profile": "2xCPU+?"}]},
             {"name": 5},
             {"metric": ["miss_ratio"]},

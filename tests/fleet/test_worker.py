@@ -21,6 +21,11 @@ class TestBuildScenario:
         assert scenario.sim.n_processors == 4
         assert scenario.sim.coordination_period == 0.25
 
+    def test_huge_processor_count_is_rejected(self):
+        # SimConfig refuses it, so no executor or profile is ever built.
+        with pytest.raises(ValueError):
+            build_scenario("fig13", {"n_processors": 10**12})
+
     def test_fusion_override_swaps_graph(self):
         from repro.workloads.profiles import FUSION_TASK
 

@@ -10,6 +10,7 @@ from repro.perception import (
     LidarDetector,
     Obstacle,
     Scene,
+    SceneGenerator,
     SensorDetector,
 )
 
@@ -122,21 +123,15 @@ class TestFusion:
 
 class TestSensorDropout:
     def test_pipeline_survives_camera_blackout(self):
-        """With the camera near-dead, LiDAR singletons keep the stack alive."""
-        from repro.perception import (
-            LidarDetector,
-            PerceptionPipeline,
-            SceneGenerator,
-        )
-
-        pipe = PerceptionPipeline(
-            camera=SensorDetector("camera", miss_prob=0.99, seed=0),
-            lidar=LidarDetector(seed=1, miss_prob=0.0),
-        )
+        """With the camera near-dead, LiDAR singletons keep the fused output alive."""
+        camera = SensorDetector("camera", miss_prob=0.99, seed=0)
+        lidar = LidarDetector(seed=1, miss_prob=0.0)
+        fusion = ConfigurableSensorFusion()
         gen = SceneGenerator(lambda t: 6, seed=2, speed_scale=0.3)
-        frames = [pipe.process(gen.at(k * 0.1), 10.0) for k in range(10)]
-        assert frames[-1].fused, "lidar-only detections still flow"
-        assert frames[-1].n_tracks > 0
-        assert all(o.n_sensors == 1 for o in frames[-1].fused) or any(
-            o.n_sensors == 2 for o in frames[-1].fused
-        )
+        for k in range(10):
+            scene = gen.at(k * 0.1)
+            cam, lid = camera.detect(scene), lidar.detect(scene)
+            fused = fusion.fuse(cam, lid)
+            assert lid and fused, "lidar-only detections still flow"
+            # Every detection lands in exactly one fused obstacle.
+            assert sum(o.n_sensors for o in fused) == len(cam) + len(lid)

@@ -10,11 +10,8 @@ from repro.rt import (
     ConstantExecTime,
     ExecContext,
     ExecTimeObserver,
-    ScaledExecTime,
     SceneCubicExecTime,
     StepExecTime,
-    TraceExecTime,
-    TruncatedNormalExecTime,
     UniformExecTime,
 )
 
@@ -55,25 +52,6 @@ class TestUniform:
         for _ in range(20):
             v = m.sample(CTX, rng)
             assert lo <= v <= lo + width
-
-
-class TestTruncatedNormal:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TruncatedNormalExecTime(mu=0.1, sigma=-1.0)
-        with pytest.raises(ValueError):
-            TruncatedNormalExecTime(mu=0.1, sigma=0.1, lo=0.5, hi=0.2)
-
-    def test_clamping(self):
-        m = TruncatedNormalExecTime(mu=0.1, sigma=1.0, lo=0.05, hi=0.15)
-        rng = random.Random(0)
-        for _ in range(200):
-            v = m.sample(CTX, rng)
-            assert 0.05 <= v <= 0.15
-
-    def test_mean_clamped(self):
-        m = TruncatedNormalExecTime(mu=1.0, sigma=0.1, lo=0.0, hi=0.2)
-        assert m.mean(CTX) == pytest.approx(0.2)
 
 
 class TestSceneCubic:
@@ -132,39 +110,6 @@ class TestStep:
     def test_invalid_window(self):
         with pytest.raises(ValueError):
             StepExecTime(ConstantExecTime(0.01), ConstantExecTime(0.02), t_on=5.0, t_off=1.0)
-
-
-class TestScaled:
-    def test_scaling(self):
-        m = ScaledExecTime(ConstantExecTime(0.02), factor=1.5)
-        assert m.sample(CTX, RNG) == pytest.approx(0.03)
-        assert m.mean(CTX) == pytest.approx(0.03)
-
-    def test_negative_factor_rejected(self):
-        with pytest.raises(ValueError):
-            ScaledExecTime(ConstantExecTime(0.02), factor=-1.0)
-
-
-class TestTrace:
-    def test_replays_and_cycles(self):
-        m = TraceExecTime([0.01, 0.02, 0.03])
-        values = [m.sample(CTX, RNG) for _ in range(5)]
-        assert values == [0.01, 0.02, 0.03, 0.01, 0.02]
-
-    def test_reset(self):
-        m = TraceExecTime([0.01, 0.02])
-        m.sample(CTX, RNG)
-        m.reset()
-        assert m.sample(CTX, RNG) == 0.01
-
-    def test_mean(self):
-        assert TraceExecTime([0.01, 0.03]).mean(CTX) == pytest.approx(0.02)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TraceExecTime([])
-        with pytest.raises(ValueError):
-            TraceExecTime([0.01, -0.02])
 
 
 class TestObserver:
@@ -226,11 +171,3 @@ class TestObserver:
         snap = obs.estimates()
         snap["t"] = 999.0
         assert obs.estimate("t") == pytest.approx(0.02)
-
-    def test_reset(self):
-        obs = ExecTimeObserver()
-        obs.observe("t", 0.02)
-        obs.mark_stable()
-        obs.reset()
-        assert obs.estimate("t", default=-1.0) == -1.0
-        assert obs.max_drift() == 0.0

@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.rt import ProcessorProfile, SimConfig, UnitSpec
+from repro.rt import resources
+from repro.rt.resources import MAX_UNITS
 
 
 class TestUnitSpec:
@@ -99,6 +101,15 @@ class TestProfile:
         assert p.n_units == 3 and p.is_identity
         assert p.unit_types() == ["CPU"]
 
+    @pytest.mark.parametrize("n", [0, MAX_UNITS + 1])
+    def test_homogeneous_checks_the_count_before_building(self, n, monkeypatch):
+        def no_unit(*args, **kwargs):
+            raise AssertionError("built a unit for an out-of-range count")
+
+        monkeypatch.setattr(resources, "UnitSpec", no_unit)
+        with pytest.raises(ValueError):
+            ProcessorProfile.homogeneous(n)
+
     def test_mixed_profile_is_not_identity(self):
         assert not ProcessorProfile.parse("1xCPU+1xGPU").is_identity
         # speedup != 1 alone breaks identity even on an all-CPU platform
@@ -171,6 +182,11 @@ class TestSimConfigWiring:
         cfg = SimConfig(processor_profile=p, horizon=1.0)
         assert cfg.n_processors == 4
         assert cfg.resolved_profile() is p
+
+    @pytest.mark.parametrize("n", [0, MAX_UNITS + 1, 10**12])
+    def test_processor_count_is_bounded(self, n):
+        with pytest.raises(ValueError):
+            SimConfig(n_processors=n, horizon=1.0)
 
     def test_no_profile_resolves_to_identity(self):
         cfg = SimConfig(n_processors=2, horizon=1.0)

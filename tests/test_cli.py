@@ -118,6 +118,13 @@ class TestValidateSubcommand:
         assert rc == 0
         assert "8 processors" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bad", ["0", "-3", "1025", "two"])
+    def test_validate_rejects_out_of_range_processors(self, bad, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "fig13", "--processors", bad])
+        assert exc.value.code == 2
+        assert "--processors" in capsys.readouterr().err
+
 
 class TestHorizonFlag:
     """Every ``--horizon`` flag takes positive, finite seconds or exits 2."""

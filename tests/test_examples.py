@@ -29,12 +29,6 @@ class TestExamples:
         out = run_example("custom_scheduler.py")
         assert "LLF" in out and "HCPerf *" in out
 
-    def test_perception_pipeline_demo(self):
-        out = run_example("perception_pipeline_demo.py")
-        assert "fusion" in out
-        # The table has rows for growing obstacle counts.
-        assert " 60 " in out or "60" in out
-
     def test_car_following_demo_short(self):
         out = run_example("car_following_demo.py", "--horizon", "15")
         assert "Speed tracking error" in out

@@ -1,7 +1,16 @@
 """The top-level package exports a coherent public API."""
 
+import importlib
+import pkgutil
 
 import repro
+
+#: ``repro`` and every subpackage under it (walking imports each one).
+PACKAGES = [repro] + [
+    importlib.import_module(info.name)
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if info.ispkg
+]
 
 
 class TestPublicAPI:
@@ -9,8 +18,13 @@ class TestPublicAPI:
         assert repro.__version__ == "1.0.0"
 
     def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert getattr(repro, name, None) is not None, name
+        # A re-export left behind by a deletion fails here, in any package.
+        assert len(PACKAGES) > 10
+        for package in PACKAGES:
+            for name in package.__all__:
+                assert getattr(package, name, None) is not None, (
+                    f"{package.__name__}.{name}"
+                )
 
     def test_quickstart_flow(self):
         result = repro.run_scenario(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.vehicle import GaussianNoise, QuantizedSensor
+from repro.vehicle import GaussianNoise
 
 
 class TestGaussianNoise:
@@ -22,13 +22,6 @@ class TestGaussianNoise:
     def test_different_seeds_differ(self):
         assert GaussianNoise(0.1, seed=1).apply(1.0) != GaussianNoise(0.1, seed=2).apply(1.0)
 
-    def test_reset_restarts_stream(self):
-        n = GaussianNoise(0.1, seed=3)
-        first = n.apply(1.0)
-        n.apply(1.0)
-        n.reset(seed=3)
-        assert n.apply(1.0) == first
-
     def test_statistics(self):
         n = GaussianNoise(0.5, seed=0)
         samples = [n.apply(0.0) for _ in range(5000)]
@@ -37,18 +30,3 @@ class TestGaussianNoise:
         assert mean == pytest.approx(0.0, abs=0.05)
         assert var == pytest.approx(0.25, rel=0.1)
 
-
-class TestQuantizedSensor:
-    def test_quantization(self):
-        q = QuantizedSensor(resolution=0.1)
-        assert q.read(0.26) == pytest.approx(0.3)
-        assert q.read(0.24) == pytest.approx(0.2)
-
-    def test_invalid_resolution(self):
-        with pytest.raises(ValueError):
-            QuantizedSensor(resolution=0.0)
-
-    def test_noise_then_quantize(self):
-        q = QuantizedSensor(resolution=0.05, noise=GaussianNoise(0.01, seed=1))
-        v = q.read(1.0)
-        assert abs(v / 0.05 - round(v / 0.05)) < 1e-9
