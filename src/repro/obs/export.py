@@ -20,11 +20,17 @@
 from __future__ import annotations
 
 import json
+import math
+import operator
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type, Union
 
 from ..rt.resources import MAX_UNITS
 from .events import (
+    _FIELDS,
+    EVENT_KINDS,
     ControlEvent,
     DropEvent,
     FaultMarkEvent,
@@ -33,6 +39,7 @@ from .events import (
     RateEvent,
     ReleaseEvent,
     SpanEvent,
+    TraceEvent,
     UnresolvedEvent,
     WindowEvent,
     event_from_dict,
@@ -66,6 +73,60 @@ _JSONL_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 #: one string straight away, so the export holds the joined blocks and the
 #: returned text, never a string per line.
 _JSONL_BLOCK = 1024
+
+_encode = _JSONL_ENCODER.encode
+_call = getattr(operator, "call", lambda fn, value: fn(value))  # operator.call is 3.11+
+
+
+def _exact(kind: type, text: Callable[[Any], str]) -> Callable[[Any], str]:
+    """``text`` for a value of exactly type ``kind``, the encoder for any other.
+
+    ``text`` agrees with the encoder on the exact type only: ``int.__repr__``
+    prints ``True`` as ``1``, and a float field may hold an int.
+    """
+    return lambda value: text(value) if type(value) is kind else _encode(value)
+
+
+#: JSON text of a field value by its annotation.  Floats go through the
+#: memo of :func:`to_jsonl`, which adds the float annotations.  Each sends
+#: None to the encoder, so an ``Optional`` field ``to_dict`` always writes
+#: (``GammaEvent.gamma_max``) prints ``null``.
+_TEXT: Dict[str, Callable[[Any], str]] = {
+    "int": _exact(int, int.__repr__),
+    "str": _exact(str, encode_basestring_ascii),
+    "Optional[str]": _exact(str, encode_basestring_ascii),
+    "bool": _exact(bool, {True: "true", False: "false"}.__getitem__),
+}
+
+
+def _line_format(
+    cls: Type[TraceEvent],
+) -> Tuple[str, Callable[[Any], Tuple[Any, ...]], List[Tuple[str, Optional[str]]]]:
+    """One event class's JSONL line: its ``%``-template, a getter of its
+    field values in template order, and per field its annotation and, for a
+    field ``to_dict`` omits when None, its ``,"key":`` prefix.
+
+    The keys come from ``to_dict`` in its order, so ``to_dict`` stays the one
+    definition of the schema.  The omitted-when-None fields
+    (``SpanEvent.unit``) follow the fixed keys, each filling one ``%s`` with
+    its prefix and value, or with nothing.
+    """
+    types, required = _FIELDS[cls.kind]
+    keys = [key for key in cls(t=0.0).to_dict() if key != "ev"]
+    omitted = [name for name in types if name not in required]
+    template = (
+        '{"ev":'
+        + _encode(cls.kind)
+        + "".join(f",{_encode(key)}:%s" for key in keys)
+        + "%s" * len(omitted)
+        + "}"
+    )
+    fields: List[Tuple[str, Optional[str]]] = [(types[key], None) for key in keys]
+    fields += [(types[name], f",{_encode(name)}:") for name in omitted]
+    return template, attrgetter(*keys, *omitted), fields
+
+
+_LINE_FORMATS = {cls: _line_format(cls) for cls in EVENT_KINDS.values()}
 
 
 def to_chrome_trace(rec: Recorder) -> Dict[str, Any]:
@@ -212,16 +273,60 @@ def validate_chrome_trace(trace: Any) -> List[str]:
     return problems
 
 
+def _omitted_when_none(prefix: str, text: Callable[[Any], str]) -> Callable[[Any], str]:
+    return lambda value: "" if value is None else prefix + text(value)
+
+
 def to_jsonl(rec: Recorder) -> str:
-    """Byte-stable JSONL: one meta line, then one line per event."""
+    """Byte-stable JSONL: one meta line, then one line per event.
+
+    The meta line goes through ``_JSONL_ENCODER``.  Each event line is its
+    class's ``%``-template (:func:`_line_format`) filled with the JSON text
+    of its field values: the bytes ``_JSONL_ENCODER.encode(event.to_dict())``
+    would write.  Most of those values are floats, and few are distinct: a
+    span repeats its release's ``t`` and ``deadline``, its own ``t`` as
+    ``finish`` and the γ event's ``t`` as ``start``.  So each float is
+    printed once per block and its text taken from a memo after that.  The
+    memo is cleared at every block: kept for the whole export, it would hold
+    a string per distinct float of the recording, raising the export's
+    peak memory for few more hits.
+    """
     meta = {"ev": "meta"}
     meta.update((k, v) for k, v in rec.meta.items() if k != "schema")
     meta["schema"] = SCHEMA
-    encode = _JSONL_ENCODER.encode
+    memo: Dict[float, str] = {}
+    memo_get = memo.get
+
+    def float_text(value: Any) -> str:
+        if type(value) is not float:
+            return _encode(value)
+        text = memo_get(value)
+        if text is None:
+            # The encoder spells NaN and ±inf as NaN and ±Infinity.
+            text = float.__repr__(value) if math.isfinite(value) else _encode(value)
+            if value:  # 0.0 == -0.0: a stored zero would print both alike
+                memo[value] = text
+        return text
+
+    text_of = dict(_TEXT, float=float_text)
+    text_of["Optional[float]"] = float_text
+    formats: Dict[type, Tuple[str, Callable[[Any], Tuple[Any, ...]], Tuple[Any, ...]]] = {}
+    for cls, (template, getter, fields) in _LINE_FORMATS.items():
+        texts = tuple(
+            text_of[kind] if prefix is None else _omitted_when_none(prefix, text_of[kind])
+            for kind, prefix in fields
+        )
+        formats[cls] = (template, getter, texts)
+
+    def line(event: TraceEvent) -> str:
+        template, getter, texts = formats[type(event)]
+        return template % tuple(map(_call, texts, getter(event)))
+
     events = rec.events
-    blocks = [encode(meta) + "\n"]
+    blocks = [_encode(meta) + "\n"]
     for i in range(0, len(events), _JSONL_BLOCK):
-        lines = [encode(e.to_dict()) for e in events[i : i + _JSONL_BLOCK]]
+        memo.clear()
+        lines = list(map(line, events[i : i + _JSONL_BLOCK]))
         lines.append("")  # the block's last line ends with a newline too
         blocks.append("\n".join(lines))
     return "".join(blocks)

@@ -11,7 +11,7 @@ times from those models and never call these kernels.
 from .detection import CameraDetector, Detection, LidarDetector, SensorDetector
 from .fusion import ConfigurableSensorFusion, FusedObstacle, FusionConfig
 from .hungarian import assignment_cost, hungarian
-from .scene import Obstacle, Scene, SceneGenerator, ramp_timeline, spike_timeline
+from .scene import Obstacle, Scene, ramp_timeline, spike_timeline
 
 __all__ = [
     "CameraDetector",
@@ -25,7 +25,6 @@ __all__ = [
     "hungarian",
     "Obstacle",
     "Scene",
-    "SceneGenerator",
     "ramp_timeline",
     "spike_timeline",
 ]

@@ -211,10 +211,6 @@ class ExecTimeObserver:
         """Current ``c_i`` estimate, or ``default`` if never observed."""
         return self._est.get(task_name, default)
 
-    def estimates(self) -> Dict[str, float]:
-        """Snapshot of all estimates."""
-        return dict(self._est)
-
     def mark_stable(self) -> None:
         """Remember the current drift estimates as the stable reference point."""
         self._stable_ref = dict(self._slow)

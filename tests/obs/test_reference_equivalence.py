@@ -8,22 +8,36 @@ sum.  Hypothesis mutates a short real recording (duplicated, removed, moved
 and re-identified job events, timestamps pushed backwards or onto another
 event's instant) and the catalog must return
 the same :class:`Violation` list, in the same order, as the references.
-``to_jsonl``, which joins its lines in blocks, is pinned against joining
-one encoded string per line, across block boundaries too.
+``to_jsonl``, which fills a template per event kind, reuses each float's
+text within a block and joins its lines in blocks, is pinned against
+encoding ``to_dict`` per line and joining the lines: on recordings, on
+events of every kind drawn with the values its float memo could confuse,
+across block boundaries, and on field values ``event_from_dict`` rejects.
 """
 
 import dataclasses
+import itertools
 import json
+import math
+import operator
 from typing import Dict, List, Tuple
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.events import (
+    DROP_REASONS,
+    EVENT_KINDS,
+    SPAN_OUTCOMES,
+    ControlEvent,
+    ControllerEvent,
     DropEvent,
     FaultMarkEvent,
     GammaEvent,
+    RateAdapterEvent,
+    RateEvent,
     ReleaseEvent,
     SpanEvent,
     UnresolvedEvent,
@@ -361,3 +375,131 @@ class TestJsonlMatchesReference:
     @given(mutated_recordings())
     def test_byte_identical_on_mutated_recordings(self, rec):
         assert to_jsonl(rec) == reference_jsonl(rec)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+#: Floats whose text a memo could get wrong: both zeros (equal, with
+#: different text), NaN (unequal to itself), ±inf, exponent forms and the
+#: extremes of the float range.
+_TRICKY_FLOATS = (
+    0.0, -0.0, 10.0, 1e16, 1e-7, 0.1, 0.30000000000000004, 2.5e-5, 5e-324,
+    1.7976931348623157e308, _NAN, _INF, -_INF,
+)
+_TEXTS = ("", "t", "fusion", "GPU", "γ×3 über ✓", 'quote " back\\slash', "\x00\n\u2028")
+
+
+@st.composite
+def events_of_every_kind(draw) -> Recorder:
+    """Events of any kind in ``EVENT_KINDS``, repeated to a block size or one
+    either side of it.  Their floats come from a small pool so that values
+    repeat within a block, sometimes negated (0.0 beside -0.0) and an
+    integral one sometimes as the equal int (10 beside 10.0)."""
+    pool = draw(
+        st.lists(st.sampled_from(_TRICKY_FLOATS) | st.floats(), min_size=1, max_size=6)
+    )
+    number = st.builds(
+        lambda v, form: form(v) if math.isfinite(v) and v.is_integer() else v,
+        st.sampled_from(pool),
+        st.sampled_from((float, int)),
+    ) | st.sampled_from(pool).map(operator.neg)
+    text = st.sampled_from(_TEXTS) | st.text(max_size=8)
+    values = {
+        "float": number,
+        "Optional[float]": st.none() | number,
+        "int": st.integers(-(2**70), 2**70),
+        "str": text,
+        "Optional[str]": st.sampled_from((None, "GPU")) | text,
+        "bool": st.booleans(),
+    }
+    drawn = []
+    for _ in range(draw(st.integers(1, 24))):
+        cls = draw(st.sampled_from(list(EVENT_KINDS.values())))
+        kwargs = {f.name: draw(values[str(f.type)]) for f in dataclasses.fields(cls)}
+        if cls is SpanEvent:
+            kwargs["outcome"] = draw(st.sampled_from(SPAN_OUTCOMES))
+        elif cls is DropEvent:
+            kwargs["reason"] = draw(st.sampled_from(DROP_REASONS))
+        drawn.append(cls(**kwargs))
+    size = draw(st.sampled_from((len(drawn), _JSONL_BLOCK - 1, _JSONL_BLOCK, _JSONL_BLOCK + 1)))
+    return _recording(*itertools.islice(itertools.cycle(drawn), size))
+
+
+#: One block holding every case the float memo and the omitted-when-None
+#: field must get right, and an event of every kind.
+_ONE_BLOCK = _recording(
+    RateEvent(t=1.0, task="camera", rate=10.0),
+    RateEvent(t=1.0, task="camera", rate=10),
+    ControlEvent(t=0.0, response=-0.0),
+    ControlEvent(t=-0.0, response=0.0),
+    GammaEvent(t=1e16, gamma=1e-7, gamma_max=_NAN, overloaded=False),
+    GammaEvent(t=_INF, gamma=-_INF, gamma_max=None, overloaded=True),
+    SpanEvent(t=1.0, task="fusion", cycle=2, processor=1, start=10.0, finish=1.0,
+              release=10, deadline=1e-7, unit="GPU"),
+    SpanEvent(t=1.0, task="fusion", cycle=3, processor=0, start=10, finish=1.0,
+              release=10.0, deadline=1e16, outcome="kill"),
+    ReleaseEvent(t=10.0, task="über ✓", cycle=10, deadline=10),
+    DropEvent(t=0.5, task="plan", cycle=1, release=0.5, deadline=-0.0, reason="evicted"),
+    UnresolvedEvent(t=0.5, task="plan", cycle=2, state="running"),
+    ControllerEvent(t=0.5, u=-0.0, f_hat=0.5),
+    RateAdapterEvent(t=0.5, miss_ratio=0.0, kp=0.5, reset=True),
+    WindowEvent(t=0.5, t_start=0.0, completed=3, missed=0, control_commands=10,
+                utilization=1.0),
+    FaultMarkEvent(t=0.5, fault="exec_spike", detail="γ×3"),
+)
+
+
+class _Label(str):
+    pass
+
+
+class _Count(int):
+    def __repr__(self) -> str:
+        return f"_Count({int(self)})"
+
+
+class TestJsonlMatchesReferenceOnEveryKind:
+    def test_one_block_covers_every_kind(self):
+        assert {e.kind for e in _ONE_BLOCK.events} == set(EVENT_KINDS)
+
+    @settings(max_examples=200, deadline=None)
+    @example(_ONE_BLOCK)
+    @given(events_of_every_kind())
+    def test_byte_identical(self, rec):
+        got, want = to_jsonl(rec), reference_jsonl(rec)
+        # Line by line: a failing diff of two whole exports is slow to render.
+        for i, (line, expected) in enumerate(zip(got.split("\n"), want.split("\n"))):
+            assert line == expected, f"line {i + 1}"
+        assert len(got) == len(want)
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            ReleaseEvent(t=0.0, task="a", cycle=True, deadline=0.1),
+            ReleaseEvent(t=False, task="a", cycle=1.5, deadline=True),
+            GammaEvent(t=0.0, gamma=np.float64(0.1), gamma_max=np.float64(-0.0),
+                       overloaded=1),
+            GammaEvent(t=0.0, gamma=_Count(3), gamma_max=0.0, overloaded=None),
+            UnresolvedEvent(t=0.0, task="a", cycle=_Count(2), state=_Label("ready")),
+            SpanEvent(t=0.0, task=_Label("fusion"), cycle=0, unit=_Label("GPU")),
+            SpanEvent(t=0.0, task=None, cycle=-1, unit=3),
+            RateEvent(t=0.0, task=7, rate=[1.0, "x"]),
+        ],
+        ids=[
+            "bool-in-int", "float-in-int-bool-in-float", "numpy-floats-int-in-bool",
+            "int-subclass-none-in-bool", "int-and-str-subclasses", "str-subclasses", "none-and-int-in-str",
+            "list-in-float",
+        ],
+    )
+    def test_values_from_dict_rejects_print_as_the_encoder_does(self, event):
+        # Anything not exactly of its field's type goes to the encoder, so
+        # the line is the encoder's bytes, never other bytes.
+        rec = _recording(ReleaseEvent(t=0.1, task="a", cycle=1, deadline=0.1), event)
+        assert to_jsonl(rec) == reference_jsonl(rec)
+
+    def test_unencodable_value_raises(self):
+        rec = _recording(RateEvent(t=0.0, task="a", rate=object()))
+        with pytest.raises(TypeError):
+            reference_jsonl(rec)
+        with pytest.raises(TypeError):
+            to_jsonl(rec)

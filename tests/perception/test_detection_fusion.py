@@ -10,7 +10,6 @@ from repro.perception import (
     LidarDetector,
     Obstacle,
     Scene,
-    SceneGenerator,
     SensorDetector,
 )
 
@@ -127,9 +126,13 @@ class TestSensorDropout:
         camera = SensorDetector("camera", miss_prob=0.99, seed=0)
         lidar = LidarDetector(seed=1, miss_prob=0.0)
         fusion = ConfigurableSensorFusion()
-        gen = SceneGenerator(lambda t: 6, seed=2, speed_scale=0.3)
         for k in range(10):
-            scene = gen.at(k * 0.1)
+            t = k * 0.1
+            # Six obstacles spread over the lidar's range, drifting slowly.
+            scene = scene_with(
+                [(-50.0 + 20.0 * i + 0.3 * t, 40.0 - 15.0 * i - 0.2 * t) for i in range(6)],
+                t=t,
+            )
             cam, lid = camera.detect(scene), lidar.detect(scene)
             fused = fusion.fuse(cam, lid)
             assert lid and fused, "lidar-only detections still flow"

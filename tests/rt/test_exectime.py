@@ -164,10 +164,3 @@ class TestObserver:
         obs.mark_stable()
         obs.observe("t", 0.01)
         assert obs.max_drift() == pytest.approx(1.0)
-
-    def test_estimates_snapshot_is_copy(self):
-        obs = ExecTimeObserver()
-        obs.observe("t", 0.02)
-        snap = obs.estimates()
-        snap["t"] = 999.0
-        assert obs.estimate("t") == pytest.approx(0.02)
