@@ -5,7 +5,7 @@ the hooks of :class:`repro.schedulers.base.Scheduler` and hands them the
 read-only :class:`SystemView`.  Two failure modes silently break the
 paper-level comparisons and neither trips a unit test reliably:
 
-* a typo'd hook (``on_windows``, ``on_job_completed``) simply never gets
+* a typo'd hook (``on_windows``, ``on_dispatch_rounds``) simply never gets
   called — the policy degrades to its base behavior and the experiment
   "works", just with wrong numbers;
 * a policy reaching into executor internals (importing
@@ -32,8 +32,6 @@ _HOOKS: Dict[str, int] = {
     "order": 4,  # (self, jobs, now, view)
     "on_dispatch_round": 3,  # (self, now, view)
     "on_window": 4,  # (self, now, view, window)
-    "on_job_complete": 4,  # (self, job, now, view)
-    "on_job_miss": 4,  # (self, job, now, view)
     "desired_rates": 1,  # (self)
 }
 

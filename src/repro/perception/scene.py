@@ -25,8 +25,6 @@ class Obstacle:
     obstacle_id: int
     x: float
     y: float
-    vx: float = 0.0
-    vy: float = 0.0
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from typing import Any, List, Tuple
+from typing import Any, List, Sequence, Tuple
 
 __all__ = ["EventKind", "EventHeap"]
 
@@ -36,6 +36,15 @@ class EventHeap:
         if time < 0:
             raise ValueError(f"cannot schedule event at negative time {time}")
         heapq.heappush(self._heap, (time, next(self._seq), kind, payload))
+
+    @property
+    def entries(self) -> Sequence[Tuple[float, int, EventKind, Any]]:
+        """The pending events in heap order: live, not a copy, and read-only.
+
+        The heap never rebinds this list, so its truthiness tells a caller
+        that holds it whether events remain, without a call per check.
+        """
+        return self._heap
 
     def pop(self) -> Tuple[float, EventKind, Any]:
         """Remove and return the earliest ``(time, kind, payload)``."""

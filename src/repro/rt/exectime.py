@@ -195,17 +195,17 @@ class ExecTimeObserver:
         self._slow: Dict[str, float] = {}
         self._stable_ref: Dict[str, float] = {}
 
-    @staticmethod
-    def _ewma(store: Dict[str, float], key: str, value: float, alpha: float) -> None:
-        prev = store.get(key)
-        store[key] = value if prev is None else alpha * value + (1.0 - alpha) * prev
-
     def observe(self, task_name: str, value: float) -> None:
         """Record one completed run of ``task_name`` taking ``value`` seconds."""
         if value < 0:
             raise ValueError("observed execution time must be >= 0")
-        self._ewma(self._est, task_name, value, self.alpha)
-        self._ewma(self._slow, task_name, value, self.drift_alpha)
+        # Both series are EWMAs seeded with the first observation.
+        prev = self._est.get(task_name)
+        alpha = self.alpha
+        self._est[task_name] = value if prev is None else alpha * value + (1.0 - alpha) * prev
+        prev = self._slow.get(task_name)
+        alpha = self.drift_alpha
+        self._slow[task_name] = value if prev is None else alpha * value + (1.0 - alpha) * prev
 
     def estimate(self, task_name: str, default: float = 0.0) -> float:
         """Current ``c_i`` estimate, or ``default`` if never observed."""

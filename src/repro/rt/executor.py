@@ -208,6 +208,8 @@ class RTExecutor:
         self._successors = {t.name: graph.isucc(t.name) for t in graph}
         self._predecessors = {t.name: {p.name for p in graph.ipred(t.name)} for t in graph}
         self._sinks = {t.name for t in graph if graph.kind(t.name) is TaskKind.SINK}
+        # (unit index -> task name -> effective speedup), filled by run().
+        self._unit_speedup: List[Dict[str, float]] = []
         self._periodic: List[_PeriodicHook] = []
         self._oneshots: List[Tuple[float, _PeriodicHook]] = []
         self._started = False
@@ -334,9 +336,9 @@ class RTExecutor:
         proc.busy_until = self.now
         victim.state = JobState.MISSED
         victim.finish_time = self.now
-        self._record_interval(victim, index, outcome="kill")
+        if self.recorder is not None:
+            self._record_interval(self.recorder, victim, index, outcome="kill")
         self.metrics.on_miss(victim, dropped=True)
-        self.scheduler.on_job_miss(victim, self.now, self.view)
         return victim
 
     def stop(self, reason: str = "") -> None:
@@ -348,17 +350,19 @@ class RTExecutor:
     def stop_reason(self) -> Optional[str]:
         return self._stop_reason
 
-    def _record_interval(self, job: Job, proc_index: int, outcome: str) -> None:
-        """Report one executed interval to the attached recorder.
+    def _record_interval(
+        self, recorder: "Recorder", job: Job, proc_index: int, outcome: str
+    ) -> None:
+        """Report one executed interval to the attached ``recorder``.
 
         The single emission point for execution spans: the Gantt view and
-        the chain analysis read them back from the recording.
+        the chain analysis read them back from the recording.  Callers check
+        that a recorder is attached, so a recorder-free run never enters.
         """
-        if self.recorder is not None:
-            # Unit tags appear only on typed platforms so identity-profile
-            # recordings stay byte-identical to the scalar model's.
-            unit = self.processors[proc_index].unit_type if self._typed_platform else None
-            self.recorder.span(job, proc_index, outcome, self.now, unit=unit)
+        # Unit tags appear only on typed platforms so identity-profile
+        # recordings stay byte-identical to the scalar model's.
+        unit = self.processors[proc_index].unit_type if self._typed_platform else None
+        recorder.span(job, proc_index, outcome, self.now, unit=unit)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -371,6 +375,11 @@ class RTExecutor:
             # Hand the recorder to the policy so HCPerf can report γ
             # resolutions and coordinator steps through the same stream.
             self.scheduler.recorder = self.recorder
+        # A unit's effective speedup for a task is fixed for the run: look
+        # it up once per (unit, task) pair, not on every dispatch.
+        self._unit_speedup = [
+            {t.name: proc.effective_speedup(t) for t in self.graph} for proc in self.processors
+        ]
         self._started = True
         for src in self.graph.sources():
             self._events.push(0.0, EventKind.SOURCE_RELEASE, src.name)
@@ -383,18 +392,23 @@ class RTExecutor:
             self._events.push(time, EventKind.PERIODIC, (hook.name, hook))
 
         horizon = self.config.horizon
+        # Once per event: test the heap list itself and compare kinds with
+        # locals (an enum member read through its class is a slow lookup).
+        events = self._events
+        heap = events.entries
+        source_release, job_finish = EventKind.SOURCE_RELEASE, EventKind.JOB_FINISH
         # The finally pairs finalize_run with bind_run by construction: a
         # run that raises part-way still leaves a closed recording (t_end
         # plus an ``unresolved`` event per leftover job).
         try:
-            while self._events and not self._stopped:
-                time, kind, payload = self._events.pop()
+            while heap and not self._stopped:
+                time, kind, payload = events.pop()
                 if time > horizon:
                     break
                 self.now = time
-                if kind is EventKind.SOURCE_RELEASE:
+                if kind is source_release:
                     self._handle_source_release(payload)
-                elif kind is EventKind.JOB_FINISH:
+                elif kind is job_finish:
                     self._handle_finish(payload)
                 else:
                     self._handle_periodic(payload)
@@ -442,7 +456,6 @@ class RTExecutor:
             if self.recorder is not None:
                 self.recorder.drop(victim, self.now, reason="evicted")
             self.metrics.on_miss(victim, dropped=True)
-            self.scheduler.on_job_miss(victim, self.now, self.view)
         self.ready.push(job)
         return job
 
@@ -457,36 +470,41 @@ class RTExecutor:
         # Busy time and the execution-time observer account the *wall*
         # duration on the dispatched unit (speedup-scaled); identical to
         # exec_time on the homogeneous platform.
-        proc.busy_time_total += job.wall_exec_time
-        job.finish_time = self.now
-        self.observer.observe(job.task.name, job.wall_exec_time)
-        on_time = self.now <= job.absolute_deadline
-        self._record_interval(job, proc_index, outcome="complete" if on_time else "miss")
+        wall = job.unit_exec_time
+        assert wall is not None  # set at dispatch
+        proc.busy_time_total += wall
+        job.finish_time = now = self.now
+        self.observer.observe(job.task.name, wall)
+        on_time = now <= job.absolute_deadline
+        if self.recorder is not None:
+            self._record_interval(
+                self.recorder, job, proc_index, outcome="complete" if on_time else "miss"
+            )
 
         if on_time:
             job.state = JobState.COMPLETED
             self.metrics.on_complete(job)
-            self.scheduler.on_job_complete(job, self.now, self.view)
             self._deliver(job)
         else:
             job.state = JobState.MISSED
             self.metrics.on_miss(job, dropped=False)
-            self.scheduler.on_job_miss(job, self.now, self.view)
 
     def _deliver(self, job: Job) -> None:
         """Propagate a completed job's output to its successors."""
-        spec = job.task
-        if spec.name in self._sinks:
-            response = job.response_time or 0.0
+        name = job.task.name
+        if name in self._sinks:
+            response = self.now - job.release_time
             if self.recorder is not None:
                 self.recorder.control(self.now, response)
             self.metrics.on_control_command(self.now, response)
             if self.on_control is not None:
                 self.on_control(job, self.now)
             return
-        for succ in self._successors[spec.name]:
+        # Shared, not copied: a released job's provenance is never mutated.
+        provenance = job.provenance
+        for succ in self._successors[name]:
             pending = self._pending_inputs[succ.name]
-            pending[spec.name] = dict(job.provenance)
+            pending[name] = provenance
             if succ.activation == "newest-only":
                 # Fusion-pattern activation: any fresh input fires the
                 # successor immediately.  The triggering token is consumed;
@@ -568,8 +586,8 @@ class RTExecutor:
                 if self.recorder is not None:
                     self.recorder.drop(job, now, reason="expired")
                 self.metrics.on_miss(job, dropped=True)
-                scheduler.on_job_miss(job, now, self.view)
-        if not ready:
+        queued = ready.queued
+        if not queued:
             return
         free = [p for p in self.processors if p.job is None and p.available]
         if not free:
@@ -577,9 +595,10 @@ class RTExecutor:
         # γ, ``now`` and every estimate are fixed until the next event: one
         # ranking serves every free processor of the round.
         scheduler.on_dispatch_round(now, self.view)
-        ranked = ready.ranked(scheduler.order(ready.jobs(), now, self.view))
+        ranked = ready.ranked(scheduler.order(queued, now, self.view))
+        unit_speedup = self._unit_speedup
         for proc in free:
-            if not ready:
+            if not queued:
                 break
             job = ready.pop_best(ranked, lambda j: scheduler.eligible(j, proc))
             if job is None:
@@ -591,9 +610,9 @@ class RTExecutor:
             # Wall duration on this unit: the sampled execution time divided
             # by the unit's effective speedup (float-exact at speedup 1.0,
             # keeping identity platforms byte-identical to the scalar model).
-            job.unit_exec_time = job.exec_time / proc.effective_speedup(job.task)
+            job.unit_exec_time = wall = job.exec_time / unit_speedup[proc.index][job.task.name]
             proc.job = job
-            proc.busy_until = now + job.unit_exec_time
+            proc.busy_until = now + wall
             self._events.push(proc.busy_until, EventKind.JOB_FINISH, (proc.index, job))
 
     # ------------------------------------------------------------------

@@ -119,8 +119,9 @@ class MetricsRecorder:
         stats = self._stats(job.task.name)
         stats.completed += 1
         stats.total_exec_time += job.exec_time
-        if job.response_time is not None:
-            stats.total_response_time += job.response_time
+        response = job.response_time
+        if response is not None:
+            stats.total_response_time += response
         self._win_completed += 1
         self._total_completed += 1
 

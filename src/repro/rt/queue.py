@@ -11,7 +11,8 @@ backs the bounded channels, and an earliest-deadline watermark lets
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, cast
 
 from .task import Job
 
@@ -52,7 +53,7 @@ class ReadyQueue:
     def evict(self, task_name: str, limit: int) -> Optional[Job]:
         """Bounded channel: remove and return the oldest job of ``task_name``
         when ``limit`` of them are queued, else ``None``."""
-        if self.count(task_name) < limit:
+        if self._per_task.get(task_name, 0) < limit:
             return None
         victim = next(j for j in self._jobs if j.task.name == task_name)
         self.remove(victim)
@@ -71,10 +72,22 @@ class ReadyQueue:
         """Snapshot of queued jobs in release order."""
         return list(self._jobs)
 
+    @property
+    def queued(self) -> Sequence[Job]:
+        """The queued jobs in release order: live, not a copy, and read-only.
+
+        The queue mutates this list in place and never rebinds it, so a
+        reference stays current; a caller that must survive the next push
+        or removal takes :meth:`jobs` instead.
+        """
+        return self._jobs
+
     def ranked(self, keys: Sequence[float]) -> List[Job]:
         """The queue stable-sorted by ``keys`` (one per job, in queue order)."""
-        jobs = self._jobs
-        return [jobs[i] for i in sorted(range(len(jobs)), key=keys.__getitem__)]
+        # sorted() computes each job's key once, in queue order, so the keys
+        # are drawn straight off an iterator: next(keys, job) is the job's key.
+        key = cast("Callable[[Job], float]", partial(next, iter(keys)))
+        return sorted(self._jobs, key=key)
 
     def pop_best(self, ranked: List[Job], eligible: Callable[[Job], bool]) -> Optional[Job]:
         """Remove (from the queue and ``ranked``) the first job ``eligible`` admits.
@@ -106,7 +119,8 @@ class ReadyQueue:
 
     def clear(self) -> List[Job]:
         """Empty the queue, returning the removed jobs."""
-        jobs, self._jobs = self._jobs, []
+        jobs = self._jobs[:]
+        self._jobs.clear()
         self._per_task.clear()
         self._watermark = float("inf")
         return jobs

@@ -214,7 +214,7 @@ class JobState(enum.Enum):
 _job_counter = itertools.count()
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class Job:
     """One release of a task.
 
@@ -222,7 +222,11 @@ class Job:
     samples that flowed into this job.  ``sense_time`` (the oldest of those
     timestamps) is the moment the data this job operates on was captured —
     control commands computed from it act on a vehicle-state snapshot of that
-    age, which is how scheduling latency degrades driving performance.
+    age, which is how scheduling latency degrades driving performance.  It is
+    never mutated after release, so successors may share it.
+
+    Every job has a unique ``job_id``, so jobs compare by identity and hash
+    by ``job_id`` (deterministic set and dict order across processes).
     """
 
     task: TaskSpec
@@ -240,7 +244,7 @@ class Job:
     #: the unit's effective speedup.  Equals ``exec_time`` exactly on
     #: speedup-1.0 units (``x / 1.0`` is float-exact).
     unit_exec_time: Optional[float] = None
-    job_id: int = field(default_factory=lambda: next(_job_counter))
+    job_id: int = field(default_factory=_job_counter.__next__)
     #: ``release_time + D_i``, set once at construction.
     absolute_deadline: float = field(init=False)
 
@@ -256,11 +260,6 @@ class Job:
     def sense_time(self) -> float:
         """Timestamp of the oldest sensor sample feeding this job."""
         return min(self.provenance.values())
-
-    @property
-    def wall_exec_time(self) -> float:
-        """Time the job occupies its processor (speedup-scaled once dispatched)."""
-        return self.exec_time if self.unit_exec_time is None else self.unit_exec_time
 
     @property
     def response_time(self) -> Optional[float]:
@@ -286,11 +285,6 @@ class Job:
 
     def __hash__(self) -> int:
         return self.job_id
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Job):
-            return NotImplemented
-        return self.job_id == other.job_id
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -12,7 +12,7 @@ paper's convention that a smaller priority value means higher priority.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from ..rt.metrics import WindowSample
 from ..rt.task import Job
@@ -63,10 +63,11 @@ class Scheduler:
         """Dispatch key for ``job`` — the smallest rank runs next."""
         raise NotImplementedError
 
-    def order(self, jobs: List[Job], now: float, view: SystemView) -> List[float]:
+    def order(self, jobs: Sequence[Job], now: float, view: SystemView) -> List[float]:
         """:meth:`rank` of every job of the ready queue, once per dispatch round.
 
-        Overrides must return the same keys bit for bit, computed more cheaply.
+        ``jobs`` is the queue's live, read-only list.  Overrides must return
+        the same keys bit for bit, computed more cheaply.
         """
         return [self.rank(job, now, view) for job in jobs]
 
@@ -94,12 +95,6 @@ class Scheduler:
 
     def on_window(self, now: float, view: SystemView, window: WindowSample) -> None:
         """Called once per coordination window with that window's metrics."""
-
-    def on_job_complete(self, job: Job, now: float, view: SystemView) -> None:
-        """Called after a job completes within its deadline."""
-
-    def on_job_miss(self, job: Job, now: float, view: SystemView) -> None:
-        """Called after a job misses its deadline (late finish or drop)."""
 
     def desired_rates(self) -> Optional[Dict[str, float]]:
         """New source rates requested by the policy, or ``None`` to keep.

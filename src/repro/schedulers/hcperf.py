@@ -15,7 +15,7 @@ Wiring per coordination window (paper Fig. 6 workflow):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..core.coordinator import HCPerfConfig, HierarchicalCoordinator
 from ..rt.metrics import WindowSample
@@ -75,7 +75,7 @@ class HCPerfScheduler(Scheduler):
         estimate = view.observer.estimate
         result = self.coordinator.resolve_gamma(
             now,
-            view.ready.jobs(),
+            view.ready.queued,
             exec_estimate=lambda j: estimate(j.task.name, j.exec_time),
             busy_remaining=view.busy_remaining(now),
             n_processors=view.n_processors,
@@ -88,7 +88,7 @@ class HCPerfScheduler(Scheduler):
         c_est = view.observer.estimate(job.task.name, job.exec_time)
         return self.coordinator.policy.dynamic_priority(job, self._gamma, now, c_est)
 
-    def order(self, jobs: List[Job], now: float, view: SystemView) -> List[float]:
+    def order(self, jobs: Sequence[Job], now: float, view: SystemView) -> List[float]:
         # rank()'s P_i, operation for operation, from the table the round's
         # γ search built: one estimate per queued job per round.
         search = self.coordinator.last_result

@@ -337,6 +337,18 @@ def _recording(*events) -> Recorder:
     return rec
 
 
+def assert_same_lines(got: str, want: str) -> None:
+    """``got == want``, failing at the first differing line, by its number.
+
+    A failing ``==`` of two whole exports (about 1,000 lines each) takes
+    pytest minutes to diff; one line at a time fails at once.
+    """
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    for i, (line, expected) in enumerate(zip(got_lines, want_lines)):
+        assert line == expected, f"line {i + 1}"
+    assert len(got_lines) == len(want_lines), "line count"
+
+
 def _releases(n: int) -> Recorder:
     return _recording(
         *(ReleaseEvent(t=i * 0.001, task="t", cycle=i, deadline=i * 0.001 + 0.1)
@@ -369,12 +381,12 @@ class TestJsonlMatchesReference:
         ],
     )
     def test_byte_identical(self, rec):
-        assert to_jsonl(rec) == reference_jsonl(rec)
+        assert_same_lines(to_jsonl(rec), reference_jsonl(rec))
 
     @settings(max_examples=50, deadline=None)
     @given(mutated_recordings())
     def test_byte_identical_on_mutated_recordings(self, rec):
-        assert to_jsonl(rec) == reference_jsonl(rec)
+        assert_same_lines(to_jsonl(rec), reference_jsonl(rec))
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -466,11 +478,7 @@ class TestJsonlMatchesReferenceOnEveryKind:
     @example(_ONE_BLOCK)
     @given(events_of_every_kind())
     def test_byte_identical(self, rec):
-        got, want = to_jsonl(rec), reference_jsonl(rec)
-        # Line by line: a failing diff of two whole exports is slow to render.
-        for i, (line, expected) in enumerate(zip(got.split("\n"), want.split("\n"))):
-            assert line == expected, f"line {i + 1}"
-        assert len(got) == len(want)
+        assert_same_lines(to_jsonl(rec), reference_jsonl(rec))
 
     @pytest.mark.parametrize(
         "event",

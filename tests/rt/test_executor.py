@@ -307,3 +307,48 @@ class TestAndGateStarvation:
         m = ex.run()
         assert m.per_task["sink"].released > 0
         assert m.per_task["sink"].released <= m.per_task["right"].completed
+
+
+class TestHotPathInvariants:
+    """What the executor's per-job shortcuts rely on."""
+
+    def test_speedup_table_matches_effective_speedup(self):
+        from repro.workloads.profiles import heterogeneous_task_graph
+
+        g = heterogeneous_task_graph()
+        ex = RTExecutor(
+            g, EDFScheduler(), SimConfig(processor_profile="2xCPU+1xGPU@3", horizon=0.5)
+        )
+        ex.run()
+        speedups = set()
+        for proc in ex.processors:
+            for task in g:
+                want = proc.effective_speedup(task)
+                assert ex._unit_speedup[proc.index][task.name] == want
+                speedups.add(want)
+        assert speedups == {1.0, 3.0}  # a typed platform, not the identity one
+
+    @pytest.mark.parametrize("activation", ["all-inputs", "newest-only"])
+    def test_provenance_survives_successor_releases(self, activation):
+        # Successors share a completed job's provenance instead of copying
+        # it, so nothing downstream may mutate it.
+        from repro.workloads.profiles import FUSION_TASK, heterogeneous_task_graph
+
+        g = heterogeneous_task_graph()
+        g.task(FUSION_TASK).activation = activation
+        ex = RTExecutor(
+            g, EDFScheduler(), SimConfig(processor_profile="2xCPU+1xGPU@3", horizon=2.0)
+        )
+        completed = []
+        on_complete = ex.metrics.on_complete
+
+        def spy(job):
+            completed.append((job, dict(job.provenance)))
+            on_complete(job)
+
+        ex.metrics.on_complete = spy
+        m = ex.run()
+        assert m.per_task[FUSION_TASK].released > 0
+        assert any(len(snapshot) > 1 for _, snapshot in completed)  # merged inputs
+        for job, snapshot in completed:
+            assert job.provenance == snapshot, job

@@ -122,3 +122,10 @@ class TestJob:
     def test_initial_state_ready(self):
         job = Job(task=make_spec(), release_time=0.0, exec_time=0.01)
         assert job.state is JobState.READY
+
+    def test_jobs_are_slotted(self):
+        # One is built per release: no per-instance __dict__.
+        job = Job(task=make_spec(), release_time=0.0, exec_time=0.01)
+        assert not hasattr(job, "__dict__")
+        with pytest.raises(AttributeError):
+            job.extra = 1
