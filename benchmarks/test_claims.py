@@ -36,7 +36,6 @@ if __name__ == "__main__":
     sys.path.insert(0, str(HERE.parent / "src"))
 
 from repro.analysis.stats import mean  # noqa: E402
-from repro.core.coordinator import HCPerfConfig  # noqa: E402
 from repro.core.dynamic_priority import DynamicPriorityConfig  # noqa: E402
 from repro.core.rate_adapter import RateAdapterConfig  # noqa: E402
 from repro.experiments import (  # noqa: E402
@@ -53,7 +52,7 @@ from repro.experiments.runner import DEFAULT_SCHEMES, run_scenario  # noqa: E402
 from repro.fleet import (  # noqa: E402
     CampaignGroup, CampaignSpec, ResultStore, load_groups, run_campaign,
 )
-from repro.schedulers.hcperf import HCPerfScheduler  # noqa: E402
+from repro.schedulers.hcperf import HCPerfConfig, HCPerfScheduler  # noqa: E402
 from repro.workloads import fig13_car_following as fig13_scenario  # noqa: E402
 
 SEED = 1
@@ -423,9 +422,9 @@ class _PinnedGamma(HCPerfScheduler):
 
     def on_dispatch_round(self, now, view):
         super().on_dispatch_round(now, view)
-        last = self.coordinator.last_result
+        last = self.last_result
         gmax = last.gamma_max if last is not None else None
-        self._gamma = self.coordinator.policy.clamp_gamma(self._pin, gmax)
+        self._gamma = self.policy.clamp_gamma(self._pin, gmax)
 
 
 def _hcperf(**fields: Any) -> Callable[[], HCPerfScheduler]:
@@ -471,7 +470,7 @@ def run_ablations(horizon: Optional[float]) -> Ablation:
         if alpha is not None:
             scenario.sim = dataclasses.replace(scenario.sim, observer_alpha=alpha)
         sched = scheduler()
-        same = (sched.coordinator.config, scenario.sim.observer_alpha, getattr(sched, "_pin", None))
+        same = (sched.config, scenario.sim.observer_alpha, getattr(sched, "_pin", None))
         for seen, value in done:
             if seen == same:
                 out[key] = value

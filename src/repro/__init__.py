@@ -7,12 +7,14 @@ Package map
     The paper's contribution: Model-Free Control performance-directed
     controller (ADE + MFC), the dynamic-priority scheduler
     (``P_i = γ·p_i + d_i`` with the Eq. 11 γ_max search) and the Task Rate
-    Adapter, tied together by :class:`~repro.core.coordinator.HierarchicalCoordinator`.
+    Adapter.
 ``repro.rt``
     Real-time substrate: DAG task model, execution-time models and the
     discrete-event multiprocessor executor.
 ``repro.schedulers``
-    The five evaluated policies: HPF, EDF, EDF-VD, Apollo, HCPerf.
+    The five evaluated policies: HPF, EDF, EDF-VD, Apollo, and HCPerf, whose
+    :class:`~repro.schedulers.hcperf.HCPerfScheduler` runs the core
+    components as the paper's two coordinators (Fig. 6).
 ``repro.vehicle``
     Vehicle plants (car following, lane keeping), lead-car profiles,
     noise/lag models.
@@ -43,8 +45,6 @@ True
 from .core import (
     AlgebraicDifferentiator,
     DynamicPriorityPolicy,
-    HCPerfConfig,
-    HierarchicalCoordinator,
     ModelFreeController,
     TaskRateAdapter,
 )
@@ -57,7 +57,7 @@ from .experiments.runner import (
 from .faults import FaultSpec, InjectionHarness, ResilienceReport, run_resilience
 from .fleet import CampaignSpec, ResultStore, render_store, run_campaign
 from .rt import ProcessorProfile, RTExecutor, SimConfig, TaskGraph, TaskSpec, UnitSpec
-from .schedulers import SCHEDULERS, Scheduler, make_scheduler
+from .schedulers import SCHEDULERS, HCPerfConfig, Scheduler, make_scheduler
 from .workloads import (
     SCENARIOS,
     Scenario,
@@ -75,8 +75,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AlgebraicDifferentiator",
     "DynamicPriorityPolicy",
-    "HCPerfConfig",
-    "HierarchicalCoordinator",
     "ModelFreeController",
     "TaskRateAdapter",
     "DEFAULT_SCHEMES",
@@ -98,6 +96,7 @@ __all__ = [
     "TaskGraph",
     "TaskSpec",
     "SCHEDULERS",
+    "HCPerfConfig",
     "Scheduler",
     "make_scheduler",
     "SCENARIOS",

@@ -30,10 +30,13 @@ import argparse
 import json
 import math
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from .experiments import EXPERIMENTS
 from .rt.resources import MAX_UNITS
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .faults.spec import FaultSpec
 
 __all__ = ["main", "build_parser", "build_run_parser", "build_fleet_parser"]
 
@@ -289,28 +292,16 @@ def _trace_command(argv: List[str]) -> int:
         from .experiments.runner import run_scenario
         from .workloads import SCENARIOS
 
-        try:
-            scheduler = _resolve_scheduler_name(args.scheduler)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        scheduler = _scheduler_arg(args.scheduler)
+        if scheduler is None:
             return 2
         before_run = None
         if args.faults is not None:
-            from .faults import get_spec, load_fault_spec
             from .faults.harness import InjectionHarness
 
-            if Path(args.faults).exists():
-                try:
-                    spec = load_fault_spec(args.faults)
-                except (OSError, ValueError) as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2
-            else:
-                try:
-                    spec = get_spec(args.faults)
-                except ValueError as exc:
-                    print(f"error: {exc} (and no such file)", file=sys.stderr)
-                    return 2
+            spec = _fault_spec_arg(args.faults)
+            if spec is None:
+                return 2
             before_run = InjectionHarness(spec).attach
         factory = SCENARIOS[SCENARIO_ALIASES.get(args.scenario, args.scenario)]
         scenario = factory(horizon=args.horizon) if args.horizon is not None else factory()
@@ -407,22 +398,41 @@ def build_faults_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_scheduler_name(name: str) -> str:
+def _scheduler_arg(name: str) -> Optional[str]:
+    """The registry key ``name`` names in any case; ``None`` once the error is printed."""
     from .schedulers import SCHEDULERS
 
     by_lower = {k.lower(): k for k in SCHEDULERS}
+    key = by_lower.get(name.lower())
+    if key is None:
+        print(
+            f"error: unknown scheduler {name!r}; available: {sorted(SCHEDULERS)}",
+            file=sys.stderr,
+        )
+    return key
+
+
+def _fault_spec_arg(text: str) -> Optional[FaultSpec]:
+    """The spec file at path ``text``, else the suite entry; ``None`` once the error is printed."""
+    from pathlib import Path
+
+    from .faults import get_spec, load_fault_spec
+
+    if Path(text).exists():
+        try:
+            return load_fault_spec(text)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return None
     try:
-        return by_lower[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduler {name!r}; available: {sorted(SCHEDULERS)}"
-        ) from None
+        return get_spec(text)
+    except ValueError as exc:
+        print(f"error: {exc} (and no such file)", file=sys.stderr)
+        return None
 
 
 def _faults_command(argv: List[str]) -> int:
-    from pathlib import Path
-
-    from .faults import FAULT_KINDS, NAMED_SPECS, get_spec, load_fault_spec
+    from .faults import FAULT_KINDS, NAMED_SPECS, get_spec
     from .faults.resilience import run_resilience
     from .workloads import SCENARIOS
 
@@ -440,23 +450,12 @@ def _faults_command(argv: List[str]) -> int:
             print(f"  {kind:18s} {doc}")
         return 0
 
-    try:
-        scheduler = _resolve_scheduler_name(args.scheduler)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    scheduler = _scheduler_arg(args.scheduler)
+    if scheduler is None:
         return 2
-    if Path(args.spec).exists():
-        try:
-            spec = load_fault_spec(args.spec)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        try:
-            spec = get_spec(args.spec)
-        except ValueError as exc:
-            print(f"error: {exc} (and no such file)", file=sys.stderr)
-            return 2
+    spec = _fault_spec_arg(args.spec)
+    if spec is None:
+        return 2
 
     factory = SCENARIOS[SCENARIO_ALIASES.get(args.scenario, args.scenario)]
     scenario_factory = (

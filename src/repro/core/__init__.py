@@ -5,13 +5,14 @@
   controller (Eqs. 2–5);
 * :mod:`repro.core.dynamic_priority` — dynamic priority ``P_i = γ·p_i + d_i``
   with the Eq. (11) γ_max search and Eq. (12) clamp;
-* :mod:`repro.core.rate_adapter` — Task Rate Adapter (Eq. 13);
-* :mod:`repro.core.coordinator` — the hierarchical façade tying the internal
-  and external coordinators together.
+* :mod:`repro.core.rate_adapter` — Task Rate Adapter (Eq. 13).
+
+:class:`~repro.schedulers.hcperf.HCPerfScheduler` owns one of each and runs
+them as the paper's two coordinators (Fig. 6): the MFC and the dynamic
+priority scheduler are the internal one, the rate adapter the external one.
 """
 
 from .ade import AlgebraicDifferentiator
-from .coordinator import HCPerfConfig, HierarchicalCoordinator
 from .dynamic_priority import (
     DynamicPriorityConfig,
     DynamicPriorityPolicy,
@@ -22,8 +23,6 @@ from .rate_adapter import RateAdapterConfig, TaskRateAdapter
 
 __all__ = [
     "AlgebraicDifferentiator",
-    "HCPerfConfig",
-    "HierarchicalCoordinator",
     "DynamicPriorityConfig",
     "DynamicPriorityPolicy",
     "GammaSearchResult",

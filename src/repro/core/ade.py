@@ -67,10 +67,6 @@ class AlgebraicDifferentiator:
     def __len__(self) -> int:
         return len(self._samples)
 
-    def clear(self) -> None:
-        """Forget all samples."""
-        self._samples.clear()
-
     def estimate(self) -> float:
         """Current estimate of ``Ė(t)`` at the latest sample time.
 

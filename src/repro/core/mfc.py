@@ -23,7 +23,7 @@ put and the scheduler favours earliest-deadline tasks (throughput).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from .ade import AlgebraicDifferentiator
 
@@ -42,8 +42,6 @@ class MFCConfig:
         the error derivative).
     feedback_gain:
         Feedback gain ``K``; must be negative (the paper uses ``K = −1``).
-    sampling_period:
-        Control sampling period ``T_s`` of MFC (seconds).
     ade_window:
         Sliding-window width ``T_ADE`` of the derivative estimator.
     u_initial:
@@ -52,7 +50,6 @@ class MFCConfig:
 
     alpha: float = -1.0
     feedback_gain: float = -1.0
-    sampling_period: float = 0.5
     ade_window: float = 2.0
     u_initial: float = 0.0
 
@@ -61,8 +58,6 @@ class MFCConfig:
             raise ValueError(f"alpha must be negative, got {self.alpha}")
         if self.feedback_gain >= 0:
             raise ValueError(f"feedback_gain must be negative, got {self.feedback_gain}")
-        if self.sampling_period <= 0:
-            raise ValueError("sampling_period must be positive")
         if self.ade_window <= 0:
             raise ValueError("ade_window must be positive")
 
@@ -71,8 +66,8 @@ class ModelFreeController:
     """Maps the tracking-error signal to the nominal parameter ``u(t)``.
 
     Usage: feed every error measurement through :meth:`observe` (e.g. at the
-    plant rate) and call :meth:`update` once per sampling period ``T_s`` to
-    obtain the new ``u``.
+    plant rate) and call :meth:`update` once per sampling period ``T_s`` (the
+    executor's coordination period) to obtain the new ``u``.
 
     >>> mfc = ModelFreeController(MFCConfig())
     >>> mfc.observe(0.0, 0.0)
@@ -87,7 +82,6 @@ class ModelFreeController:
         self._ade = AlgebraicDifferentiator(window=self.config.ade_window)
         self._u = self.config.u_initial
         self._f_hat = 0.0
-        self.history: List[Tuple[float, float, float, float]] = []  # (t, E, Ė̂, u)
 
     @property
     def u(self) -> float:
@@ -114,12 +108,4 @@ class ModelFreeController:
         self._f_hat = e_dot - cfg.alpha * self._u  # Eq. (5)
         u_new = (-self._f_hat + cfg.feedback_gain * error) / cfg.alpha  # Eq. (3)
         self._u = u_new
-        self.history.append((t, error, e_dot, u_new))
         return u_new
-
-    def reset(self) -> None:
-        """Return to the initial state (used when the scenario restarts)."""
-        self._ade.clear()
-        self._u = self.config.u_initial
-        self._f_hat = 0.0
-        self.history.clear()

@@ -21,7 +21,7 @@ slowest predecessor, so rates move together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 __all__ = ["RateAdapterConfig", "TaskRateAdapter"]
 
@@ -55,11 +55,6 @@ class RateAdapterConfig:
         [21]").  Rate *increases* are suppressed while the measured
         utilization exceeds this bound, and an over-bound utilization forces
         a decrease even when no deadline has been missed yet.
-    relative_step:
-        When True, the per-task step is ``K_p·e(k)·r_i`` (proportional to the
-        task's own rate) instead of the same absolute Hz for all tasks; this
-        keeps a 100 Hz IMU and a 10 Hz camera moving proportionally.  The
-        paper's Eq. (13) is the absolute form (default False).
     """
 
     target_miss_ratio: float = 0.0
@@ -69,7 +64,6 @@ class RateAdapterConfig:
     kp_floor: float = 0.05
     drift_reset_threshold: float = 0.25
     utilization_bound: float = 0.80
-    relative_step: bool = False
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.target_miss_ratio <= 1.0):
@@ -106,7 +100,6 @@ class TaskRateAdapter:
         self.rate_ranges: Dict[str, Tuple[float, float]] = dict(rate_ranges or {})
         self.kp = self.config.kp_initial
         self.resets = 0
-        self.history: List[Tuple[float, float, float]] = []  # (m_k, e_k, kp)
 
     def set_rate_range(self, task_name: str, lo: float, hi: float) -> None:
         """Register/replace the allowable range of one source task."""
@@ -157,7 +150,6 @@ class TaskRateAdapter:
             # Above the schedulability bound: never increase, and push down
             # proportionally to the excess even before misses materialize.
             e_k = min(e_k, -(utilization - cfg.utilization_bound))
-        self.history.append((miss_ratio, e_k, self.kp))
 
         out: Dict[str, float] = {}
         for name, rate in rates.items():
@@ -165,7 +157,7 @@ class TaskRateAdapter:
             if bounds is None:
                 out[name] = rate
                 continue
-            step = self.kp * e_k * (rate if cfg.relative_step else 1.0)
+            step = self.kp * e_k
             lo, hi = bounds
             out[name] = min(hi, max(lo, rate + step))
 
@@ -180,9 +172,3 @@ class TaskRateAdapter:
             if self.kp < cfg.kp_floor:
                 self.kp = 0.0
         return out
-
-    def reset(self) -> None:
-        """Restore the profiled gain and clear history."""
-        self.kp = self.config.kp_initial
-        self.resets = 0
-        self.history.clear()

@@ -4,7 +4,7 @@ The paper-level claims rest on invariants no test suite can check
 exhaustively (see docs/static_analysis.md): simulation code never reads
 the wall clock or global RNG, schedulers honor the ``Scheduler``
 contract, and fleet code never swallows failures.  Each rule
-(HC001–HC007) inspects one parsed file at a time; a run is a plain map
+(HC001–HC006) inspects one parsed file at a time; a run is a plain map
 over the files.  That outputs really are a pure function of (scenario,
 scheduler, seed) is checked by running the code, in
 ``tests/test_cross_process_determinism.py``.

@@ -5,8 +5,7 @@ registry (see :func:`repro.devtools.lint.engine.register`).  Every rule
 looks at one file at a time.  Rules are grouped by the invariant family
 they protect:
 
-* :mod:`determinism` — HC001 (no wall-clock), HC002 (no global RNG),
-  HC007 (both, rebranded for the ``repro.faults`` replay contract);
+* :mod:`determinism` — HC001 (no wall-clock), HC002 (no global RNG);
 * :mod:`contracts` — HC003 (scheduler contract);
 * :mod:`hygiene` — HC004 (mutable defaults), HC005 (swallowed
   exceptions), HC006 (float equality on time quantities).

@@ -6,7 +6,9 @@ repeatable Fig. 13/14 tracking-error curves — requires simulation output
 to be a pure function of (scenario, scheduler, seed).  Wall-clock reads
 and process-global RNG are the two ways real repos silently lose that
 property, so both are banned from the simulation packages outright
-rather than hunted per-bug.  A leak from outside these packages into an
+rather than hunted per-bug.  The fault-injection package is inside the
+boundary too: its contract is that a (spec, seed) pair replays
+byte-identically.  A leak from outside these packages into an
 output is caught by running the code: the cross-process determinism test
 (``tests/test_cross_process_determinism.py``) compares every output's
 bytes between two interpreters.
@@ -15,7 +17,6 @@ bytes between two interpreters.
 from __future__ import annotations
 
 import ast
-import dataclasses
 from typing import Iterator, Optional, Tuple
 
 from ..diagnostics import Diagnostic, Severity
@@ -25,9 +26,7 @@ from .common import dotted_chain
 __all__ = [
     "NoWallClockRule",
     "NoGlobalRngRule",
-    "FaultDeterminismRule",
     "DETERMINISM_SCOPE",
-    "FAULTS_SCOPE",
 ]
 
 #: The determinism boundary: packages whose output must be seed-pure.
@@ -41,6 +40,7 @@ DETERMINISM_SCOPE: Tuple[str, ...] = (
     "repro/workloads",
     "repro/core",
     "repro/obs",
+    "repro/faults",
     "repro/fleet/worker.py",
 )
 
@@ -282,40 +282,3 @@ class NoGlobalRngRule(Rule):
                     if node.args or node.keywords:  # seeded, but still global
                         flagged.append(node)
         return flagged
-
-
-#: The fault-injection package: its whole contract is that a (spec, seed)
-#: pair replays byte-identically, so it gets the determinism rules under
-#: its own id rather than joining :data:`DETERMINISM_SCOPE` (which would
-#: double-report every finding as both HC001/HC002 and HC007).
-FAULTS_SCOPE: Tuple[str, ...] = ("repro/faults",)
-
-
-@register
-class FaultDeterminismRule(Rule):
-    """HC007: fault injection must be replayable from (spec, seed) alone.
-
-    ``repro.faults`` promises that an empty spec is a byte-identical no-op
-    and that the same spec + seed reproduces the same fault event log.
-    Wall-clock reads and process-global RNG are exactly the two leaks that
-    would break that promise, so the HC001/HC002 checks run here verbatim
-    — only the rule id differs, naming the contract being protected.
-    """
-
-    id = "HC007"
-    name = "fault-determinism"
-    severity = Severity.ERROR
-    description = (
-        "no wall-clock reads or unseeded/global RNG inside repro.faults; "
-        "fault injection must replay byte-identically from (spec, seed) "
-        "— derive every stream from FaultSpec.seed"
-    )
-    scope = FAULTS_SCOPE
-
-    #: The delegate checkers whose findings this rule re-emits.
-    _DELEGATES = (NoWallClockRule(), NoGlobalRngRule())
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> Iterator[Diagnostic]:
-        for delegate in self._DELEGATES:
-            for diag in delegate.check(tree, ctx):
-                yield dataclasses.replace(diag, rule=self.id, severity=self.severity)

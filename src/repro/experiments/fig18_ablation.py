@@ -14,8 +14,7 @@ from typing import Dict
 
 from ..analysis.report import format_table, sparkline
 from ..analysis.stats import mean
-from ..core.coordinator import HCPerfConfig
-from ..schedulers.hcperf import HCPerfScheduler
+from ..schedulers.hcperf import HCPerfConfig, HCPerfScheduler
 from ..workloads.scenarios import fig13_car_following
 from .runner import RunResult, run_scenario
 

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from typing import List
 
 from ..analysis.report import format_table
-from ..core.coordinator import HierarchicalCoordinator
+from ..core.dynamic_priority import DynamicPriorityPolicy
+from ..core.mfc import ModelFreeController
+from ..core.rate_adapter import TaskRateAdapter
 from ..rt.exectime import ExecContext
 from ..rt.task import Job
 from ..workloads.profiles import full_task_graph
@@ -71,30 +73,34 @@ def run(seed: int = 0, queue_depth: int = 24, iterations: int = 200) -> Overhead
     """Time the three coordination components on a populated queue."""
     if queue_depth < 1 or iterations < 1:
         raise ValueError("queue_depth and iterations must be >= 1")
-    coordinator = HierarchicalCoordinator()
+    controller = ModelFreeController()
+    policy = DynamicPriorityPolicy()
+    adapter = TaskRateAdapter()
     jobs = _make_queue(queue_depth, seed)
     rates = {"camera_front": 40.0, "lidar_pointcloud": 40.0, "radar_front": 40.0}
     for name in rates:
-        coordinator.rate_adapter.set_rate_range(name, 20.0, 60.0)
+        adapter.set_rate_range(name, 20.0, 60.0)
     estimate = lambda j: j.exec_time
 
     # Warm the controller with an error trace.
+    error = 0.0
     for k in range(20):
-        coordinator.report_performance(k * 0.05, 0.5 + 0.1 * k)
+        error = 0.5 + 0.1 * k
+        controller.observe(k * 0.05, error)
 
     t0 = time.perf_counter()
     for k in range(iterations):
-        coordinator.sample_controller(1.0 + k * 0.5)
+        controller.update(1.0 + k * 0.5, error)
     mfc = (time.perf_counter() - t0) / iterations
 
     t0 = time.perf_counter()
     for k in range(iterations):
-        coordinator.resolve_gamma(0.06, jobs, estimate, busy_remaining=0.02, n_processors=2)
+        policy.resolve(controller.u, jobs, 0.06, estimate, 0.02, 2)
     gamma = (time.perf_counter() - t0) / iterations
 
     t0 = time.perf_counter()
     for k in range(iterations):
-        coordinator.rate_adapter.update(0.02 if k % 3 else 0.0, dict(rates))
+        adapter.update(0.02 if k % 3 else 0.0, dict(rates))
     rate = (time.perf_counter() - t0) / iterations
 
     return OverheadResult(

@@ -191,7 +191,7 @@ def run_scenario(
         if is_hcperf:
             # Lets OBS005 check γ against the configured cap, not just the
             # per-resolution γ_max.
-            recorder.annotate(gamma_cap=sched.coordinator.config.priority.gamma_cap)
+            recorder.annotate(gamma_cap=sched.config.priority.gamma_cap)
 
     def plant_tick(t: float) -> None:
         plant.step(t)
@@ -225,16 +225,11 @@ def run_scenario(
         utilization=executor.utilization(),
         final_rates=executor.rates(),
         horizon=executor.now,
-        gamma_history=sched.coordinator.gamma_history if is_hcperf else [],
+        gamma_history=sched.gamma_history if is_hcperf else [],
         overload_duty_cycle=(
-            sched.coordinator.overload_rounds
-            / max(1, len(sched.coordinator.gamma_history))
-            if is_hcperf
-            else 0.0
+            sched.overload_rounds / max(1, len(sched.gamma_history)) if is_hcperf else 0.0
         ),
-        rate_adapter_resets=(
-            sched.coordinator.rate_adapter.resets if is_hcperf else 0
-        ),
+        rate_adapter_resets=sched.rate_adapter.resets if is_hcperf else 0,
     )
 
 

@@ -153,16 +153,6 @@ class CampaignSpec:
                 )
         return self
 
-    @property
-    def n_jobs(self) -> int:
-        return (
-            len(self.scenarios)
-            * len(self.variants)
-            * len(self.faults)
-            * len(self.schedulers)
-            * len(self.seeds)
-        )
-
     # ------------------------------------------------------------------
     # (De)serialization
     # ------------------------------------------------------------------

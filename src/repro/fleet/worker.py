@@ -74,10 +74,7 @@ def execute_job(job: Job) -> Dict[str, object]:
     :meth:`RunResult.to_dict` summary — everything the aggregation layer
     needs, nothing that fails to serialize.  A job carrying a fault spec
     runs with an injection harness attached; its summary gains the fault
-    event log so stored fault runs stay auditable.  A truthy
-    ``record_events`` override attaches a structured recorder and folds its
-    event counts plus the trace-invariant verdict into ``summary["obs"]`` —
-    a fleet-scale soundness sweep without shipping whole recordings home.
+    event log so stored fault runs stay auditable.
     """
     scenario = build_scenario(job.scenario, job.overrides)
     harness = None
@@ -88,27 +85,10 @@ def execute_job(job: Job) -> Dict[str, object]:
 
         harness = InjectionHarness(FaultSpec.from_dict(job.faults))
         before_run = harness.attach
-    recorder = None
-    if job.overrides.get("record_events"):
-        from ..obs.recorder import Recorder
-
-        recorder = Recorder()
-    result = run_scenario(
-        scenario, job.scheduler, seed=job.seed, recorder=recorder,
-        before_run=before_run,
-    )
+    result = run_scenario(scenario, job.scheduler, seed=job.seed, before_run=before_run)
     summary = result.to_dict()
     if harness is not None:
         summary["fault_events"] = harness.events_dict()
-    if recorder is not None:
-        from ..obs.invariants import check_recording
-
-        violations = check_recording(recorder)
-        summary["obs"] = {
-            "events": recorder.stats(),
-            "violations": [str(v) for v in violations],
-            "sound": not violations,
-        }
     return {
         "job_id": job.id,
         "job": job.to_dict(),

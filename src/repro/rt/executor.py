@@ -263,10 +263,6 @@ class RTExecutor:
         self._rates[task_name] = rate
         return rate
 
-    def get_rate(self, task_name: str) -> float:
-        """Current rate of a source task."""
-        return self._rates[task_name]
-
     def rates(self) -> Dict[str, float]:
         """Snapshot of all source rates."""
         return dict(self._rates)

@@ -7,7 +7,7 @@ Collects the quantities the paper's evaluation reports:
 * **response time** of the control task — "the duration between the release
   and execution of the control task" (§VII-C),
 * **throughput** of control commands (commands per second),
-* per-task completion/miss counts and observed execution-time statistics.
+* per-task release/completion/miss/drop counts.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ class TaskStats:
     completed: int = 0
     missed: int = 0
     dropped: int = 0  # subset of missed: never executed, expired in queue
-    total_exec_time: float = 0.0
-    total_response_time: float = 0.0
 
     @property
     def finished(self) -> int:
@@ -41,19 +39,6 @@ class TaskStats:
         if self.finished == 0:
             return 0.0
         return self.missed / self.finished
-
-    @property
-    def mean_exec_time(self) -> float:
-        runs = self.completed + (self.missed - self.dropped)
-        if runs == 0:
-            return 0.0
-        return self.total_exec_time / runs
-
-    @property
-    def mean_response_time(self) -> float:
-        if self.completed == 0:
-            return 0.0
-        return self.total_response_time / self.completed
 
 
 @dataclass
@@ -116,12 +101,7 @@ class MetricsRecorder:
         self._stats(job.task.name).released += 1
 
     def on_complete(self, job: Job) -> None:
-        stats = self._stats(job.task.name)
-        stats.completed += 1
-        stats.total_exec_time += job.exec_time
-        response = job.response_time
-        if response is not None:
-            stats.total_response_time += response
+        self._stats(job.task.name).completed += 1
         self._win_completed += 1
         self._total_completed += 1
 
@@ -130,8 +110,6 @@ class MetricsRecorder:
         stats.missed += 1
         if dropped:
             stats.dropped += 1
-        else:
-            stats.total_exec_time += job.exec_time
         self._win_missed += 1
         self._total_missed += 1
 
@@ -177,10 +155,6 @@ class MetricsRecorder:
     def miss_ratio_series(self) -> List[Tuple[float, float]]:
         """``(window_end_time, miss_ratio)`` pairs — Fig. 13(d)/15(d) series."""
         return [(w.t_end, w.miss_ratio) for w in self.windows]
-
-    def throughput_series(self) -> List[Tuple[float, float]]:
-        """``(window_end_time, commands/s)`` pairs."""
-        return [(w.t_end, w.throughput) for w in self.windows]
 
     def control_response_times(self) -> List[float]:
         """Response times of all in-time control commands."""

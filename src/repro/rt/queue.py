@@ -68,17 +68,13 @@ class ReadyQueue:
     def __iter__(self) -> Iterator[Job]:
         return iter(self._jobs)
 
-    def jobs(self) -> List[Job]:
-        """Snapshot of queued jobs in release order."""
-        return list(self._jobs)
-
     @property
     def queued(self) -> Sequence[Job]:
         """The queued jobs in release order: live, not a copy, and read-only.
 
         The queue mutates this list in place and never rebinds it, so a
         reference stays current; a caller that must survive the next push
-        or removal takes :meth:`jobs` instead.
+        or removal copies it.
         """
         return self._jobs
 
@@ -116,11 +112,3 @@ class ReadyQueue:
             self.remove(job)
         self._watermark = min((j.absolute_deadline for j in self._jobs), default=float("inf"))
         return expired
-
-    def clear(self) -> List[Job]:
-        """Empty the queue, returning the removed jobs."""
-        jobs = self._jobs[:]
-        self._jobs.clear()
-        self._per_task.clear()
-        self._watermark = float("inf")
-        return jobs

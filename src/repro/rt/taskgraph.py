@@ -163,25 +163,6 @@ class TaskGraph:
             stack.extend(self._pred[cur])
         return seen
 
-    def descendants(self, name: str) -> Set[str]:
-        """All transitive successors of ``name``."""
-        self.task(name)
-        seen: Set[str] = set()
-        stack = list(self._succ[name])
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(self._succ[cur])
-        return seen
-
-    def source_ancestors(self, name: str) -> List[str]:
-        """Source tasks whose data transitively feeds ``name``."""
-        anc = self.ancestors(name)
-        anc.add(name)
-        return sorted(a for a in anc if not self._pred[a])
-
     def chains(self) -> List[List[str]]:
         """Every source→sink path, each a list of task names.
 
@@ -242,17 +223,6 @@ class TaskGraph:
     # ------------------------------------------------------------------
     # Introspection helpers
     # ------------------------------------------------------------------
-    def to_dot(self) -> str:
-        """GraphViz rendering of the task graph for documentation."""
-        lines = ["digraph tasks {", "  rankdir=LR;"]
-        for spec in self:
-            label = f"{spec.name}\\n[p={spec.priority}]"
-            lines.append(f'  "{spec.name}" [label="{label}"];')
-        for src, dst in self.edges():
-            lines.append(f'  "{src}" -> "{dst}";')
-        lines.append("}")
-        return "\n".join(lines)
-
     def summary(self) -> str:
         """Human-readable one-line-per-task summary."""
         rows = []

@@ -8,7 +8,7 @@ from .base import Scheduler, SystemView
 from .classic import FIFOScheduler, RateMonotonicScheduler
 from .edf import EDFScheduler
 from .edf_vd import EDFVDScheduler, virtual_deadline_factor
-from .hcperf import HCPerfScheduler
+from .hcperf import HCPerfConfig, HCPerfScheduler
 from .hpf import HPFScheduler
 
 #: Factory registry keyed by the names used in the paper's tables.
@@ -44,6 +44,7 @@ __all__ = [
     "EDFScheduler",
     "EDFVDScheduler",
     "virtual_deadline_factor",
+    "HCPerfConfig",
     "HCPerfScheduler",
     "HPFScheduler",
     "SCHEDULERS",

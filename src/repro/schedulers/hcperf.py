@@ -1,7 +1,14 @@
-"""HCPerf scheduling policy — adapter between the hierarchical coordinator
-and the executor's :class:`~repro.schedulers.base.Scheduler` interface.
+"""HCPerf scheduling policy — the paper's two coordinators (Fig. 6) behind
+the executor's :class:`~repro.schedulers.base.Scheduler` interface.
 
-Wiring per coordination window (paper Fig. 6 workflow):
+* **Internal coordinator** = :class:`~repro.core.mfc.ModelFreeController`
+  (Performance Directed Controller) +
+  :class:`~repro.core.dynamic_priority.DynamicPriorityPolicy`
+  (Dynamic Priority Scheduler).
+* **External coordinator** = :class:`~repro.core.rate_adapter.TaskRateAdapter`.
+
+:class:`HCPerfScheduler` owns the three components and wires them per
+coordination window (paper Fig. 6 workflow):
 
 1. the driving application reports the tracking error via
    :meth:`HCPerfScheduler.report_performance` at the plant rate;
@@ -15,19 +22,45 @@ Wiring per coordination window (paper Fig. 6 workflow):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.coordinator import HCPerfConfig, HierarchicalCoordinator
+from ..core.dynamic_priority import (
+    DynamicPriorityConfig,
+    DynamicPriorityPolicy,
+    GammaSearchResult,
+)
+from ..core.mfc import MFCConfig, ModelFreeController
+from ..core.rate_adapter import RateAdapterConfig, TaskRateAdapter
 from ..rt.metrics import WindowSample
 from ..rt.task import Job
 from ..rt.taskgraph import TaskGraph
 from .base import Scheduler, SystemView
 
-__all__ = ["HCPerfScheduler"]
+__all__ = ["HCPerfConfig", "HCPerfScheduler"]
+
+
+@dataclass
+class HCPerfConfig:
+    """Bundle of the three component configurations.
+
+    ``enable_external`` switches the Task Rate Adapter off for the paper's
+    ablation study (Fig. 18: internal coordinator only).
+    """
+
+    mfc: MFCConfig = field(default_factory=MFCConfig)
+    priority: DynamicPriorityConfig = field(default_factory=DynamicPriorityConfig)
+    rate: RateAdapterConfig = field(default_factory=RateAdapterConfig)
+    enable_external: bool = True
 
 
 class HCPerfScheduler(Scheduler):
-    """Performance-directed hierarchical coordination policy."""
+    """Performance-directed hierarchical coordination policy.
+
+    ``gamma_history`` keeps one ``(t, γ)`` sample per dispatch round, every
+    one of them from the first; ``overload_rounds`` counts the rounds whose
+    Eq. (11) search found no feasible γ_max.
+    """
 
     name = "HCPerf"
 
@@ -43,7 +76,14 @@ class HCPerfScheduler(Scheduler):
     drift_warmup_windows = 4
 
     def __init__(self, config: Optional[HCPerfConfig] = None) -> None:
-        self.coordinator = HierarchicalCoordinator(config)
+        self.config = config or HCPerfConfig()
+        self.mfc = ModelFreeController(self.config.mfc)
+        self.policy = DynamicPriorityPolicy(self.config.priority)
+        self.rate_adapter = TaskRateAdapter(self.config.rate)
+        self.tracking_error = 0.0
+        self.last_result: Optional[GammaSearchResult] = None
+        self.gamma_history: List[Tuple[float, float]] = []
+        self.overload_rounds = 0
         self._gamma = 0.0
         self._desired_rates: Optional[Dict[str, float]] = None
         self._windows_seen = 0
@@ -53,7 +93,8 @@ class HCPerfScheduler(Scheduler):
     # ------------------------------------------------------------------
     def report_performance(self, t: float, error: float) -> None:
         """Feed one tracking-error measurement ``E(t)`` from the plant."""
-        self.coordinator.report_performance(t, error)
+        self.tracking_error = error
+        self.mfc.observe(t, error)
 
     @property
     def gamma(self) -> float:
@@ -69,58 +110,69 @@ class HCPerfScheduler(Scheduler):
         for src in graph.sources():
             if src.rate_range is not None:
                 lo, hi = src.rate_range
-                self.coordinator.rate_adapter.set_rate_range(src.name, lo, hi)
+                self.rate_adapter.set_rate_range(src.name, lo, hi)
 
     def on_dispatch_round(self, now: float, view: SystemView) -> None:
+        # Internal coordinator: γ_max search + Eq. (12) clamp of the current
+        # nominal u.
         estimate = view.observer.estimate
-        result = self.coordinator.resolve_gamma(
-            now,
+        result = self.policy.resolve(
+            self.mfc.u,
             view.ready.queued,
-            exec_estimate=lambda j: estimate(j.task.name, j.exec_time),
-            busy_remaining=view.busy_remaining(now),
-            n_processors=view.n_processors,
+            now,
+            lambda j: estimate(j.task.name, j.exec_time),
+            view.busy_remaining(now),
+            view.n_processors,
         )
+        self.last_result = result
+        self.gamma_history.append((now, result.gamma))
+        if result.overloaded:
+            self.overload_rounds += 1
         self._gamma = result.gamma
         if self.recorder is not None:
             self.recorder.gamma(now, result.gamma, result.gamma_max, result.overloaded)
 
     def rank(self, job: Job, now: float, view: SystemView) -> float:
         c_est = view.observer.estimate(job.task.name, job.exec_time)
-        return self.coordinator.policy.dynamic_priority(job, self._gamma, now, c_est)
+        return self.policy.dynamic_priority(job, self._gamma, now, c_est)
 
     def order(self, jobs: Sequence[Job], now: float, view: SystemView) -> List[float]:
         # rank()'s P_i, operation for operation, from the table the round's
         # γ search built: one estimate per queued job per round.
-        search = self.coordinator.last_result
+        search = self.last_result
         assert search is not None and len(search.entries) == len(jobs)
         gamma = self._gamma
         return [gamma * p + slack for p, slack, _, _ in search.entries]
 
     def on_window(self, now: float, view: SystemView, window: WindowSample) -> None:
         self._windows_seen += 1
+        observer = view.observer
         if self._windows_seen <= self.drift_warmup_windows:
             # Baseline the execution-time regime (and keep re-baselining
             # through the warm-up) so drift is measured against a converged
             # initial profile.
-            view.observer.mark_stable()
-        u = self.coordinator.sample_controller(now)
+            observer.mark_stable()
+        # Internal coordinator: one MFC step at the coordination period.
+        u = self.mfc.update(now, self.tracking_error)
         if self.recorder is not None:
-            self.recorder.controller(now, u, self.coordinator.mfc.f_hat)
-        resets_before = self.coordinator.rate_adapter.resets
-        self._desired_rates = self.coordinator.adapt_rates(
-            window.miss_ratio,
-            dict(view.rates),
-            view.observer,
-            utilization=window.utilization,
+            self.recorder.controller(now, u, self.mfc.f_hat)
+        if not self.config.enable_external:
+            # Ablation (Fig. 18): internal coordinator only, no rate step.
+            self._desired_rates = None
+            return
+        # External coordinator: one Task Rate Adapter step.
+        adapter = self.rate_adapter
+        resets_before = adapter.resets
+        drift = observer.max_drift()
+        self._desired_rates = adapter.update(
+            window.miss_ratio, dict(view.rates), drift=drift, utilization=window.utilization
         )
-        if self.recorder is not None and self._desired_rates is not None:
-            # adapt_rates returns None only when the external coordinator is
-            # disabled (ablation) — no adapter step happened then.
+        if drift > self.config.rate.drift_reset_threshold:
+            # The regime changed; measure future drift against it.
+            observer.mark_stable()
+        if self.recorder is not None:
             self.recorder.rate_adapter(
-                now,
-                window.miss_ratio,
-                self.coordinator.rate_adapter.kp,
-                reset=self.coordinator.rate_adapter.resets > resets_before,
+                now, window.miss_ratio, adapter.kp, reset=adapter.resets > resets_before
             )
 
     def desired_rates(self) -> Optional[Dict[str, float]]:

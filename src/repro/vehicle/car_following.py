@@ -222,13 +222,6 @@ class CarFollowingPlant:
         mean = self.mean_gap()
         return [(s.t, s.gap - mean) for s in self._history]
 
-    def gap_regulation_error_series(self) -> List[Tuple[float, float]]:
-        """``(t, gap − desired_gap(v))`` — the ACC's own regulation error."""
-        return [
-            (s.t, s.gap - self.controller.desired_gap(s.v_follow))
-            for s in self._history
-        ]
-
     def gap_series(self) -> List[Tuple[float, float]]:
         return [(s.t, s.gap) for s in self._history]
 

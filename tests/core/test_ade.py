@@ -42,12 +42,6 @@ class TestBasics:
         ade.add_sample(1.0, 0.0)
         ade.add_sample(1.0, 0.1)  # same instant: fine (sensor burst)
 
-    def test_clear(self):
-        ade = feed(AlgebraicDifferentiator(1.0), lambda t: t)
-        ade.clear()
-        assert len(ade) == 0
-        assert ade.estimate() == 0.0
-
     def test_window_evicts_old_samples(self):
         ade = AlgebraicDifferentiator(window=0.5)
         for k in range(200):

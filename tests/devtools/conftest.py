@@ -1,8 +1,8 @@
 """Fixture trees for the hclint tests.
 
 ``violation_tree`` builds a miniature ``repro`` package under ``tmp_path``
-with exactly one deliberate violation per shipped rule, at a known
-file/line.  Linting with ``root=tmp_path`` makes the diagnostics' paths
+with one deliberate violation per shipped rule, at a known file/line, plus
+a second HC002 one under ``repro/faults`` (inside the determinism scope).  Linting with ``root=tmp_path`` makes the diagnostics' paths
 relative to the tree, so scoping behaves identically to the real source
 tree and the JSON golden test is byte-stable.
 """
@@ -70,7 +70,7 @@ VIOLATION_FIXTURES: Dict[str, Tuple[str, str, int]] = {
         "\n"
         "def spin_up():\n"
         "    return random.Random()\n",
-        "HC007",
+        "HC002",
         4,
     ),
 }

@@ -26,7 +26,6 @@ def test_shipped_rule_ids():
         "HC004",
         "HC005",
         "HC006",
-        "HC007",
     ]
 
 

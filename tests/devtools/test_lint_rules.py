@@ -193,9 +193,9 @@ def test_hc006_is_a_warning_and_tolerates_sanctioned_helpers(tmp_path):
 
 
 def test_hc007_covers_both_leak_kinds_in_faults_only(tmp_path):
-    # Inside repro/faults the wall-clock and global-RNG findings surface as
-    # HC007 (the replay contract), never as HC001/HC002; the same file
-    # outside repro/faults keeps the original ids.
+    # The fault-injection package is inside the determinism boundary: the
+    # wall-clock and global-RNG findings surface there as HC001/HC002, as
+    # they do in repro/rt.
     source = (
         "import random\n"
         "import time\n"
@@ -214,7 +214,7 @@ def test_hc007_covers_both_leak_kinds_in_faults_only(tmp_path):
     by_path = {}
     for d in diags:
         by_path.setdefault(d.path, []).append(d.rule)
-    assert sorted(by_path["repro/faults/bad_model.py"]) == ["HC007", "HC007"]
+    assert sorted(by_path["repro/faults/bad_model.py"]) == ["HC001", "HC002"]
     assert sorted(by_path["repro/rt/bad_model.py"]) == ["HC001", "HC002"]
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fleet import Job, build_scenario, execute_job
+from repro.fleet import Job, build_manifest, build_scenario, execute_job
 
 
 class TestBuildScenario:
@@ -55,7 +55,7 @@ class TestBuildScenario:
                       {"processor_profile": "1xCPU+1xGPU@2"}],
             seeds=(0,),
         )
-        assert spec.n_jobs == 2 * len(spec.schedulers)
+        assert len(build_manifest(spec)) == 2 * len(spec.schedulers)
 
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError):
@@ -78,16 +78,3 @@ class TestExecuteJob:
                   overrides={"horizon": 5.0})
         assert execute_job(job)["summary"] == execute_job(job)["summary"]
 
-    def test_record_events_override_adds_only_the_obs_verdict(self):
-        plain = Job(scenario="fig13", scheduler="HCPerf", seed=1, overrides={"horizon": 2.0})
-        recorded = Job(
-            scenario="fig13", scheduler="HCPerf", seed=1,
-            overrides={"horizon": 2.0, "record_events": True},
-        )
-        summary = execute_job(recorded)["summary"]
-        obs = summary.pop("obs")
-        events = obs["events"]
-        assert events["_total"] == sum(n for kind, n in events.items() if kind != "_total")
-        assert {"release", "span", "gamma", "window", "control"} <= set(events)
-        assert obs["violations"] == [] and obs["sound"] is True
-        assert summary == execute_job(plain)["summary"]

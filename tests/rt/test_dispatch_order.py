@@ -15,7 +15,6 @@ processor take the first job of that order it may run
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.coordinator import HCPerfConfig
 from repro.core.mfc import MFCConfig
 from repro.rt import (
     ConstantExecTime,
@@ -28,7 +27,7 @@ from repro.rt import (
     TaskSpec,
 )
 from repro.rt.view import SystemView
-from repro.schedulers import SCHEDULERS, HCPerfScheduler, Scheduler
+from repro.schedulers import SCHEDULERS, HCPerfConfig, HCPerfScheduler, Scheduler
 
 UNIT_TYPES = ("CPU", "GPU")
 AFFINITIES = (None, frozenset({"CPU"}), frozenset({"GPU"}), frozenset(UNIT_TYPES))
@@ -98,7 +97,7 @@ def test_ranked_walk_matches_per_processor_stable_min(round_):
     queue, keys, free = round_
     key_of = {job.job_id: k for job, k in zip(queue, keys)}
     eligible = Scheduler().eligible
-    expected = stable_min_oracle(queue.jobs(), lambda j: key_of[j.job_id], free, eligible)
+    expected = stable_min_oracle(list(queue.queued), lambda j: key_of[j.job_id], free, eligible)
     assert ranked_walk(queue, keys, free, eligible) == expected
     assert all(job not in queue for job in expected if job is not None)
 
@@ -172,6 +171,6 @@ def test_order_equals_rank_bit_for_bit(name, u, now, releases, observed):
         rates={"cam": 20.0, "lidar": 10.0},
     )
     policy.on_dispatch_round(now, view)
-    jobs = queue.jobs()
+    jobs = list(queue.queued)
     keys = policy.order(jobs, now, view)
     assert bits(keys) == bits(policy.rank(j, now, view) for j in jobs)

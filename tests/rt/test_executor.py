@@ -149,7 +149,7 @@ class TestRates:
         ex = RTExecutor(g, EDFScheduler(), SimConfig(horizon=1.0))
         assert ex.set_rate("source", 100.0) == 20.0
         assert ex.set_rate("source", 1.0) == 5.0
-        assert ex.get_rate("source") == 5.0
+        assert ex.rates()["source"] == 5.0
 
     def test_set_rate_rejects_non_source(self):
         g = build_chain_graph()

@@ -135,7 +135,7 @@ def test_rate_bounds_always_respected(seed, n_proc):
                   seed=seed),
     )
     observed = []
-    executor.add_periodic("probe", 0.25, lambda t: observed.append(executor.get_rate("src")))
+    executor.add_periodic("probe", 0.25, lambda t: observed.append(executor.rates()["src"]))
     executor.run()
     lo, hi = graph.task("src").rate_range
     assert all(lo <= r <= hi for r in observed)

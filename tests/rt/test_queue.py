@@ -46,21 +46,6 @@ class TestBasicOps:
         q.remove(a)
         assert a not in q and len(q) == 0
 
-    def test_jobs_snapshot_is_copy(self):
-        q = ReadyQueue()
-        q.push(job("a"))
-        snapshot = q.jobs()
-        snapshot.clear()
-        assert len(q) == 1
-
-    def test_clear_returns_jobs(self):
-        q = ReadyQueue()
-        a, b = job("a"), job("b")
-        q.push(a)
-        q.push(b)
-        removed = q.clear()
-        assert removed == [a, b] and len(q) == 0
-
 
 class TestPopBest:
     def test_pop_best_minimizes_key(self):

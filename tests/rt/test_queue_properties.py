@@ -1,8 +1,7 @@
 """Brute-force oracle for the ready queue's O(1) bookkeeping.
 
-Random sequences of ``push``, ``remove``, ``pop_best``, ``drop_expired``,
-``evict`` and ``clear`` run against a plain list that is swept in full at
-every step:
+Random sequences of ``push``, ``remove``, ``pop_best``, ``drop_expired``
+and ``evict`` run against a plain list that is swept in full at every step:
 
 * the earliest-deadline watermark never lets ``drop_expired`` skip an
   expired job — after every step a probe at a drawn instant (often exactly
@@ -23,7 +22,7 @@ TASKS = [
     for i, (d, b) in enumerate([(0.05, None), (0.1, 0), (0.3, None), (0.1, 1)])
 ]
 GRID = [i * 0.05 for i in range(12)]
-OPS = ("push", "push", "push", "remove", "pop_best", "drop_expired", "evict", "clear")
+OPS = ("push", "push", "push", "remove", "pop_best", "drop_expired", "evict")
 
 
 def instants(draw, shadow):
@@ -82,9 +81,6 @@ def test_bookkeeping_matches_brute_force(data):
             assert victim is (queued_same[0] if len(queued_same) >= limit else None)
             if victim is not None:
                 shadow.remove(victim)
-        elif op == "clear":
-            assert queue.clear() == shadow
-            shadow = []
         check_counts(queue, shadow)
         # The watermark probe: whatever happened above, a sweep at any
         # instant drops exactly the expired jobs.

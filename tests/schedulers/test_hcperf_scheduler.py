@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import HCPerfConfig
 from repro.core.rate_adapter import RateAdapterConfig
 from repro.rt import (
     ConstantExecTime,
@@ -15,7 +14,7 @@ from repro.rt import (
 )
 from repro.rt.metrics import WindowSample
 from repro.rt.view import SystemView
-from repro.schedulers import HCPerfScheduler
+from repro.schedulers import HCPerfConfig, HCPerfScheduler
 
 
 def make_graph():
@@ -63,7 +62,7 @@ class TestPrepare:
         g = make_graph()
         s = HCPerfScheduler()
         s.prepare(g, 2)
-        ranges = s.coordinator.rate_adapter.rate_ranges
+        ranges = s.rate_adapter.rate_ranges
         assert ranges == {"src": (10.0, 40.0)}
 
 
@@ -75,7 +74,7 @@ class TestDispatch:
         # Build positive error history so u > 0.
         for i in range(20):
             s.report_performance(i * 0.05, 1.0)
-        s.coordinator.sample_controller(1.0)
+        s.on_window(1.0, make_view(g), window(t=1.0))
         j = Job(task=g.task("ctl"), release_time=1.0, exec_time=0.002)
         view = make_view(g, [j])
         s.on_dispatch_round(1.0, view)

@@ -73,14 +73,14 @@ class TestRegimeReset:
         )
         sched = run(step)
         # One reset entering the elevated regime, one leaving it.
-        assert sched.coordinator.rate_adapter.resets >= 1
+        assert sched.rate_adapter.resets >= 1
 
     def test_stationary_noise_does_not_reset(self):
         """Wide-but-stationary execution times must NOT look like a regime
         change — this is exactly the hair-trigger the slow drift EWMA fixes."""
         noisy = UniformExecTime(0.004, 0.016)  # 4x spread, fixed distribution
         sched = run(noisy)
-        assert sched.coordinator.rate_adapter.resets == 0
+        assert sched.rate_adapter.resets == 0
 
     def test_reset_restores_gain(self):
         """After a regime-change reset the proportional gain is back at
@@ -92,7 +92,7 @@ class TestRegimeReset:
             t_off=100.0,  # never leaves the elevated regime
         )
         sched = run(step, horizon=6.0)
-        adapter = sched.coordinator.rate_adapter
+        adapter = sched.rate_adapter
         assert adapter.resets == 1
         # kp has decayed again since the reset, but only for the windows
         # observed after it (t in (5, 6]); far fewer decays than a run

@@ -170,7 +170,3 @@ class TestSeries:
         p = drive(make_plant(), 1.0)
         assert p.mean_gap() > 0.0
 
-    def test_gap_regulation_error_series(self):
-        p = drive(make_plant(ConstantSpeed(12.0)), 30.0)
-        # At convergence, the regulation error approaches zero.
-        assert abs(p.gap_regulation_error_series()[-1][1]) < 1.0
