@@ -27,17 +27,6 @@ class LatencyReport:
     p99: float
     worst: float
 
-    def as_rows(self) -> List[List[object]]:
-        """Rows for :func:`repro.analysis.report.format_table` (ms)."""
-        return [
-            ["commands", self.count],
-            ["mean (ms)", self.mean * 1000],
-            ["p50 (ms)", self.p50 * 1000],
-            ["p95 (ms)", self.p95 * 1000],
-            ["p99 (ms)", self.p99 * 1000],
-            ["worst (ms)", self.worst * 1000],
-        ]
-
 
 def command_latencies(commands: Sequence[object]) -> List[float]:
     """``computed_at − sense_time`` for each applied command.

@@ -13,10 +13,16 @@ are comparable (DESIGN.md §2).  Small γ ≈ deadline-driven (EDF-like); large
 γ is bounded by the largest value for which the ready queue remains
 schedulable under the workload-conservation test of Eq. (11):
 
-    c_j + ΣT_p/n_p + Σ_{P_i < P_j} c_i / n_p  <  D_j  (remaining)
+    c_j + ΣT_p/n_p + Σ_{i ahead of j} c_i / n_p  <  D_j  (remaining)
+
+where the jobs ahead of ``j`` are those before it in the stable ``P_i``
+order: smaller ``P_i``, or equal ``P_i`` and earlier in the queue.  The
+paper writes ``P_i < P_j``; counting earlier tied jobs too is what the
+dispatcher does with ties, and it keeps the test sound (DESIGN.md §2).
 
 ``γ_max`` is the largest point of a ``resolution``-point grid over
-``[0, gamma_cap]`` that passes Eq. (11).  One search finds it:
+``[0, gamma_cap]`` that passes Eq. (11).  One search finds it, and
+:func:`_eq11_holds` is the only evaluation of Eq. (11):
 
 1. Each queued job becomes one ``(p_i, slack_i, c_i, D_i − now)`` tuple,
    with a single ``exec_estimate`` call per job per search.
@@ -27,21 +33,17 @@ schedulable under the workload-conservation test of Eq. (11):
    ones): the backlog ahead of a job is a sum of non-negative terms, and
    adding a non-negative float never lowers a sum, so the job fails at
    every γ.
-3. Otherwise the top point ``gamma_cap`` is tested with plain Python
-   floats (:func:`_eq11_holds`).  If it fails, the other ``resolution − 1``
-   points are tested in one NumPy pass (:func:`_eq11_grid`) and the
-   largest passing one is returned.
+3. Otherwise the top point ``gamma_cap`` is tested.  If it fails, the grid
+   is walked down from the top, testing only the points where the key
+   order may change (:func:`_breakpoints`).
 
-The split follows the searches of the end-to-end benchmark at seed 0.
-The top point passes in 99.9% of all searches on ``fig13_hcperf`` and
-99.7% on ``lane_keeping_hcperf``; on the deep-queue
-``fig13_typed_recorded`` 78% pass there and 14% take the early exit.  For
-those one scalar test is cheaper than any array setup.  The other 7% of
-``fig13_typed_recorded``'s searches walk below the top, most of them
-failing at all 64 points, and a one-point-at-a-time walk spent 75% of
-the run's Eq. (11) evaluations on them.  The batch repeats the scalar
-test's float operations in the same order, so it returns the same grid
-point bit for bit.
+γ enters Eq. (11) only through the stable order of the keys: ``c``,
+``ΣT_p``, the sums ahead and ``D − now`` do not depend on it.  So the
+verdict is constant on every run of grid points that share one order, and
+one test per run is enough.  The top point passes in 99.9% of the searches
+on ``fig13_hcperf`` (seed 0); on the deep-queue ``fig13_typed_recorded``
+78% pass there, 14% take the early exit, and the rest walk below the top
+with a few tests each (EXPERIMENTS.md, E9).
 
 The nominal parameter ``u`` from the MFC controller is finally clamped into
 ``[0, γ_max]`` (Eq. 12).
@@ -49,11 +51,12 @@ The nominal parameter ``u`` from the MFC controller is finally clamped into
 
 from __future__ import annotations
 
+import math
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..rt.task import Job
 
@@ -128,53 +131,101 @@ def _entries(
 def _eq11_holds(gamma: float, entries: List[_Entry], base: float, n_p: int) -> bool:
     """The Eq. (11) constraint set at one γ.
 
-    Jobs are ranked by ``P_i`` (stable, so ties keep queue order); the
-    higher-priority backlog ahead of a job is then a prefix sum, making the
-    test O(n log n).  ``base`` is ``ΣT_p / n_p``.
+    Jobs are ranked by ``P_i`` (stable, so ties keep queue order), and every
+    job before ``j`` in that order counts toward ``j``'s backlog, which is
+    then a prefix sum: the test is O(n log n).  ``base`` is ``ΣT_p / n_p``.
     """
     ranked = sorted(
         [(gamma * p + slack, c, rem) for p, slack, c, rem in entries], key=itemgetter(0)
     )
     ahead = 0.0
-    start = 0  # first index of the current equal-P_i group
-    for i, (prio, c, rem) in enumerate(ranked):
-        if prio != ranked[start][0]:
-            # Jobs with equal P_i do not count toward each other's backlog
-            # (Eq. 11 uses a strict inequality P_i < P_j), so a group joins
-            # the backlog, one job at a time, only once it is complete.
-            for k in range(start, i):
-                ahead += ranked[k][1]
-            start = i
+    for _, c, rem in ranked:
         if c + base + ahead / n_p >= rem:
             return False
+        ahead += c
     return True
 
 
-def _eq11_grid(
-    gammas: np.ndarray, entries: List[_Entry], base: float, n_p: int
-) -> np.ndarray:
-    """:func:`_eq11_holds` at every γ in ``gammas`` at once, bit for bit.
+#: Half-width, in grid steps, of the window around each pairwise crossing.
+_WINDOW = 1e-6
+#: ``16u`` with ``u = 2⁻⁵³``: twice the ``8u`` rounding bound on a key difference.
+_ULPS = 8 * sys.float_info.epsilon
 
-    Row ``r`` repeats the scalar test's float operations in the same order:
-    keys ``γ·p + slack``, a stable sort, the sum of the sorted ``c`` ahead
-    of each equal-key group (``cumsum`` adds left to right, as the scalar
-    loop does), and ``(c + base) + ahead / n_p >= rem``.
+
+def _breakpoints(entries: List[_Entry], top: int, step: float) -> Sequence[int]:
+    """Grid indices ``k < top``, descending, whose key order may differ at ``k + 1``.
+
+    Index ``k`` is *marked* when the stable order of the keys
+    ``K_i(k) = fl(fl(k·step)·p_i + slack_i)`` at ``k`` may differ from the
+    order at ``k + 1``.  An unmarked ``k`` has the order, and so the
+    verdict, of ``k + 1``: walking down from a failed point, only marked
+    indices need a test.  The stable order is fixed by one predicate per
+    pair ``a`` queued before ``b``, namely ``K_b < K_a``; each is constant
+    between marks:
+
+    * Equal ``p``: both keys add their slack to the same product
+      ``x = fl(γ·p)``, and rounding is monotone, so ``s_a <= s_b`` gives
+      ``K_a <= K_b`` at every γ and equal slacks tie at every γ.  Only
+      unequal slacks that one rounding can merge can flip the predicate,
+      and they lie within ``2u·A`` of each other (``A`` below); when two
+      slacks are within ``_ULPS·A``, every index is marked.
+    * Unequal ``p``: with ``A`` the largest ``|top·step·p_i| + |slack_i|``,
+      each key is within ``4u·A`` of its real value ``k·step·p + slack``
+      (three roundings), so the predicate equals the real one wherever the
+      real keys differ by more than ``8u·A``.  The real keys cross once, at
+      ``q* = (s_b − s_a)/((p_a − p_b)·step)`` grid steps, and differ by
+      ``|p_a − p_b|·step·|k − q*|``.  So the predicate can change only
+      between ``floor(q*)`` and ``floor(q*) + 1``, or next to an index
+      within ``e = 8u·A/(|p_a − p_b|·step)`` of ``q*``.  The computed
+      ``q`` is within ``5u·(top + 2)`` of ``q*``.  When ``e`` plus that
+      error is below ``_WINDOW`` (checked once, with the smallest
+      ``|p_a − p_b|``; otherwise every index is marked), a ``q`` more than
+      ``_WINDOW`` from every integer has ``floor(q) = floor(q*)`` and no
+      index within ``e`` of ``q*``, so marking ``floor(q)`` suffices.  A
+      ``q`` within ``_WINDOW`` of an integer ``m`` leaves only ``m``
+      within ``e`` of ``q*``, and marking ``m − 1`` and ``m`` covers both
+      of its sides.
+
+    Only pairs with ``q`` in ``(−1, top + 1)`` can mark an index in
+    ``[0, top)``; bisecting each sorted slack list finds them (the same
+    check keeps the bisection bounds' rounding far below one step).
     """
-    p, slack, c, rem = np.array(entries, dtype=float).T
-    g = gammas[:, None]
-    order = np.argsort(g * p + slack, axis=1, kind="stable")
-    keys = g * p[order] + slack[order]  # the sorted keys, recomputed exactly
-    c = c[order]
-    # ahead[:, j]: sum of the sorted c before position j.
-    ahead = np.zeros_like(keys)
-    np.cumsum(c[:, :-1], axis=1, out=ahead[:, 1:])
-    # Equal keys do not count toward each other (strict P_i < P_j): every
-    # job reads the backlog at the start of its equal-key group.
-    group_start = np.zeros(keys.shape, dtype=np.intp)
-    group_start[:, 1:] = np.where(keys[:, 1:] != keys[:, :-1], np.arange(1, len(p)), 0)
-    np.maximum.accumulate(group_start, axis=1, out=group_start)
-    ahead = ahead[np.arange(len(gammas))[:, None], group_start]
-    return ~((c + base) + ahead / n_p >= rem[order]).any(axis=1)
+    if step == 0.0:
+        return ()  # every grid point is γ = 0
+    everything = range(top - 1, -1, -1)
+    groups: Dict[float, List[float]] = {}
+    scale = 0.0
+    cap = top * step
+    for p, slack, _, _ in entries:
+        groups.setdefault(p, []).append(slack)
+        scale = max(scale, abs(cap * p) + abs(slack))
+    tol = _ULPS * scale
+    by_p = sorted((p, sorted(set(slacks))) for p, slacks in groups.items())
+    for _, slacks in by_p:
+        for lo, hi in zip(slacks, slacks[1:]):
+            if hi - lo <= tol:
+                return everything
+    if len(by_p) < 2:
+        return ()
+    dp_min = min(b[0] - a[0] for a, b in zip(by_p, by_p[1:]))
+    if tol / (dp_min * step) + _ULPS * (top + 2) >= _WINDOW:
+        return everything
+    marks = set()
+    for i, (p_a, slacks_a) in enumerate(by_p):
+        for p_b, slacks_b in by_p[:i]:
+            d = (p_a - p_b) * step  # > 0
+            for s_a in slacks_a:
+                lo = bisect_right(slacks_b, s_a - d)
+                hi = bisect_left(slacks_b, s_a + (top + 1) * d)
+                for s_b in slacks_b[lo:hi]:
+                    q = (s_b - s_a) / d
+                    m = round(q)
+                    if abs(q - m) <= _WINDOW:
+                        marks.add(m - 1)
+                        marks.add(m)
+                    else:
+                        marks.add(math.floor(q))
+    return sorted((k for k in marks if 0 <= k < top), reverse=True)
 
 
 class DynamicPriorityPolicy:
@@ -235,9 +286,11 @@ class DynamicPriorityPolicy:
     ) -> Optional[float]:
         """Largest grid γ satisfying Eq. (11), or ``None`` when overloaded.
 
-        Feasibility is *not* monotone in γ in general, but taking the
-        largest feasible grid point implements the paper's "allowable range
-        [0, γ_max]" faithfully for practical queues.
+        Feasibility is *not* monotone in γ: the key order changes at each
+        pairwise breakpoint, and a later order can pass where an earlier
+        one failed.  Taking the largest feasible grid point implements the
+        paper's "allowable range [0, γ_max]" faithfully for practical
+        queues.
         """
         return self._search(_entries(jobs, now, exec_estimate), busy_remaining, n_processors)
 
@@ -259,8 +312,10 @@ class DynamicPriorityPolicy:
         step = cfg.gamma_cap / top
         if _eq11_holds(top * step, entries, base, n_p):
             return top * step
-        passing = np.flatnonzero(_eq11_grid(np.arange(top) * step, entries, base, n_p))
-        return int(passing[-1]) * step if passing.size else None
+        for k in _breakpoints(entries, top, step):
+            if _eq11_holds(k * step, entries, base, n_p):
+                return k * step
+        return None
 
     # ------------------------------------------------------------------
     # Eq. (12): map nominal u to actual γ

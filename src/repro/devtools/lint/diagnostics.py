@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Tuple, Union
+from typing import Dict, Union
 
 
 class Severity(enum.IntEnum):
@@ -63,7 +63,3 @@ class Diagnostic:
             f"{self.path}:{self.line}:{self.col}: "
             f"{self.rule} [{self.severity}] {self.message}"
         )
-
-    @property
-    def location(self) -> Tuple[str, int, int]:
-        return (self.path, self.line, self.col)

@@ -205,7 +205,7 @@ def run_scenario(
             and isinstance(plant, CarFollowingPlant)
             and plant.collided
         ):
-            executor.stop("collision")
+            executor.stop()
 
     executor.add_periodic("plant", scenario.plant_dt, plant_tick)
     if before_run is not None:

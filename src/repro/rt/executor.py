@@ -214,7 +214,6 @@ class RTExecutor:
         self._oneshots: List[Tuple[float, _PeriodicHook]] = []
         self._started = False
         self._stopped = False
-        self._stop_reason: Optional[str] = None
         self._last_busy_integral = 0.0
         self._last_window_time = 0.0
         #: Optional structured recorder (see :mod:`repro.obs`); assign a
@@ -337,14 +336,9 @@ class RTExecutor:
         self.metrics.on_miss(victim, dropped=True)
         return victim
 
-    def stop(self, reason: str = "") -> None:
+    def stop(self) -> None:
         """Abort the run at the current event (e.g. on a collision)."""
         self._stopped = True
-        self._stop_reason = reason or None
-
-    @property
-    def stop_reason(self) -> Optional[str]:
-        return self._stop_reason
 
     def _record_interval(
         self, recorder: "Recorder", job: Job, proc_index: int, outcome: str

@@ -33,13 +33,6 @@ class TestLatency:
         assert report.count == 1
         assert report.mean == pytest.approx(1.0)
 
-    def test_as_rows_in_ms(self):
-        rows = latency_report([cmd(1.0, 0.9)]).as_rows()
-        labels = [r[0] for r in rows]
-        assert "mean (ms)" in labels
-        mean_row = next(r for r in rows if r[0] == "mean (ms)")
-        assert mean_row[1] == pytest.approx(100.0)
-
 
 class TestRunResultIntegration:
     def test_latency_report_from_run(self):

@@ -86,14 +86,29 @@ class TestAccuracy:
         assert ade.estimate() == pytest.approx(2.0, abs=0.3)
 
     @given(
-        slope=st.floats(min_value=-10.0, max_value=10.0),
+        slope=st.one_of(
+            st.floats(min_value=-10.0, max_value=-0.1),
+            st.floats(min_value=0.1, max_value=10.0),
+        ),
         intercept=st.floats(min_value=-5.0, max_value=5.0),
+        grid=st.sampled_from([(0.01, 1.0), (0.05, 1.0), (0.1, 1.0), (0.01, 2.0)]),
+        extra=st.integers(min_value=0, max_value=50),
     )
-    @settings(max_examples=40)
-    def test_linear_functions_recovered(self, slope, intercept):
-        ade = AlgebraicDifferentiator(window=1.0)
-        feed(ade, lambda t: slope * t + intercept, t1=2.0)
-        assert ade.estimate() == pytest.approx(slope, rel=1e-2, abs=1e-3)
+    @settings(max_examples=80)
+    def test_linear_functions_recovered(self, slope, intercept, grid, extra):
+        # Closed form of the trapezoid rule on E(t) = a·t + b sampled every
+        # h over a full window T.  With E(t − τ) = E(t) − a·τ the integrand
+        # is E(t)·(T − 2τ) + a·(2τ² − T·τ).  The trapezoid rule integrates
+        # the linear terms exactly (the first to zero), and overestimates
+        # ∫₀ᵀ 2a·τ² dτ by T·h²·4a/12.  The exact integral is a·T³/6, so the
+        # estimate is (6/T³)·(a·T³/6 + a·T·h²/3) = a·(1 + 2h²/T²).
+        h, window = grid
+        ade = AlgebraicDifferentiator(window=window)
+        for k in range(round(window / h) + 1 + extra):
+            t = k * h
+            ade.add_sample(t, slope * t + intercept)
+        expected = slope * (1.0 + 2.0 * h * h / (window * window))
+        assert ade.estimate() == pytest.approx(expected, rel=1e-12)
 
     def test_partial_window_still_estimates(self):
         # Fewer samples than the window width: effective-width integral.

@@ -1,12 +1,13 @@
 """Unit and property tests for the Dynamic Priority Scheduler core."""
 
-import numpy as np
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DynamicPriorityConfig, DynamicPriorityPolicy
-from repro.core.dynamic_priority import _eq11_grid, _eq11_holds
+from repro.core.dynamic_priority import _breakpoints, _eq11_holds
 from repro.rt import ConstantExecTime, Job, TaskSpec
 
 
@@ -97,12 +98,14 @@ class TestFeasibility:
         # gamma = 0: slack ordering runs 'b' first; both fit.
         assert POLICY.is_feasible(0.0, jobs, 0.0, EST, 0.0, 1)
 
-    def test_equal_priority_jobs_do_not_block_each_other(self):
-        # Two identical jobs: with strict P_i < P_j neither counts against
-        # the other, so each only needs its own time.
+    def test_tied_jobs_count_queue_order_ahead(self):
+        # Two identical jobs tie on P_i.  The dispatcher runs them one after
+        # the other, so the second waits for the first: 0.06 + 0.06 > 0.1 on
+        # one processor.  Two processors run them side by side.
         a = job("a", priority=1, exec_time=0.06, deadline=0.1)
         b = job("b", priority=1, exec_time=0.06, deadline=0.1)
-        assert POLICY.is_feasible(0.0, [a, b], 0.0, EST, 0.0, 1)
+        assert not POLICY.is_feasible(0.0, [a, b], 0.0, EST, 0.0, 1)
+        assert POLICY.is_feasible(0.0, [a, b], 0.0, EST, 0.0, 2)
 
     def test_more_processors_help(self):
         jobs = [
@@ -218,8 +221,8 @@ class TestSearchModeAgreement:
         assert result.gamma_max == DynamicPriorityConfig().gamma_cap
 
     def test_exact_equal_priority_ties(self):
-        # Identical triplets: P_i ties exactly at every γ, exercising the
-        # equal-P grouping (strict inequality in Eq. 11).
+        # Identical triplets: P_i ties exactly at every γ, so each tied job
+        # counts the ones queued before it.
         jobs = [job(f"t{i}", priority=2, exec_time=0.04, deadline=0.1) for i in range(3)]
         jobs += [job(f"u{i}", priority=5, exec_time=0.01, deadline=0.3) for i in range(2)]
         _assert_matches_scan(jobs, 0.0, 0.0, 1)
@@ -282,11 +285,18 @@ class TestSearchModeAgreement:
 #: The default grid: ``resolution`` points over ``[0, gamma_cap]``.
 _CFG = DynamicPriorityConfig()
 _STEP = _CFG.gamma_cap / (_CFG.resolution - 1)
-_GRID = np.arange(_CFG.resolution) * _STEP
 
 
-def _scalar_rows(entries, base, n_p):
-    return [_eq11_holds(i * _STEP, entries, base, n_p) for i in range(_CFG.resolution)]
+def _reference_walk(entries, busy, n_p, cfg=_CFG):
+    """γ_max by brute force: :func:`_eq11_holds` at every grid point."""
+    if not entries:
+        return cfg.gamma_cap
+    n_p = max(1, n_p)
+    step = cfg.gamma_cap / (cfg.resolution - 1)
+    passing = [
+        k for k in range(cfg.resolution) if _eq11_holds(k * step, entries, busy / n_p, n_p)
+    ]
+    return passing[-1] * step if passing else None
 
 
 def _few_or_any(values, lo, hi):
@@ -294,35 +304,49 @@ def _few_or_any(values, lo, hi):
     return st.one_of(st.sampled_from(values), st.floats(min_value=lo, max_value=hi))
 
 
-#: One queued job as the search sees it, ``(p_i, slack_i, c_i, D_i − now)``.
-_entry = st.builds(
-    lambda p, slack, c: (p, slack, c, c + slack),
-    st.integers(min_value=0, max_value=3),
-    _few_or_any([0.01, 0.02, 0.05, 0.1], -0.005, 0.3),
-    _few_or_any([0.002, 0.005, 0.01], 0.0, 0.02),
-)
+def _nudge(x, ulps):
+    """``x`` moved by ``ulps`` units in the last place (either sign)."""
+    toward = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, toward)
+    return x
+
+
+def _planted_pair(draw, n_p, base, step, top):
+    """A pair whose keys cross inside the grid, on a grid point or anywhere.
+
+    ``heavy`` (larger ``p``, less slack) runs first below the crossover γ*
+    and meets its deadline; above γ*, ``light`` runs first and its
+    ``c / n_p`` pushes ``heavy`` past its deadline by at least 1 ms / n_p.
+    ``light``'s slack is moved by up to 3 ulps, so the float keys may tie
+    at γ* or cross one grid point either side of it.
+    """
+    p_light = draw(st.integers(min_value=0, max_value=2))
+    p_heavy = draw(st.integers(min_value=p_light + 1, max_value=3))
+    slack_h = base + draw(st.floats(min_value=0.005, max_value=0.05))
+    if draw(st.booleans()):
+        crossover = draw(st.integers(min_value=1, max_value=top - 1)) * step
+    else:
+        crossover = draw(st.floats(min_value=step, max_value=(top - 1) * step))
+    slack_l = _nudge(
+        slack_h + (p_heavy - p_light) * crossover, draw(st.integers(min_value=-3, max_value=3))
+    )
+    c_h = n_p * (slack_h - base) * draw(st.floats(min_value=0.0, max_value=0.9))
+    c_l = n_p * (slack_h - base) + 0.001
+    return [(p_heavy, slack_h, c_h, c_h + slack_h), (p_light, slack_l, c_l, c_l + slack_l)]
 
 
 @st.composite
 def _interior_queue(draw):
     """A queue whose top grid point fails and whose γ = 0 passes.
 
-    A planted pair crosses inside the grid: ``heavy`` (larger ``p``, less
-    slack) runs first below the crossover γ* and meets its deadline;
-    above γ*, ``light`` runs first and its ``c / n_p`` pushes ``heavy``
-    past its deadline by at least 1 ms / n_p.  Filler jobs have at least
-    1 s of slack, so they rank behind the pair at every γ and always fit.
+    A planted pair (:func:`_planted_pair`) crosses inside the default grid.
+    Filler jobs have at least 1 s of slack, so they rank behind the pair at
+    every γ and always fit.
     """
     n_p = draw(st.integers(min_value=1, max_value=3))
     busy = draw(st.floats(min_value=1e-4, max_value=0.02))
-    base = busy / n_p
-    p_light = draw(st.integers(min_value=0, max_value=2))
-    p_heavy = draw(st.integers(min_value=p_light + 1, max_value=3))
-    slack_h = base + draw(st.floats(min_value=0.005, max_value=0.05))
-    crossover = draw(st.floats(min_value=2 * _STEP, max_value=_CFG.gamma_cap - 2 * _STEP))
-    slack_l = slack_h + (p_heavy - p_light) * crossover
-    c_h = n_p * (slack_h - base) * draw(st.floats(min_value=0.0, max_value=0.9))
-    c_l = n_p * (slack_h - base) + 0.001
+    entries = _planted_pair(draw, n_p, busy / n_p, _STEP, _CFG.resolution - 1)
     fillers = draw(
         st.lists(
             st.builds(
@@ -334,52 +358,101 @@ def _interior_queue(draw):
             max_size=18,
         )
     )
-    entries = fillers + [
-        (p_heavy, slack_h, c_h, c_h + slack_h),
-        (p_light, slack_l, c_l, c_l + slack_l),
-    ]
+    return draw(st.permutations(fillers + entries)), busy, n_p
+
+
+@st.composite
+def _walk_queue(draw, resolution):
+    """A planted pair (top point fails) plus jobs that stress the walk's marks.
+
+    Each extra job copies one of the pair's priority and slack, then moves
+    the slack by up to 3 ulps: an exact tie, or a near-tie that one rounding
+    of ``γ·p + slack`` merges at some γ and not at others.  Its ``c`` is of
+    the pair's scale, so which of two near-tied jobs runs first can decide
+    the verdict.  Returns ``(entries, ΣT_p, n_p)``.
+    """
+    top = resolution - 1
+    step = _CFG.gamma_cap / top
+    n_p = draw(st.integers(min_value=1, max_value=3))
+    busy = draw(st.floats(min_value=1e-4, max_value=0.02))
+    base = busy / n_p
+    pair = _planted_pair(draw, n_p, base, step, top)
+    entries = list(pair)
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        p, slack, _, _ = draw(st.sampled_from(pair))
+        slack = _nudge(slack, draw(st.integers(min_value=-3, max_value=3)))
+        c = n_p * (pair[0][1] - base) * draw(st.floats(min_value=0.0, max_value=1.5))
+        entries.append((p, slack, c, c + slack))
     return draw(st.permutations(entries)), busy, n_p
 
 
 class TestBatchedGridWalk:
-    """The batched walk against :func:`_eq11_holds`, row by row, bit for bit."""
+    """``_search``, which tests one point per batch of grid points that share
+    a key order, against the reference walk over every point, bit for bit."""
 
-    @given(
-        entries=st.lists(_entry, min_size=1, max_size=20),
-        busy=st.floats(min_value=1e-6, max_value=0.02),
-        n_p=st.integers(min_value=1, max_value=3),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_every_row_matches_scalar(self, entries, busy, n_p):
-        base = busy / n_p
-        batch = _eq11_grid(_GRID, entries, base, n_p)
-        assert batch.tolist() == _scalar_rows(entries, base, n_p)
+    @given(data=st.data(), resolution=st.sampled_from([64, 16, 4]))
+    @settings(max_examples=400, deadline=None)
+    def test_every_row_matches_scalar(self, data, resolution):
+        cfg = DynamicPriorityConfig(resolution=resolution)
+        entries, busy, n_p = data.draw(_walk_queue(resolution))
+        got = DynamicPriorityPolicy(cfg)._search(entries, busy, n_p)
+        assert got == _reference_walk(entries, busy, n_p, cfg)
 
     @given(case=_interior_queue())
     @settings(max_examples=200, deadline=None)
     def test_top_fails_interior_passes(self, case):
         entries, busy, n_p = case
         base = busy / n_p
-        rows = _scalar_rows(entries, base, n_p)
-        assert not rows[-1] and rows[0]
-        assert _eq11_grid(_GRID, entries, base, n_p).tolist() == rows
-        top_pass = max(i for i, ok in enumerate(rows) if ok)
-        assert POLICY._search(entries, busy, n_p) == top_pass * _STEP
+        assert not _eq11_holds((_CFG.resolution - 1) * _STEP, entries, base, n_p)
+        assert _eq11_holds(0.0, entries, base, n_p)
+        assert POLICY._search(entries, busy, n_p) == _reference_walk(entries, busy, n_p)
 
     def test_rounding_at_the_boundary(self):
         # (0.1 + 0.2) + 0.3 rounds to 0.6000000000000001, while 0.1 + (0.2 + 0.3)
         # and (0.3 + 0.2) + 0.1 give 0.6.  Each last job's deadline sits on
-        # that difference, so the batch agrees with the scalar test only if
-        # it adds in the same order: (c + base) first, and the tied group's
-        # c in queue order (a stable sort).
+        # that difference, so it fails only if the backlog is summed in the
+        # stable key order (the tied jobs in queue order) and (c + base)
+        # is added first.
         edge = (0.1 + 0.2) + 0.3
         tied = [(0, 0.0, c, 10.0) for c in (0.1, 0.2, 0.3)] + [(0, 0.0, 0.0, 10.0)] * 15
         by_sum_order = tied + [(0, 1.0, 0.0, edge)]
-        assert _scalar_rows(by_sum_order, 0.0, 1) == [False] * _CFG.resolution
-        assert _eq11_grid(_GRID, by_sum_order, 0.0, 1).tolist() == [False] * _CFG.resolution
+        assert _reference_walk(by_sum_order, 0.0, 1) is None
+        assert POLICY._search(by_sum_order, 0.0, 1) is None
         by_association = [(0, 0.0, 0.3, 10.0), (0, 1.0, 0.1, edge)]
-        assert _scalar_rows(by_association, 0.2, 1) == [False] * _CFG.resolution
-        assert _eq11_grid(_GRID, by_association, 0.2, 1).tolist() == [False] * _CFG.resolution
+        assert _reference_walk(by_association, 0.2, 1) is None
+        assert POLICY._search(by_association, 0.2, 1) is None
+
+    def test_near_tie_merged_by_rounding(self):
+        # Equal p, and b's slack is 3 ulps below a's: b runs first while the
+        # keys differ, and a's backlog then fits.  From grid point 56 up,
+        # γ·3 + slack is large enough that one rounding merges the two keys,
+        # the tie keeps queue order, a runs first and b misses.  No pair
+        # with unequal p crosses, so only the near-tie rule finds point 55.
+        slack_b = _nudge(0.01, -3)
+        a = (3, 0.01, 0.01, 0.02)
+        b = (3, slack_b, 0.005, 0.005 + slack_b)
+        assert _reference_walk([a, b], 0.0, 1) == 55 * _STEP
+        assert POLICY._search([a, b], 0.0, 1) == 55 * _STEP
+
+    def test_close_priorities_walk_every_point(self):
+        # Priorities 2⁻³⁰ apart put the keys' rounding error at ~0.4 grid
+        # steps, beyond the crossing window, so the walk tests every point.
+        # heavy and light cross at γ* = 0.01, between points 31 and 32.
+        p_gap = 2.0**-30
+        slack_l = 0.02 + p_gap * 0.01
+        light = (1, slack_l, 0.021, 0.021 + slack_l)
+        heavy = (1 + p_gap, 0.02, 0.01, 0.01 + 0.02)
+        top = _CFG.resolution - 1
+        assert _breakpoints([light, heavy], top, _STEP) == range(top - 1, -1, -1)
+        assert _reference_walk([light, heavy], 0.0, 1) == 31 * _STEP
+        assert POLICY._search([light, heavy], 0.0, 1) == 31 * _STEP
+
+    def test_zero_cap(self):
+        # γ_cap = 0 makes every grid point γ = 0: a failed top point ends it.
+        cfg = DynamicPriorityConfig(gamma_cap=0.0)
+        tied = [(0, 0.04, 0.06, 0.1), (0, 0.04, 0.06, 0.1)]
+        assert DynamicPriorityPolicy(cfg)._search(tied, 0.0, 1) is None
+        assert _reference_walk(tied, 0.0, 1, cfg) is None
 
     def test_hand_built_interior_gamma_max(self):
         # heavy (p = 3, slack 0.02 s) and light (p = 0, slack 0.05 s) tie at
@@ -392,6 +465,80 @@ class TestBatchedGridWalk:
         jobs = [relaxed, light, heavy]
         assert not POLICY.is_feasible(_CFG.gamma_cap, jobs, 0.0, EST, 0.0, 1)
         assert POLICY.gamma_max(jobs, 0.0, EST, 0.0, 1) == 31 * _STEP
+
+
+def _list_schedule_finishes(gamma, entries, remaining):
+    """Finish times of ``entries`` run non-preemptively in stable ``P_i`` order.
+
+    Each job starts, at the earliest, on the processor that frees up first;
+    ``remaining`` is each processor's time left on its current job.
+    """
+    free = list(remaining)
+    order = sorted(range(len(entries)), key=lambda i: gamma * entries[i][0] + entries[i][1])
+    finishes = [0] * len(entries)
+    for i in order:
+        unit = free.index(min(free))
+        free[unit] += entries[i][2]
+        finishes[i] = free[unit]
+    return finishes
+
+
+class TestListScheduleOracle:
+    """What Eq. (11) promises: an admitted queue meets every deadline.
+
+    Run the queue non-preemptively in stable ``P_i`` order, each job on the
+    processor that frees up first.  When job ``j`` starts, the processors'
+    free times sum to ``ΣT_p`` plus the ``c`` of every job before ``j`` in
+    that order (each started job adds its own ``c`` to one processor).  The
+    minimum of ``n_p`` numbers is at most their mean, so ``j`` starts by
+    ``ΣT_p/n_p + ahead_j/n_p`` and finishes by ``c_j`` more: Eq. (11) at
+    ``j`` bounds that by ``D_j``.  The argument needs ``ahead_j`` to hold
+    every job that runs before ``j``, tied ones included; with the paper's
+    strict ``P_i < P_j`` two tied jobs never count each other and the
+    second can miss.
+
+    The draws are whole numbers (milliseconds), so the schedule is exact
+    and ties are common: integer slacks at the half-integer γ grid below.
+    Eq. (11) divides by ``n_p`` in floats, which can admit a job whose
+    exact bound equals its deadline, so "meets" is ``finish <= D``.
+    """
+
+    #: γ grid {0, 0.5, …, 3}: keys γ·p + slack are exact and often tie.
+    _POLICY = DynamicPriorityPolicy(DynamicPriorityConfig(gamma_cap=3.0, resolution=7))
+
+    @given(
+        jobs=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),   # priority
+                st.integers(min_value=0, max_value=8),   # c_i
+                st.integers(min_value=1, max_value=30),  # D_i − now
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        remaining=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=3),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_admitted_queue_meets_every_deadline(self, jobs, remaining):
+        entries = [(float(p), float(rem - c), float(c), float(rem)) for p, c, rem in jobs]
+        n_p = len(remaining)
+        base = sum(remaining) / n_p
+        step = 0.5
+        for k in range(7):
+            if _eq11_holds(k * step, entries, base, n_p):
+                finishes = _list_schedule_finishes(k * step, entries, remaining)
+                assert all(f <= e[3] for f, e in zip(finishes, entries))
+        gmax = self._POLICY._search(entries, float(sum(remaining)), n_p)
+        if gmax is not None:
+            assert _eq11_holds(gmax, entries, base, n_p)
+
+    def test_two_tied_jobs_on_one_processor(self):
+        # c = 6 ms and D = 10 ms each, tied on P_i: the second finishes at
+        # 12 ms, and Eq. (11) now rejects the queue.
+        tied = [(0.0, 4.0, 6.0, 10.0), (0.0, 4.0, 6.0, 10.0)]
+        assert _list_schedule_finishes(0.0, tied, [0]) == [6, 12]
+        assert not _eq11_holds(0.0, tied, 0.0, 1)
+        assert self._POLICY._search(tied, 0.0, 1) is None
 
 
 class TestGammaMaxMetamorphic:
