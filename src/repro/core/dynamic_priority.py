@@ -24,8 +24,8 @@ dispatcher does with ties, and it keeps the test sound (DESIGN.md §2).
 ``[0, gamma_cap]`` that passes Eq. (11).  One search finds it, and
 :func:`_eq11_holds` is the only evaluation of Eq. (11):
 
-1. Each queued job becomes one ``(p_i, slack_i, c_i, D_i − now)`` tuple,
-   with a single ``exec_estimate`` call per job per search.
+1. Each queued job becomes one ``(p_i, slack_i, c_i, D_i − now, job)``
+   tuple, with a single ``exec_estimate`` call per job per search.
 2. Early exit: if some job fails ``c_i + ΣT_p/n_p >= D_i − now`` with
    nothing queued ahead of it, no γ is feasible and the search returns
    ``None``.  This is exact because estimates are non-negative (``Job``
@@ -46,7 +46,11 @@ on ``fig13_hcperf`` (seed 0); on the deep-queue ``fig13_typed_recorded``
 with a few tests each (EXPERIMENTS.md, E9).
 
 The nominal parameter ``u`` from the MFC controller is finally clamped into
-``[0, γ_max]`` (Eq. 12).
+``[0, γ_max]`` (Eq. 12).  When that clamp applies ``γ = γ_max`` (``u ≥
+γ_max``: 99% of the rounds on ``fig13_hcperf``), the stable ``P_i`` order the
+passing Eq. (11) test sorted *is* the round's dispatch order, so the search
+keeps it (:attr:`GammaSearchResult.order`) and HCPerf dispatches from it
+without sorting the queue again.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..rt.task import Job
@@ -66,8 +70,8 @@ __all__ = [
     "DynamicPriorityPolicy",
 ]
 
-#: One queued job as the search sees it: ``(p_i, slack_i, c_i, D_i − now)``.
-_Entry = Tuple[float, float, float, float]
+#: One queued job as the search sees it: ``(p_i, slack_i, c_i, D_i − now, job)``.
+_Entry = Tuple[float, float, float, float, Job]
 
 
 @dataclass
@@ -106,6 +110,10 @@ class GammaSearchResult:
     overloaded: bool
     #: The search's per-job table in queue order (HCPerf ranks from it).
     entries: List[_Entry] = field(default_factory=list, repr=False)
+    #: ``entries`` in the stable ``P_i`` order at ``gamma_max``, as the
+    #: passing Eq. (11) test sorted them; ``None`` exactly when
+    #: ``gamma_max`` is.
+    order: Optional[List[_Entry]] = field(default=None, repr=False)
 
     @property
     def feasible(self) -> bool:
@@ -115,7 +123,7 @@ class GammaSearchResult:
 def _entries(
     jobs: Sequence[Job], now: float, exec_estimate: Callable[[Job], float]
 ) -> List[_Entry]:
-    """Per-job ``(p_i, slack_i, c_i, D_i − now)``, one estimate per job.
+    """Per-job ``(p_i, slack_i, c_i, D_i − now, job)``, one estimate per job.
 
     ``slack_i`` is ``latest_start(c_i) - now`` operation for operation:
     ``(release + D) - c_i - now``.
@@ -124,26 +132,31 @@ def _entries(
     for job in jobs:
         est = exec_estimate(job)
         deadline = job.absolute_deadline
-        entries.append((job.task.priority, (deadline - est) - now, est, deadline - now))
+        entries.append((job.task.priority, (deadline - est) - now, est, deadline - now, job))
     return entries
 
 
-def _eq11_holds(gamma: float, entries: List[_Entry], base: float, n_p: int) -> bool:
-    """The Eq. (11) constraint set at one γ.
+def _eq11_holds(
+    gamma: float, entries: List[_Entry], base: float, n_p: int
+) -> Optional[List[_Entry]]:
+    """The Eq. (11) constraint set at one γ: the tested order, or ``None``.
 
     Jobs are ranked by ``P_i`` (stable, so ties keep queue order), and every
     job before ``j`` in that order counts toward ``j``'s backlog, which is
     then a prefix sum: the test is O(n log n).  ``base`` is ``ΣT_p / n_p``.
+    When every constraint holds, the entries come back in that ``P_i``
+    order: the keys are ``rank``'s at this γ, bit for bit, so it is the
+    dispatch order of a round that applies this γ.
     """
-    ranked = sorted(
-        [(gamma * p + slack, c, rem) for p, slack, c, rem in entries], key=itemgetter(0)
-    )
+    keys = [gamma * p + slack for p, slack, _, _, _ in entries]
+    # sorted() computes each entry's key once, in order: draw them off an iterator.
+    ranked = sorted(entries, key=partial(next, iter(keys)))
     ahead = 0.0
-    for _, c, rem in ranked:
+    for _, _, c, rem, _ in ranked:
         if c + base + ahead / n_p >= rem:
-            return False
+            return None
         ahead += c
-    return True
+    return ranked
 
 
 #: Half-width, in grid steps, of the window around each pairwise crossing.
@@ -196,7 +209,7 @@ def _breakpoints(entries: List[_Entry], top: int, step: float) -> Sequence[int]:
     groups: Dict[float, List[float]] = {}
     scale = 0.0
     cap = top * step
-    for p, slack, _, _ in entries:
+    for p, slack, _, _, _ in entries:
         groups.setdefault(p, []).append(slack)
         scale = max(scale, abs(cap * p) + abs(slack))
     tol = _ULPS * scale
@@ -274,7 +287,7 @@ class DynamicPriorityPolicy:
             return True
         n_p = max(1, n_processors)
         entries = _entries(jobs, now, exec_estimate)
-        return _eq11_holds(gamma, entries, busy_remaining / n_p, n_p)
+        return _eq11_holds(gamma, entries, busy_remaining / n_p, n_p) is not None
 
     def gamma_max(
         self,
@@ -292,30 +305,36 @@ class DynamicPriorityPolicy:
         paper's "allowable range [0, γ_max]" faithfully for practical
         queues.
         """
-        return self._search(_entries(jobs, now, exec_estimate), busy_remaining, n_processors)
+        return self._search(_entries(jobs, now, exec_estimate), busy_remaining, n_processors)[0]
 
     def _search(
         self, entries: List[_Entry], busy_remaining: float, n_processors: int
-    ) -> Optional[float]:
-        """The γ_max grid search over an already built per-job table."""
+    ) -> Tuple[Optional[float], Optional[List[_Entry]]]:
+        """The γ_max grid search over an already built per-job table.
+
+        Returns ``(γ_max, order)``: ``order`` is what :func:`_eq11_holds`
+        returned at ``γ_max``, and both are ``None`` when no point passes.
+        """
         cfg = self.config
         if not entries:
-            return cfg.gamma_cap
+            return cfg.gamma_cap, []
         n_p = max(1, n_processors)
         base = busy_remaining / n_p
         # Exact early exit (module docstring): a job that misses with an
         # empty backlog ahead of it misses at every γ.
-        for _, _, c, rem in entries:
+        for _, _, c, rem, _ in entries:
             if c + base >= rem:
-                return None
+                return None, None
         top = cfg.resolution - 1
         step = cfg.gamma_cap / top
-        if _eq11_holds(top * step, entries, base, n_p):
-            return top * step
+        order = _eq11_holds(top * step, entries, base, n_p)
+        if order is not None:
+            return top * step, order
         for k in _breakpoints(entries, top, step):
-            if _eq11_holds(k * step, entries, base, n_p):
-                return k * step
-        return None
+            order = _eq11_holds(k * step, entries, base, n_p)
+            if order is not None:
+                return k * step, order
+        return None, None
 
     # ------------------------------------------------------------------
     # Eq. (12): map nominal u to actual γ
@@ -346,6 +365,6 @@ class DynamicPriorityPolicy:
     ) -> GammaSearchResult:
         """Full §V pipeline: search γ_max, clamp u, flag overload."""
         entries = _entries(jobs, now, exec_estimate)
-        gmax = self._search(entries, busy_remaining, n_processors)
+        gmax, order = self._search(entries, busy_remaining, n_processors)
         gamma = self.clamp_gamma(u, gmax)
-        return GammaSearchResult(gmax, gamma, gmax is None, entries)
+        return GammaSearchResult(gmax, gamma, gmax is None, entries, order)

@@ -25,11 +25,13 @@ from .common import dotted_chain
 
 __all__ = ["SchedulerContractRule"]
 
-#: Hook name -> positional-parameter count including ``self``.
+#: Hook name -> positional-parameter count including ``self``: every public
+#: method of ``Scheduler`` (a tier-1 test keeps the two in step).
 _HOOKS: Dict[str, int] = {
     "prepare": 3,  # (self, graph, n_processors)
     "rank": 4,  # (self, job, now, view)
-    "order": 4,  # (self, jobs, now, view)
+    "ranked": 4,  # (self, jobs, now, view)
+    "eligible": 3,  # (self, job, processor)
     "on_dispatch_round": 3,  # (self, now, view)
     "on_window": 4,  # (self, now, view, window)
     "desired_rates": 1,  # (self)

@@ -17,8 +17,8 @@ Semantics (paper §III-A, resolved per DESIGN.md §2):
   on *any* fresh input, merging the latest retained value per other edge
   (fusion-pattern activation; see docs/heterogeneous.md).
 * Dispatch is non-preemptive; at every opportunity the active scheduler
-  ranks the ready queue once (:meth:`Scheduler.order`) and each free
-  processor runs the lowest-rank job it is eligible for.  On typed
+  ranks the ready queue once (:meth:`Scheduler.ranked`) and each free
+  processor runs the first job of that order it is eligible for.  On typed
   platforms a job is only eligible for units inside its task's affinity
   set, and its sampled execution time is divided by the unit's effective
   speedup.  The identity profile (all-CPU, speedup 1.0) reproduces the
@@ -254,8 +254,8 @@ class RTExecutor:
         spec = self.graph.task(task_name)
         if spec.rate is None:
             raise ValueError(f"task {task_name!r} is not a source task")
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
+        if not 0.0 < rate < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"rate must be positive and finite, got {rate}")
         if spec.rate_range is not None:
             lo, hi = spec.rate_range
             rate = min(hi, max(lo, rate))
@@ -585,7 +585,7 @@ class RTExecutor:
         # γ, ``now`` and every estimate are fixed until the next event: one
         # ranking serves every free processor of the round.
         scheduler.on_dispatch_round(now, self.view)
-        ranked = ready.ranked(scheduler.order(queued, now, self.view))
+        ranked = scheduler.ranked(queued, now, self.view)
         unit_speedup = self._unit_speedup
         for proc in free:
             if not queued:

@@ -2,17 +2,18 @@
 
 The ready queue holds released-but-not-yet-dispatched jobs.  Jobs from
 different control cycles coexist (paper Fig. 3), so the queue is an unordered
-pool ranked once per dispatch round — priorities are *recomputed* per round
-(HCPerf's dynamic priority depends on ``now`` and on the current ``γ``), so a
-static heap would be wrong.  Per-event bookkeeping is O(1): a per-task count
-backs the bounded channels, and an earliest-deadline watermark lets
-:meth:`ReadyQueue.drop_expired` return at once while nothing can have expired.
+pool that the scheduler ranks once per dispatch round
+(:meth:`~repro.schedulers.base.Scheduler.ranked`) — priorities are
+*recomputed* per round (HCPerf's dynamic priority depends on ``now`` and on
+the current ``γ``), so a static heap would be wrong.  Per-event bookkeeping
+is O(1): a per-task count backs the bounded channels, and an
+earliest-deadline watermark lets :meth:`ReadyQueue.drop_expired` return at
+once while nothing can have expired.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, cast
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from .task import Job
 
@@ -20,7 +21,7 @@ __all__ = ["ReadyQueue"]
 
 
 class ReadyQueue:
-    """Pool of ready jobs with dispatch-time ranking.
+    """Pool of ready jobs, dispatched from a scheduler's per-round ranking.
 
     The queue preserves insertion (release) order for determinism: when two
     jobs tie under a scheduler's key, the earlier-released job wins.
@@ -78,18 +79,12 @@ class ReadyQueue:
         """
         return self._jobs
 
-    def ranked(self, keys: Sequence[float]) -> List[Job]:
-        """The queue stable-sorted by ``keys`` (one per job, in queue order)."""
-        # sorted() computes each job's key once, in queue order, so the keys
-        # are drawn straight off an iterator: next(keys, job) is the job's key.
-        key = cast("Callable[[Job], float]", partial(next, iter(keys)))
-        return sorted(self._jobs, key=key)
-
     def pop_best(self, ranked: List[Job], eligible: Callable[[Job], bool]) -> Optional[Job]:
         """Remove (from the queue and ``ranked``) the first job ``eligible`` admits.
 
-        The first admitted job of a stable sort is the stable ``min`` over
-        the admitted jobs, so ties still break toward the earlier release.
+        ``ranked`` is the round's dispatch order from the scheduler.  The
+        first admitted job of a stable sort is the stable ``min`` over the
+        admitted jobs, so ties still break toward the earlier release.
         """
         for i, job in enumerate(ranked):
             if eligible(job):

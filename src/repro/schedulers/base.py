@@ -1,10 +1,10 @@
 """Scheduler interface of the scheduling framework.
 
-The executor is policy-agnostic: once per dispatch round it ranks the ready
-queue by the active :class:`Scheduler`'s keys (:meth:`Scheduler.order`, by
-default :meth:`Scheduler.rank` per job), and once per coordination window it
-hands the scheduler the window's metrics (which is where HCPerf's
-coordinators run).  Baselines only implement :meth:`rank`.
+The executor is policy-agnostic: once per dispatch round it asks the active
+:class:`Scheduler` for the round's dispatch order (:meth:`Scheduler.ranked`,
+by default the ready queue stable-sorted by :meth:`Scheduler.rank`), and once
+per coordination window it hands the scheduler the window's metrics (which
+is where HCPerf's coordinators run).  Baselines only implement :meth:`rank`.
 
 Ranking contract: **smaller rank value is dispatched first**, matching the
 paper's convention that a smaller priority value means higher priority.
@@ -12,7 +12,8 @@ paper's convention that a smaller priority value means higher priority.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, cast
 
 from ..rt.metrics import WindowSample
 from ..rt.task import Job
@@ -30,8 +31,8 @@ class Scheduler:
 
     Subclasses override :meth:`rank`; HCPerf additionally overrides
     :meth:`on_window` (coordination), :meth:`on_dispatch_round`
-    (γ recomputation before each dispatch decision) and :meth:`order`
-    (ranking the round from the γ search's per-job table).
+    (γ recomputation before each dispatch decision) and :meth:`ranked`
+    (the round's order from the γ search, without a second sort when it can).
     """
 
     #: Human-readable policy name, used in reports and experiment tables.
@@ -63,13 +64,19 @@ class Scheduler:
         """Dispatch key for ``job`` — the smallest rank runs next."""
         raise NotImplementedError
 
-    def order(self, jobs: Sequence[Job], now: float, view: SystemView) -> List[float]:
-        """:meth:`rank` of every job of the ready queue, once per dispatch round.
+    def ranked(self, jobs: Sequence[Job], now: float, view: SystemView) -> List[Job]:
+        """The round's dispatch order: ``jobs`` stable-sorted by :meth:`rank`.
 
-        ``jobs`` is the queue's live, read-only list.  Overrides must return
-        the same keys bit for bit, computed more cheaply.
+        Called once per dispatch round; ``jobs`` is the queue's live,
+        read-only list.  The result is a fresh list, which
+        :meth:`~repro.rt.queue.ReadyQueue.pop_best` consumes.  Overrides
+        must return the same order, computed more cheaply.
         """
-        return [self.rank(job, now, view) for job in jobs]
+        keys = [self.rank(job, now, view) for job in jobs]
+        # sorted() computes each job's key once, in queue order, so the keys
+        # are drawn straight off an iterator: next(keys, job) is the job's key.
+        key = cast("Callable[[Job], float]", partial(next, iter(keys)))
+        return sorted(jobs, key=key)
 
     def eligible(self, job: Job, processor: ProcessorState) -> bool:
         """Whether ``job`` may be dispatched to ``processor``.

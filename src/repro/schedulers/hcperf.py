@@ -17,13 +17,17 @@ coordination window (paper Fig. 6 workflow):
    rates from the window's deadline-miss ratio;
 3. before every dispatch round, the Dynamic Priority Scheduler searches
    ``γ_max`` over the current ready queue, clamps ``u`` into ``[0, γ_max]``
-   and ranks jobs by ``P_i = γ·p_i + d_i``.
+   and ranks jobs by ``P_i = γ·p_i + d_i``.  The round sorts the queue once:
+   when the applied γ is ``γ_max``, the dispatch order is the one the passing
+   Eq. (11) test sorted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from ..core.dynamic_priority import (
     DynamicPriorityConfig,
@@ -38,6 +42,9 @@ from ..rt.taskgraph import TaskGraph
 from .base import Scheduler, SystemView
 
 __all__ = ["HCPerfConfig", "HCPerfScheduler"]
+
+#: The job of a γ-search entry ``(p_i, slack_i, c_i, D_i − now, job)``.
+_job = itemgetter(4)
 
 
 @dataclass
@@ -136,13 +143,19 @@ class HCPerfScheduler(Scheduler):
         c_est = view.observer.estimate(job.task.name, job.exec_time)
         return self.policy.dynamic_priority(job, self._gamma, now, c_est)
 
-    def order(self, jobs: Sequence[Job], now: float, view: SystemView) -> List[float]:
-        # rank()'s P_i, operation for operation, from the table the round's
-        # γ search built: one estimate per queued job per round.
+    def ranked(self, jobs: Sequence[Job], now: float, view: SystemView) -> List[Job]:
         search = self.last_result
         assert search is not None and len(search.entries) == len(jobs)
+        # γ is read here, not in on_dispatch_round: a subclass may rewrite it in between.
         gamma = self._gamma
-        return [gamma * p + slack for p, slack, _, _ in search.entries]
+        if search.order is not None and gamma == search.gamma_max:
+            # The passing Eq. (11) test sorted rank()'s keys at this γ.
+            return list(map(_job, search.order))
+        # rank()'s P_i, operation for operation, from the table the round's
+        # γ search built: one estimate per queued job per round.
+        keys = [gamma * p + slack for p, slack, _, _, _ in search.entries]
+        key = cast("Callable[[Job], float]", partial(next, iter(keys)))
+        return sorted(jobs, key=key)
 
     def on_window(self, now: float, view: SystemView, window: WindowSample) -> None:
         self._windows_seen += 1

@@ -282,6 +282,22 @@ class TestSearchModeAgreement:
         _assert_matches_scan(jobs, now, busy, n_p)
 
 
+def _table(rows):
+    """Hand-built ``(p, slack, c, D − now)`` rows as search entries; each
+    row's job is its queue index, so an order reads as a list of indices."""
+    return [(*row, i) for i, row in enumerate(rows)]
+
+
+def _holds(gamma, rows, base, n_p):
+    """Eq. (11) at one γ over hand-built rows: passes or not."""
+    return _eq11_holds(gamma, _table(rows), base, n_p) is not None
+
+
+def _gmax(policy, rows, busy, n_p):
+    """γ_max of ``policy``'s search over hand-built rows."""
+    return policy._search(_table(rows), busy, n_p)[0]
+
+
 #: The default grid: ``resolution`` points over ``[0, gamma_cap]``.
 _CFG = DynamicPriorityConfig()
 _STEP = _CFG.gamma_cap / (_CFG.resolution - 1)
@@ -294,7 +310,7 @@ def _reference_walk(entries, busy, n_p, cfg=_CFG):
     n_p = max(1, n_p)
     step = cfg.gamma_cap / (cfg.resolution - 1)
     passing = [
-        k for k in range(cfg.resolution) if _eq11_holds(k * step, entries, busy / n_p, n_p)
+        k for k in range(cfg.resolution) if _holds(k * step, entries, busy / n_p, n_p)
     ]
     return passing[-1] * step if passing else None
 
@@ -395,17 +411,32 @@ class TestBatchedGridWalk:
     def test_every_row_matches_scalar(self, data, resolution):
         cfg = DynamicPriorityConfig(resolution=resolution)
         entries, busy, n_p = data.draw(_walk_queue(resolution))
-        got = DynamicPriorityPolicy(cfg)._search(entries, busy, n_p)
+        got = _gmax(DynamicPriorityPolicy(cfg), entries, busy, n_p)
         assert got == _reference_walk(entries, busy, n_p, cfg)
+
+    @given(data=st.data(), resolution=st.sampled_from([64, 16, 4]))
+    @settings(max_examples=200, deadline=None)
+    def test_order_is_the_stable_sort_at_gamma_max(self, data, resolution):
+        # The order the search keeps is the queue stable-sorted by
+        # γ_max·p + slack, the dispatch order of a round that applies γ_max,
+        # and never the order of a failed point above it.
+        cfg = DynamicPriorityConfig(resolution=resolution)
+        rows, busy, n_p = data.draw(_walk_queue(resolution))
+        gmax, order = DynamicPriorityPolicy(cfg)._search(_table(rows), busy, n_p)
+        if gmax is None:
+            assert order is None
+        else:
+            keys = [gmax * p + slack for p, slack, _, _ in rows]
+            assert [e[4] for e in order] == sorted(range(len(rows)), key=keys.__getitem__)
 
     @given(case=_interior_queue())
     @settings(max_examples=200, deadline=None)
     def test_top_fails_interior_passes(self, case):
         entries, busy, n_p = case
         base = busy / n_p
-        assert not _eq11_holds((_CFG.resolution - 1) * _STEP, entries, base, n_p)
-        assert _eq11_holds(0.0, entries, base, n_p)
-        assert POLICY._search(entries, busy, n_p) == _reference_walk(entries, busy, n_p)
+        assert not _holds((_CFG.resolution - 1) * _STEP, entries, base, n_p)
+        assert _holds(0.0, entries, base, n_p)
+        assert _gmax(POLICY, entries, busy, n_p) == _reference_walk(entries, busy, n_p)
 
     def test_rounding_at_the_boundary(self):
         # (0.1 + 0.2) + 0.3 rounds to 0.6000000000000001, while 0.1 + (0.2 + 0.3)
@@ -417,10 +448,10 @@ class TestBatchedGridWalk:
         tied = [(0, 0.0, c, 10.0) for c in (0.1, 0.2, 0.3)] + [(0, 0.0, 0.0, 10.0)] * 15
         by_sum_order = tied + [(0, 1.0, 0.0, edge)]
         assert _reference_walk(by_sum_order, 0.0, 1) is None
-        assert POLICY._search(by_sum_order, 0.0, 1) is None
+        assert _gmax(POLICY, by_sum_order, 0.0, 1) is None
         by_association = [(0, 0.0, 0.3, 10.0), (0, 1.0, 0.1, edge)]
         assert _reference_walk(by_association, 0.2, 1) is None
-        assert POLICY._search(by_association, 0.2, 1) is None
+        assert _gmax(POLICY, by_association, 0.2, 1) is None
 
     def test_near_tie_merged_by_rounding(self):
         # Equal p, and b's slack is 3 ulps below a's: b runs first while the
@@ -432,7 +463,7 @@ class TestBatchedGridWalk:
         a = (3, 0.01, 0.01, 0.02)
         b = (3, slack_b, 0.005, 0.005 + slack_b)
         assert _reference_walk([a, b], 0.0, 1) == 55 * _STEP
-        assert POLICY._search([a, b], 0.0, 1) == 55 * _STEP
+        assert _gmax(POLICY, [a, b], 0.0, 1) == 55 * _STEP
 
     def test_close_priorities_walk_every_point(self):
         # Priorities 2⁻³⁰ apart put the keys' rounding error at ~0.4 grid
@@ -443,15 +474,15 @@ class TestBatchedGridWalk:
         light = (1, slack_l, 0.021, 0.021 + slack_l)
         heavy = (1 + p_gap, 0.02, 0.01, 0.01 + 0.02)
         top = _CFG.resolution - 1
-        assert _breakpoints([light, heavy], top, _STEP) == range(top - 1, -1, -1)
+        assert _breakpoints(_table([light, heavy]), top, _STEP) == range(top - 1, -1, -1)
         assert _reference_walk([light, heavy], 0.0, 1) == 31 * _STEP
-        assert POLICY._search([light, heavy], 0.0, 1) == 31 * _STEP
+        assert _gmax(POLICY, [light, heavy], 0.0, 1) == 31 * _STEP
 
     def test_zero_cap(self):
         # γ_cap = 0 makes every grid point γ = 0: a failed top point ends it.
         cfg = DynamicPriorityConfig(gamma_cap=0.0)
         tied = [(0, 0.04, 0.06, 0.1), (0, 0.04, 0.06, 0.1)]
-        assert DynamicPriorityPolicy(cfg)._search(tied, 0.0, 1) is None
+        assert _gmax(DynamicPriorityPolicy(cfg), tied, 0.0, 1) is None
         assert _reference_walk(tied, 0.0, 1, cfg) is None
 
     def test_hand_built_interior_gamma_max(self):
@@ -525,20 +556,20 @@ class TestListScheduleOracle:
         base = sum(remaining) / n_p
         step = 0.5
         for k in range(7):
-            if _eq11_holds(k * step, entries, base, n_p):
+            if _holds(k * step, entries, base, n_p):
                 finishes = _list_schedule_finishes(k * step, entries, remaining)
                 assert all(f <= e[3] for f, e in zip(finishes, entries))
-        gmax = self._POLICY._search(entries, float(sum(remaining)), n_p)
+        gmax = _gmax(self._POLICY, entries, float(sum(remaining)), n_p)
         if gmax is not None:
-            assert _eq11_holds(gmax, entries, base, n_p)
+            assert _holds(gmax, entries, base, n_p)
 
     def test_two_tied_jobs_on_one_processor(self):
         # c = 6 ms and D = 10 ms each, tied on P_i: the second finishes at
         # 12 ms, and Eq. (11) now rejects the queue.
         tied = [(0.0, 4.0, 6.0, 10.0), (0.0, 4.0, 6.0, 10.0)]
         assert _list_schedule_finishes(0.0, tied, [0]) == [6, 12]
-        assert not _eq11_holds(0.0, tied, 0.0, 1)
-        assert self._POLICY._search(tied, 0.0, 1) is None
+        assert not _holds(0.0, tied, 0.0, 1)
+        assert _gmax(self._POLICY, tied, 0.0, 1) is None
 
 
 class TestGammaMaxMetamorphic:

@@ -7,7 +7,11 @@ each rule catches; the clean-counterpart tests pin what each rule must
 
 from __future__ import annotations
 
+import inspect
+
 from repro.devtools.lint import Severity, run_lint
+from repro.devtools.lint.rules.contracts import _HOOKS
+from repro.schedulers import Scheduler
 
 from .conftest import VIOLATION_FIXTURES, write_tree
 
@@ -138,37 +142,72 @@ def test_hc003_wrong_hook_arity(tmp_path):
     assert "takes 2 positional parameter(s)" in diags[0].message
 
 
-def test_hc003_order_hook_arity(tmp_path):
+def test_hc003_ranked_hook_arity(tmp_path):
     write_tree(
         tmp_path,
         {
-            "repro/schedulers/short_order.py": (
+            "repro/schedulers/short_ranked.py": (
                 "from .base import Scheduler\n"
                 "\n"
-                "class ShortOrder(Scheduler):\n"
+                "class ShortRanked(Scheduler):\n"
                 "    def rank(self, job, now, view):\n"
                 "        return 0\n"
                 "\n"
-                "    def order(self, jobs, now):\n"
-                "        return [0.0 for _ in jobs]\n"
+                "    def ranked(self, jobs, now):\n"
+                "        return list(jobs)\n"
             ),
-            "repro/schedulers/good_order.py": (
+            "repro/schedulers/good_ranked.py": (
                 "from .base import Scheduler\n"
                 "\n"
-                "class GoodOrder(Scheduler):\n"
+                "class GoodRanked(Scheduler):\n"
                 "    def rank(self, job, now, view):\n"
                 "        return 0\n"
                 "\n"
-                "    def order(self, jobs, now, view):\n"
-                "        return [0.0 for _ in jobs]\n"
+                "    def ranked(self, jobs, now, view):\n"
+                "        return list(jobs)\n"
             ),
         },
     )
     diags = run_lint([tmp_path], root=tmp_path)
-    assert [(d.path, d.rule) for d in diags] == [("repro/schedulers/short_order.py", "HC003")]
-    assert "ShortOrder.order takes 3 positional parameter(s), the order hook takes 4" in (
+    assert [(d.path, d.rule) for d in diags] == [("repro/schedulers/short_ranked.py", "HC003")]
+    assert "ShortRanked.ranked takes 3 positional parameter(s), the ranked hook takes 4" in (
         diags[0].message
     )
+
+
+def test_hc003_eligible_hook_arity(tmp_path):
+    write_tree(
+        tmp_path,
+        {
+            "repro/schedulers/short_eligible.py": (
+                "from .base import Scheduler\n"
+                "\n"
+                "class ShortEligible(Scheduler):\n"
+                "    def rank(self, job, now, view):\n"
+                "        return 0\n"
+                "\n"
+                "    def eligible(self, job):\n"
+                "        return True\n"
+            ),
+        },
+    )
+    diags = run_lint([tmp_path], root=tmp_path)
+    assert [d.rule for d in diags] == ["HC003"]
+    assert "ShortEligible.eligible takes 2 positional parameter(s), the eligible hook takes 3" in (
+        diags[0].message
+    )
+
+
+def test_hc003_hook_table_matches_the_scheduler_interface():
+    # HC003's table is written out by hand; it must name every public
+    # method of Scheduler, with the same positional arity.
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    interface = {
+        name: sum(p.kind in positional for p in inspect.signature(fn).parameters.values())
+        for name, fn in vars(Scheduler).items()
+        if inspect.isfunction(fn) and not name.startswith("_")
+    }
+    assert _HOOKS == interface
 
 
 def test_hc006_is_a_warning_and_tolerates_sanctioned_helpers(tmp_path):

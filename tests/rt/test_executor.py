@@ -163,6 +163,19 @@ class TestRates:
         with pytest.raises(ValueError, match="positive"):
             ex.set_rate("source", 0.0)
 
+    @pytest.mark.parametrize("rate_range", [None, (5.0, 20.0)])
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+    def test_set_rate_rejects_non_finite(self, rate, rate_range):
+        # A NaN rate used to clamp to r_min on a ranged source and, on an
+        # unranged one, stop releases after the first (NaN never compares
+        # <= the horizon); +inf gave a zero period.  Only the error is
+        # checked: no run ever sees such a rate.
+        g = build_chain_graph(rate=10.0, rate_range=rate_range)
+        ex = RTExecutor(g, EDFScheduler(), SimConfig(horizon=1.0))
+        with pytest.raises(ValueError, match="finite"):
+            ex.set_rate("source", rate)
+        assert ex.rates() == {"source": 10.0}
+
     def test_rates_snapshot(self):
         g = build_chain_graph(rate=10.0)
         ex = RTExecutor(g, EDFScheduler(), SimConfig(horizon=1.0))

@@ -14,8 +14,8 @@ def anywhere(job):
 
 
 def ranked(q, key):
-    """The executor's once-per-round ranking of ``q`` under ``key``."""
-    return q.ranked([key(j) for j in q])
+    """A round's dispatch order: ``q`` stable-sorted by ``key``."""
+    return sorted(q.queued, key=key)
 
 
 def job(name="t", priority=1, release=0.0, exec_time=0.01, deadline=0.1, binding=None):
