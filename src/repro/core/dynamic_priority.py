@@ -25,14 +25,14 @@ dispatcher does with ties, and it keeps the test sound (DESIGN.md §2).
 :func:`_eq11_holds` is the only evaluation of Eq. (11):
 
 1. Each queued job becomes one ``(p_i, slack_i, c_i, D_i − now, job)``
-   tuple, with a single ``exec_estimate`` call per job per search.
+   tuple, with a single ``estimate(task_name, exec_time)`` call per job per search.
 2. Early exit: if some job fails ``c_i + ΣT_p/n_p >= D_i − now`` with
    nothing queued ahead of it, no γ is feasible and the search returns
    ``None``.  This is exact because estimates are non-negative (``Job``
-   rejects a negative ``exec_time`` and the observer averages observed
-   ones): the backlog ahead of a job is a sum of non-negative terms, and
-   adding a non-negative float never lowers a sum, so the job fails at
-   every γ.
+   and the observer reject a negative or NaN time, and the observer
+   averages the ones it takes): the backlog ahead of a job is a sum of
+   non-negative terms, and adding a non-negative float never lowers a sum,
+   so the job fails at every γ.
 3. Otherwise the top point ``gamma_cap`` is tested.  If it fails, the grid
    is walked down from the top, testing only the points where the key
    order may change (:func:`_breakpoints`).
@@ -73,6 +73,9 @@ __all__ = [
 #: One queued job as the search sees it: ``(p_i, slack_i, c_i, D_i − now, job)``.
 _Entry = Tuple[float, float, float, float, Job]
 
+#: ``estimate(task_name, default) -> c_i``, shaped like ``ExecTimeObserver.estimate``.
+Estimator = Callable[[str, float], float]
+
 
 @dataclass
 class DynamicPriorityConfig:
@@ -101,7 +104,7 @@ class DynamicPriorityConfig:
             raise ValueError("resolution must be >= 2")
 
 
-@dataclass
+@dataclass(slots=True)
 class GammaSearchResult:
     """Outcome of one γ_max search."""
 
@@ -120,9 +123,7 @@ class GammaSearchResult:
         return self.gamma_max is not None
 
 
-def _entries(
-    jobs: Sequence[Job], now: float, exec_estimate: Callable[[Job], float]
-) -> List[_Entry]:
+def _entries(jobs: Sequence[Job], now: float, estimate: Estimator) -> List[_Entry]:
     """Per-job ``(p_i, slack_i, c_i, D_i − now, job)``, one estimate per job.
 
     ``slack_i`` is ``latest_start(c_i) - now`` operation for operation:
@@ -130,7 +131,7 @@ def _entries(
     """
     entries = []
     for job in jobs:
-        est = exec_estimate(job)
+        est = estimate(job.task.name, job.exec_time)
         deadline = job.absolute_deadline
         entries.append((job.task.priority, (deadline - est) - now, est, deadline - now, job))
     return entries
@@ -273,27 +274,27 @@ class DynamicPriorityPolicy:
         gamma: float,
         jobs: Sequence[Job],
         now: float,
-        exec_estimate: Callable[[Job], float],
+        estimate: Estimator,
         busy_remaining: float,
         n_processors: int,
     ) -> bool:
         """Check the Eq. (11) constraint set for a candidate γ.
 
         ``busy_remaining`` is ``ΣT_p`` — the total remaining processing time
-        of jobs currently running; ``exec_estimate`` maps each queued job to
-        its observed execution time ``c_i``.
+        of jobs currently running; ``estimate(task_name, exec_time)`` gives
+        each queued job's observed execution time ``c_i``.
         """
         if not jobs:
             return True
         n_p = max(1, n_processors)
-        entries = _entries(jobs, now, exec_estimate)
+        entries = _entries(jobs, now, estimate)
         return _eq11_holds(gamma, entries, busy_remaining / n_p, n_p) is not None
 
     def gamma_max(
         self,
         jobs: Sequence[Job],
         now: float,
-        exec_estimate: Callable[[Job], float],
+        estimate: Estimator,
         busy_remaining: float,
         n_processors: int,
     ) -> Optional[float]:
@@ -305,7 +306,7 @@ class DynamicPriorityPolicy:
         paper's "allowable range [0, γ_max]" faithfully for practical
         queues.
         """
-        return self._search(_entries(jobs, now, exec_estimate), busy_remaining, n_processors)[0]
+        return self._search(_entries(jobs, now, estimate), busy_remaining, n_processors)[0]
 
     def _search(
         self, entries: List[_Entry], busy_remaining: float, n_processors: int
@@ -359,12 +360,12 @@ class DynamicPriorityPolicy:
         u: float,
         jobs: Sequence[Job],
         now: float,
-        exec_estimate: Callable[[Job], float],
+        estimate: Estimator,
         busy_remaining: float,
         n_processors: int,
     ) -> GammaSearchResult:
         """Full §V pipeline: search γ_max, clamp u, flag overload."""
-        entries = _entries(jobs, now, exec_estimate)
+        entries = _entries(jobs, now, estimate)
         gmax, order = self._search(entries, busy_remaining, n_processors)
         gamma = self.clamp_gamma(u, gmax)
         return GammaSearchResult(gmax, gamma, gmax is None, entries, order)

@@ -80,7 +80,7 @@ def run(seed: int = 0, queue_depth: int = 24, iterations: int = 200) -> Overhead
     rates = {"camera_front": 40.0, "lidar_pointcloud": 40.0, "radar_front": 40.0}
     for name in rates:
         adapter.set_rate_range(name, 20.0, 60.0)
-    estimate = lambda j: j.exec_time
+    estimate = lambda name, c: c
 
     # Warm the controller with an error trace.
     error = 0.0

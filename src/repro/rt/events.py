@@ -33,8 +33,8 @@ class EventHeap:
 
     def push(self, time: float, kind: EventKind, payload: Any = None) -> None:
         """Schedule an event of ``kind`` at absolute simulated ``time``."""
-        if time < 0:
-            raise ValueError(f"cannot schedule event at negative time {time}")
+        if not time >= 0:  # NaN fails it too, and would break the heap order
+            raise ValueError(f"cannot schedule event at time {time}: must be >= 0")
         heapq.heappush(self._heap, (time, next(self._seq), kind, payload))
 
     @property

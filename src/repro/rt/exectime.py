@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecContext:
     """Inputs an execution-time model may depend on.
 
@@ -75,8 +75,8 @@ class ConstantExecTime(ExecutionTimeModel):
     value: float
 
     def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError(f"execution time must be >= 0, got {self.value}")
+        if not 0.0 <= self.value < math.inf:
+            raise ValueError(f"execution time must be >= 0 and finite, got {self.value}")
 
     def sample(self, ctx: ExecContext, rng: random.Random) -> float:
         return self.value
@@ -93,7 +93,7 @@ class UniformExecTime(ExecutionTimeModel):
     hi: float
 
     def __post_init__(self) -> None:
-        if self.lo < 0 or self.hi < self.lo:
+        if not 0.0 <= self.lo <= self.hi < math.inf:
             raise ValueError(f"invalid range [{self.lo}, {self.hi}]")
 
     def sample(self, ctx: ExecContext, rng: random.Random) -> float:
@@ -118,10 +118,12 @@ class SceneCubicExecTime(ExecutionTimeModel):
     max_value: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.base < 0 or self.coeff < 0:
-            raise ValueError("base and coeff must be >= 0")
+        if not (0.0 <= self.base < math.inf and 0.0 <= self.coeff < math.inf):
+            raise ValueError("base and coeff must be >= 0 and finite")
         if not (0.0 <= self.jitter < 1.0):
             raise ValueError("jitter must be in [0, 1)")
+        if not self.max_value >= 0:
+            raise ValueError(f"max_value must be >= 0, got {self.max_value}")
 
     def _nominal(self, ctx: ExecContext) -> float:
         n = max(0.0, ctx.scene_complexity)
@@ -197,8 +199,8 @@ class ExecTimeObserver:
 
     def observe(self, task_name: str, value: float) -> None:
         """Record one completed run of ``task_name`` taking ``value`` seconds."""
-        if value < 0:
-            raise ValueError("observed execution time must be >= 0")
+        if not value >= 0:  # NaN fails it too
+            raise ValueError(f"observed execution time must be >= 0, got {value}")
         # Both series are EWMAs seeded with the first observation.
         prev = self._est.get(task_name)
         alpha = self.alpha

@@ -206,7 +206,7 @@ class RTExecutor:
         }
         # Static adjacency, built once for the completion path.
         self._successors = {t.name: graph.isucc(t.name) for t in graph}
-        self._predecessors = {t.name: {p.name for p in graph.ipred(t.name)} for t in graph}
+        self._n_predecessors = {t.name: len(graph.ipred(t.name)) for t in graph}
         self._sinks = {t.name for t in graph if graph.kind(t.name) is TaskKind.SINK}
         # (unit index -> task name -> effective speedup), filled by run().
         self._unit_speedup: List[Dict[str, float]] = []
@@ -272,8 +272,8 @@ class RTExecutor:
         Used by experiments for the vehicle-plant step and by tests for
         probes.  Must be called before :meth:`run`.
         """
-        if period <= 0:
-            raise ValueError("period must be positive")
+        if not 0.0 < period < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"period must be positive and finite, got {period}")
         self._periodic.append(_PeriodicHook(name, period, fn))
 
     def at(self, time: float, name: str, fn: Callable[[float], None]) -> None:
@@ -284,8 +284,8 @@ class RTExecutor:
         current instant).  Fault injection drives processor failure/recovery
         and other point events through this seam.
         """
-        if time < 0:
-            raise ValueError("time must be >= 0")
+        if not time >= 0:  # NaN fails it too
+            raise ValueError(f"time must be >= 0, got {time}")
         hook = _PeriodicHook(name, 0.0, fn)
         if self._started:
             if time < self.now:
@@ -321,6 +321,7 @@ class RTExecutor:
         if proc.available == available:
             return None
         proc.available = available
+        self.view.n_processors += 1 if available else -1
         if available or proc.job is None:
             return None
         victim = proc.job
@@ -504,7 +505,9 @@ class RTExecutor:
                 # never delivered simply contributes nothing yet.
                 self._release_job(succ, provenance=self._merge_pending(pending))
                 continue
-            if self._predecessors[succ.name].issubset(pending.keys()):
+            # Pending keys are always predecessors: all have delivered iff
+            # as many keys are pending as the task has predecessors.
+            if len(pending) == self._n_predecessors[succ.name]:
                 merged = self._merge_pending(pending)
                 pending.clear()
                 self._release_job(succ, provenance=merged)
@@ -512,6 +515,8 @@ class RTExecutor:
     @staticmethod
     def _merge_pending(pending: Dict[str, Dict[str, float]]) -> Dict[str, float]:
         """Merge per-edge provenance into one released job's provenance."""
+        if len(pending) == 1:  # shared, as in _deliver: never mutated after release
+            return next(iter(pending.values()))
         merged: Dict[str, float] = {}
         for prov in pending.values():
             for source, ts in prov.items():

@@ -179,10 +179,6 @@ class TaskSpec:
             return None
         return 1.0 / self.rate
 
-    def compatible_with(self, unit_type: str) -> bool:
-        """Whether this task may execute on a unit of ``unit_type``."""
-        return self.affinity is None or unit_type in self.affinity
-
     def speedup_on(self, unit_type: str, default: float = 1.0) -> float:
         """Effective execution-rate multiplier on a unit of ``unit_type``.
 
@@ -249,8 +245,8 @@ class Job:
     absolute_deadline: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.exec_time < 0:
-            raise ValueError(f"job of {self.task.name!r}: negative exec_time")
+        if not self.exec_time >= 0:  # NaN fails it too
+            raise ValueError(f"job of {self.task.name!r}: negative or NaN exec_time")
         if not self.provenance:
             # A source job senses the world at its own release instant.
             self.provenance = {self.task.name: self.release_time}

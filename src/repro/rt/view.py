@@ -7,7 +7,7 @@ import cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .exectime import ExecTimeObserver
@@ -56,7 +56,7 @@ class ProcessorState:
         """Dispatch admissibility: static binding plus typed-unit affinity."""
         if spec.processor_binding is not None and spec.processor_binding != self.index:
             return False
-        return spec.compatible_with(self.unit_type)
+        return spec.affinity is None or self.unit_type in spec.affinity
 
     def effective_speedup(self, spec: TaskSpec) -> float:
         """Execution-rate multiplier for ``spec`` on this unit.
@@ -86,6 +86,12 @@ class SystemView:
         Online execution-time estimates ``c_i``.
     rates:
         Current source-task rates (Hz), keyed by task name.
+    n_processors:
+        Processors currently accepting work.  Failed (hot-unplugged) ones do
+        not count: Eq. (11)'s ``n_p`` must reflect the platform's *live*
+        capacity during a processor-failure fault.  Counted at construction,
+        then kept current by the one writer of ``ProcessorState.available``,
+        :meth:`~repro.rt.executor.RTExecutor.set_processor_available`.
     """
 
     graph: TaskGraph
@@ -93,18 +99,13 @@ class SystemView:
     processors: List[ProcessorState]
     observer: ExecTimeObserver
     rates: Dict[str, float]
+    n_processors: int = field(init=False)
 
-    @property
-    def n_processors(self) -> int:
-        """Processors currently accepting work.
-
-        Failed (hot-unplugged) processors do not count: Eq. (11)'s
-        ``n_p`` must reflect the platform's *live* capacity, or the
-        schedulability test would keep promising parallelism that no longer
-        exists during a processor-failure fault.
-        """
-        return sum(1 for p in self.processors if p.available)
+    def __post_init__(self) -> None:
+        self.n_processors = sum(p.available for p in self.processors)
 
     def busy_remaining(self, now: float) -> float:
         """Sum of remaining processing times over all processors (ΣT_p)."""
-        return sum([p.remaining(now) for p in self.processors if p.job is not None], 0.0)
+        # ProcessorState.remaining inlined; builtin sum keeps each version's rounding.
+        procs = self.processors
+        return sum([max(0.0, p.busy_until - now) for p in procs if p.job is not None], 0.0)

@@ -121,13 +121,13 @@ class HCPerfScheduler(Scheduler):
 
     def on_dispatch_round(self, now: float, view: SystemView) -> None:
         # Internal coordinator: γ_max search + Eq. (12) clamp of the current
-        # nominal u.
-        estimate = view.observer.estimate
+        # nominal u.  The bound estimate is fetched each round, never cached,
+        # so a method patched onto the observer's class sees every call.
         result = self.policy.resolve(
             self.mfc.u,
             view.ready.queued,
             now,
-            lambda j: estimate(j.task.name, j.exec_time),
+            view.observer.estimate,
             view.busy_remaining(now),
             view.n_processors,
         )

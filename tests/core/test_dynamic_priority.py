@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core import DynamicPriorityConfig, DynamicPriorityPolicy
 from repro.core.dynamic_priority import _breakpoints, _eq11_holds
-from repro.rt import ConstantExecTime, Job, TaskSpec
+from repro.rt import ConstantExecTime, ExecTimeObserver, Job, TaskSpec
 
 
 def job(name="t", priority=1, release=0.0, exec_time=0.01, deadline=0.1):
@@ -22,7 +22,7 @@ def job(name="t", priority=1, release=0.0, exec_time=0.01, deadline=0.1):
 
 
 POLICY = DynamicPriorityPolicy()
-EST = lambda j: j.exec_time
+EST = lambda name, c: c
 
 
 class TestConfig:
@@ -117,6 +117,19 @@ class TestFeasibility:
 
 
 class TestGammaMax:
+    def test_nan_execution_time_never_reaches_the_search(self):
+        # Two 40 ms jobs due in 50 ms overload one unit.  A NaN c_i passes
+        # every Eq. (11) comparison, so one queued NaN job used to make the
+        # search return the cap; neither a job nor the observer takes one.
+        jobs = [job("a", exec_time=0.04, deadline=0.05), job("b", exec_time=0.04, deadline=0.05)]
+        assert POLICY.gamma_max(jobs, 0.0, EST, 0.0, 1) is None
+        with pytest.raises(ValueError):
+            Job(task=jobs[0].task, release_time=0.0, exec_time=math.nan)
+        observer = ExecTimeObserver()
+        with pytest.raises(ValueError):
+            observer.observe("a", math.nan)
+        assert POLICY.gamma_max(jobs, 0.0, observer.estimate, 0.0, 1) is None
+
     def test_empty_queue_returns_cap(self):
         policy = DynamicPriorityPolicy(DynamicPriorityConfig(gamma_cap=0.02))
         assert policy.gamma_max([], 0.0, EST, 0.0, 2) == pytest.approx(0.02)
@@ -148,15 +161,15 @@ class TestGammaMax:
         # execution time is estimated once per search.
         calls = []
 
-        def estimate(j):
-            calls.append(j)
-            return j.exec_time
+        def estimate(name, default):
+            calls.append((name, default))
+            return default
 
         policy = DynamicPriorityPolicy(DynamicPriorityConfig(gamma_cap=1.0, resolution=101))
         heavy = job("heavy", priority=9, exec_time=0.05, deadline=0.06)
         light = job("light", priority=1, exec_time=0.05, deadline=1.0)
         assert policy.gamma_max([heavy, light], 0.0, estimate, 0.0, 1) < 1.0
-        assert calls == [heavy, light]
+        assert calls == [("heavy", 0.05), ("light", 0.05)]
 
 
 class TestClamp:

@@ -300,7 +300,7 @@ def nominal_u(draw, gmax):
 def test_hcperf_ranked_is_the_stable_sort_by_rank(queue_rows, data, rewrite):
     rows, n_p = queue_rows
     jobs = [_row_job(i, p, c, d) for i, (p, c, d) in enumerate(rows)]
-    gmax = DynamicPriorityPolicy().gamma_max(jobs, 0.0, lambda j: j.exec_time, 0.0, n_p)
+    gmax = DynamicPriorityPolicy().gamma_max(jobs, 0.0, lambda name, c: c, 0.0, n_p)
     config = HCPerfConfig(mfc=MFCConfig(u_initial=data.draw(nominal_u(gmax))))
     if rewrite is None:
         policy = HCPerfScheduler(config)

@@ -23,6 +23,16 @@ class TestEventHeap:
         with pytest.raises(ValueError):
             EventHeap().push(-1.0, EventKind.PERIODIC)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("-inf")])
+    def test_non_number_time_rejected_and_not_pushed(self, time):
+        # NaN compares false both ways, so a queued NaN breaks heapq's order.
+        heap = EventHeap()
+        heap.push(1.0, EventKind.PERIODIC, "kept")
+        with pytest.raises(ValueError):
+            heap.push(time, EventKind.PERIODIC, "bad")
+        assert len(heap) == 1
+        assert heap.pop()[2] == "kept"
+
     def test_len_and_bool(self):
         heap = EventHeap()
         assert not heap and len(heap) == 0

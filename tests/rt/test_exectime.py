@@ -84,6 +84,37 @@ class TestSceneCubic:
             SceneCubicExecTime(base=0.0, coeff=0.0, jitter=1.5)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ConstantExecTime(NAN),
+        lambda: ConstantExecTime(INF),
+        lambda: UniformExecTime(0.0, NAN),
+        lambda: UniformExecTime(NAN, 0.1),
+        lambda: UniformExecTime(0.0, INF),
+        lambda: SceneCubicExecTime(base=NAN, coeff=0.0),
+        lambda: SceneCubicExecTime(base=0.0, coeff=NAN),
+        lambda: SceneCubicExecTime(base=INF, coeff=0.0),
+        lambda: SceneCubicExecTime(base=0.0, coeff=INF),
+        lambda: SceneCubicExecTime(base=0.0, coeff=0.0, jitter=NAN),
+        lambda: SceneCubicExecTime(base=0.0, coeff=0.0, max_value=NAN),
+    ],
+    ids=[
+        "constant-nan", "constant-inf", "uniform-hi-nan", "uniform-lo-nan",
+        "uniform-hi-inf", "cubic-base-nan", "cubic-coeff-nan", "cubic-base-inf",
+        "cubic-coeff-inf", "cubic-jitter-nan", "cubic-max-nan",
+    ],
+)
+def test_non_finite_parameters_rejected(make):
+    # Each check used to be written ``x < 0``, which NaN passes; a NaN
+    # sample then passes every Eq. (11) comparison too.
+    with pytest.raises(ValueError):
+        make()
+
+
 class TestStep:
     def test_switches_on_window(self):
         m = StepExecTime(
@@ -139,6 +170,14 @@ class TestObserver:
         obs = ExecTimeObserver()
         with pytest.raises(ValueError):
             obs.observe("t", -0.01)
+
+    def test_nan_observation_rejected(self):
+        obs = ExecTimeObserver(alpha=0.5)
+        obs.observe("t", 0.02)
+        with pytest.raises(ValueError):
+            obs.observe("t", float("nan"))
+        assert obs.estimate("t") == 0.02
+        assert obs.max_drift() == 0.0
 
     def test_drift_zero_without_observations(self):
         assert ExecTimeObserver().max_drift() == 0.0

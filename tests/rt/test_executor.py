@@ -199,6 +199,34 @@ class TestHooks:
         with pytest.raises(ValueError):
             ex.add_periodic("bad", 0.0, lambda t: None)
 
+
+    @pytest.mark.parametrize("period", [float("nan"), float("inf"), -0.1])
+    def test_periodic_hook_rejects_non_finite_period(self, period):
+        # A NaN period used to be accepted: its first tick then sat in the
+        # event heap at NaN, which breaks heapq's order.
+        ex = RTExecutor(build_chain_graph(), EDFScheduler(), SimConfig(horizon=1.0))
+        with pytest.raises(ValueError, match="positive and finite"):
+            ex.add_periodic("bad", period, lambda t: None)
+        assert ex._periodic == []
+
+    def test_oneshot_rejects_nan_time(self):
+        nan = float("nan")
+        ex = RTExecutor(build_chain_graph(), EDFScheduler(), SimConfig(horizon=1.0))
+        with pytest.raises(ValueError, match=">= 0"):
+            ex.at(nan, "bad", lambda t: None)
+        assert ex._oneshots == []
+        rejected = []
+
+        def schedule_nan(t):
+            pending = len(ex._events)
+            with pytest.raises(ValueError, match=">= 0"):
+                ex.at(nan, "bad", lambda t: None)
+            rejected.append(len(ex._events) == pending)
+
+        ex.at(0.5, "probe", schedule_nan)
+        ex.run()
+        assert rejected == [True]
+
     def test_stop_aborts_run(self):
         g = build_chain_graph()
         ex = RTExecutor(g, EDFScheduler(), SimConfig(n_processors=2, horizon=10.0, seed=0))
@@ -343,7 +371,7 @@ class TestHotPathInvariants:
     @pytest.mark.parametrize("activation", ["all-inputs", "newest-only"])
     def test_provenance_survives_successor_releases(self, activation):
         # Successors share a completed job's provenance instead of copying
-        # it, so nothing downstream may mutate it.
+        # it, so nothing may mutate a provenance once its job is released.
         from repro.workloads.profiles import FUSION_TASK, heterogeneous_task_graph
 
         g = heterogeneous_task_graph()
@@ -351,16 +379,74 @@ class TestHotPathInvariants:
         ex = RTExecutor(
             g, EDFScheduler(), SimConfig(processor_profile="2xCPU+1xGPU@3", horizon=2.0)
         )
-        completed = []
-        on_complete = ex.metrics.on_complete
+        released = []
+        on_release = ex.metrics.on_release
 
         def spy(job):
-            completed.append((job, dict(job.provenance)))
-            on_complete(job)
+            released.append((job, list(job.provenance.items())))
+            on_release(job)
 
-        ex.metrics.on_complete = spy
+        ex.metrics.on_release = spy
         m = ex.run()
         assert m.per_task[FUSION_TASK].released > 0
-        assert any(len(snapshot) > 1 for _, snapshot in completed)  # merged inputs
-        for job, snapshot in completed:
-            assert job.provenance == snapshot, job
+        assert any(len(snapshot) > 1 for _, snapshot in released)  # merged inputs
+        for job, snapshot in released:
+            assert list(job.provenance.items()) == snapshot, job
+
+    @pytest.mark.parametrize("activation", ["all-inputs", "newest-only"])
+    def test_merged_provenance_is_the_reference_merge(self, activation):
+        # One pending input is handed on as the very dict its job carries;
+        # any merge equals the oldest-sample-per-source rule, keys in order.
+        from repro.workloads.profiles import FUSION_TASK, heterogeneous_task_graph
+
+        g = heterogeneous_task_graph()
+        g.task(FUSION_TASK).activation = activation
+        ex = RTExecutor(
+            g, EDFScheduler(), SimConfig(processor_profile="2xCPU+1xGPU@3", horizon=2.0)
+        )
+        merge = ex._merge_pending
+        single_input = []
+
+        def checked(pending):
+            reference = {}
+            for prov in pending.values():
+                for source, ts in prov.items():
+                    reference[source] = min(ts, reference.get(source, ts))
+            merged = merge(pending)
+            assert list(merged.items()) == list(reference.items())
+            single_input.append(len(pending) == 1)
+            if len(pending) == 1:
+                assert merged is next(iter(pending.values()))
+            return merged
+
+        ex._merge_pending = checked
+        ex.run()
+        assert any(single_input) and not all(single_input)
+
+    @pytest.mark.parametrize("profile", ["homogeneous", "heterogeneous"])
+    def test_busy_remaining_is_the_remaining_sum_at_every_plant_tick(self, profile):
+        # ΣT_p reads busy_until directly; it must equal the per-unit
+        # remaining() sum bit for bit on a real HCPerf run, on 2 CPUs and
+        # on 2xCPU+1xGPU@3 (where three terms can round differently).
+        from repro.experiments.heterogeneous import build_scenario
+        from repro.experiments.runner import run_scenario
+
+        probes = []
+
+        def probe_plant_ticks(ex):
+            hook = next(h for h in ex._periodic if h.name == "plant")
+            tick = hook.fn
+
+            def probed(now):
+                procs = ex.view.processors
+                reference = sum([p.remaining(now) for p in procs if p.job is not None], 0.0)
+                probes.append((ex.view.busy_remaining(now).hex(), reference.hex()))
+                tick(now)
+
+            hook.fn = probed
+
+        scenario = build_scenario(profile, horizon=12.0)
+        run_scenario(scenario, "HCPerf", before_run=probe_plant_ticks)
+        assert all(fast == reference for fast, reference in probes)
+        busy = sum(reference != (0.0).hex() for _, reference in probes)
+        assert busy > len(probes) // 4  # most ticks see work in flight

@@ -318,3 +318,61 @@ def test_newest_only_never_reuses_a_trigger_and_retains_snapshots():
         else:
             assert not seen_slow, "slow snapshot vanished between firings"
     assert seen_slow, "slow source never contributed a retained token"
+
+
+#: Each platform with its unit types, for typed addressing.
+_PLATFORMS = {"4xCPU": {"CPU": 4}, "2xCPU+1xGPU@3": {"CPU": 2, "GPU": 1}}
+
+
+@st.composite
+def availability_flips(draw):
+    """A platform and a timed sequence of ``set_processor_available`` calls.
+
+    Each call addresses a unit absolutely or as ``(type, ordinal)``, and
+    the drawn flag often equals the unit's current one (a no-op flip).
+    """
+    profile = draw(st.sampled_from(sorted(_PLATFORMS)))
+    types = _PLATFORMS[profile]
+    n_units = sum(types.values())
+    target = st.one_of(
+        st.tuples(st.none(), st.integers(0, n_units - 1)),
+        st.sampled_from(sorted(types)).flatmap(
+            lambda t: st.tuples(st.just(t), st.integers(0, types[t] - 1))
+        ),
+    )
+    times = st.integers(0, 299).map(lambda k: k * 0.005)
+    flips = draw(st.lists(st.tuples(times, target, st.booleans()), max_size=12))
+    return profile, sorted(flips, key=lambda f: f[0])
+
+
+@given(case=availability_flips(), seed=st.integers(min_value=0, max_value=99))
+@settings(max_examples=40, deadline=None)
+def test_live_unit_count_tracks_every_flip(case, seed):
+    """``view.n_processors`` is the live count after every call, busy or idle."""
+    profile, flips = case
+    executor = RTExecutor(
+        build(rate=40.0, exec_scale=3.0, fan_out=True),
+        HCPerfScheduler(),
+        SimConfig(processor_profile=profile, horizon=1.5, coordination_period=0.25,
+                  seed=seed),
+    )
+    procs = executor.processors
+    view = executor.view
+    assert view.n_processors == len(procs)
+
+    def flip(unit_type, index, available):
+        def call(now):
+            absolute = index if unit_type is None else executor.typed_processor_index(
+                unit_type, index
+            )
+            before = procs[absolute].available
+            victim = executor.set_processor_available(index, available, unit_type=unit_type)
+            assert view.n_processors == sum(p.available for p in procs)
+            if before == available:
+                assert victim is None  # a no-op flip changes nothing
+        return call
+
+    for time, (unit_type, index), available in flips:
+        executor.at(time, "flip", flip(unit_type, index, available))
+    executor.run()
+    assert view.n_processors == sum(p.available for p in procs)

@@ -88,6 +88,10 @@ class TestJob:
         with pytest.raises(ValueError, match="negative"):
             Job(task=make_spec(), release_time=0.0, exec_time=-0.1)
 
+    def test_nan_exec_time_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            Job(task=make_spec(), release_time=0.0, exec_time=float("nan"))
+
     def test_latest_start_uses_own_exec_time(self):
         job = Job(task=make_spec(relative_deadline=0.1), release_time=0.0, exec_time=0.03)
         assert job.latest_start() == pytest.approx(0.07)
