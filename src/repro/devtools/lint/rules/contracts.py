@@ -31,7 +31,7 @@ _HOOKS: Dict[str, int] = {
     "prepare": 3,  # (self, graph, n_processors)
     "rank": 4,  # (self, job, now, view)
     "ranked": 4,  # (self, jobs, now, view)
-    "eligible": 3,  # (self, job, processor)
+    "eligible": 3,  # (self, task, processor)
     "on_dispatch_round": 3,  # (self, now, view)
     "on_window": 4,  # (self, now, view, window)
     "desired_rates": 1,  # (self)

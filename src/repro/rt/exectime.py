@@ -153,8 +153,8 @@ class StepExecTime(ExecutionTimeModel):
     t_off: float
 
     def __post_init__(self) -> None:
-        if self.t_off < self.t_on:
-            raise ValueError("t_off must be >= t_on")
+        if not self.t_off >= self.t_on:  # NaN in either fails it too
+            raise ValueError(f"t_off must be >= t_on, got t_on={self.t_on}, t_off={self.t_off}")
 
     def _active(self, ctx: ExecContext) -> ExecutionTimeModel:
         if self.t_on <= ctx.now < self.t_off:

@@ -18,11 +18,14 @@ Semantics (paper §III-A, resolved per DESIGN.md §2):
   (fusion-pattern activation; see docs/heterogeneous.md).
 * Dispatch is non-preemptive; at every opportunity the active scheduler
   ranks the ready queue once (:meth:`Scheduler.ranked`) and each free
-  processor runs the first job of that order it is eligible for.  On typed
-  platforms a job is only eligible for units inside its task's affinity
-  set, and its sampled execution time is divided by the unit's effective
-  speedup.  The identity profile (all-CPU, speedup 1.0) reproduces the
-  scalar model byte-for-byte (pinned by ``tests/differential``).
+  processor runs the first job of that order whose task it admits.  What
+  each unit admits is fixed for the run: :meth:`Scheduler.eligible` is
+  asked once per (unit, task) pair, after :meth:`Scheduler.prepare`.  On
+  typed platforms a unit only admits tasks whose affinity set contains its
+  type, and a job's sampled execution time is divided by the unit's
+  effective speedup.  The identity profile (all-CPU, speedup 1.0)
+  reproduces the scalar model byte-for-byte (pinned by
+  ``tests/differential``).
 * A job finishing after ``release + D_i`` counts as a **miss** and delivers
   nothing downstream; queued jobs whose deadline passes are dropped (also
   misses) when the scheduler's ``drop_expired`` flag is set.
@@ -35,7 +38,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .events import EventHeap, EventKind
 from .view import ProcessorState, SystemView
@@ -204,12 +207,15 @@ class RTExecutor:
         self._pending_inputs: Dict[str, Dict[str, Dict[str, float]]] = {
             t.name: {} for t in graph
         }
-        # Static adjacency, built once for the completion path.
+        # Static lookups, built once for the release and completion paths.
+        self._specs = {t.name: t for t in graph}
         self._successors = {t.name: graph.isucc(t.name) for t in graph}
         self._n_predecessors = {t.name: len(graph.ipred(t.name)) for t in graph}
         self._sinks = {t.name for t in graph if graph.kind(t.name) is TaskKind.SINK}
-        # (unit index -> task name -> effective speedup), filled by run().
+        # (unit index -> task name -> effective speedup) and (unit index ->
+        # names of the tasks the scheduler admits there), filled by run().
         self._unit_speedup: List[Dict[str, float]] = []
+        self._admits: List[FrozenSet[str]] = []
         self._periodic: List[_PeriodicHook] = []
         self._oneshots: List[Tuple[float, _PeriodicHook]] = []
         self._started = False
@@ -366,11 +372,21 @@ class RTExecutor:
             # Hand the recorder to the policy so HCPerf can report γ
             # resolutions and coordinator steps through the same stream.
             self.scheduler.recorder = self.recorder
-        # A unit's effective speedup for a task is fixed for the run: look
-        # it up once per (unit, task) pair, not on every dispatch.
+        # A unit's effective speedup for a task, and whether the scheduler
+        # places the task there, are fixed for the run: decide both once per
+        # (unit, task) pair, after prepare() has bound tasks, not on every
+        # dispatch.
         self._unit_speedup = [
             {t.name: proc.effective_speedup(t) for t in self.graph} for proc in self.processors
         ]
+        eligible = self.scheduler.eligible
+        self._admits = [
+            frozenset([t.name for t in self.graph if eligible(t, proc)])
+            for proc in self.processors
+        ]
+        # Read once per run for the per-event handlers.
+        self._horizon = horizon = self.config.horizon
+        self._max_pending = self.config.max_pending_per_task
         self._started = True
         for src in self.graph.sources():
             self._events.push(0.0, EventKind.SOURCE_RELEASE, src.name)
@@ -382,7 +398,6 @@ class RTExecutor:
         for time, hook in self._oneshots:
             self._events.push(time, EventKind.PERIODIC, (hook.name, hook))
 
-        horizon = self.config.horizon
         # Once per event: test the heap list itself and compare kinds with
         # locals (an enum member read through its class is a slow lookup).
         events = self._events
@@ -414,38 +429,38 @@ class RTExecutor:
     # Event handlers
     # ------------------------------------------------------------------
     def _handle_source_release(self, task_name: str) -> None:
-        spec = self.graph.task(task_name)
-        if self.release_gate is None or self.release_gate(task_name, self.now):
-            self._release_job(spec, provenance=None)
-        period = 1.0 / self._rates[task_name]
-        next_time = self.now + period
-        if next_time <= self.config.horizon:
+        now = self.now
+        if self.release_gate is None or self.release_gate(task_name, now):
+            # A source job senses the world at its own release instant.
+            self._release_job(self._specs[task_name], {task_name: now})
+        next_time = now + 1.0 / self._rates[task_name]
+        if next_time <= self._horizon:
             self._events.push(next_time, EventKind.SOURCE_RELEASE, task_name)
 
-    def _release_job(
-        self, spec: TaskSpec, provenance: Optional[Dict[str, float]]
-    ) -> Job:
-        ctx = ExecContext(now=self.now, scene_complexity=self.complexity(self.now))
+    def _release_job(self, spec: TaskSpec, provenance: Dict[str, float]) -> Job:
+        now = self.now
+        name = spec.name
+        ctx = ExecContext(now=now, scene_complexity=self.complexity(now))
         exec_time = spec.exec_model.sample(ctx, self.rng)
-        cycle = self._cycles.get(spec.name, 0)
-        self._cycles[spec.name] = cycle + 1
+        cycle = self._cycles.get(name, 0)
+        self._cycles[name] = cycle + 1
         job = Job(
             task=spec,
-            release_time=self.now,
+            release_time=now,
             exec_time=exec_time,
-            provenance=provenance or {},
+            provenance=provenance,
             cycle=cycle,
         )
         self.metrics.on_release(job)
         if self.recorder is not None:
             self.recorder.release(job)
         # Bounded channel: evict the oldest queued job of the same task.
-        victim = self.ready.evict(spec.name, self.config.max_pending_per_task)
+        victim = self.ready.evict(name, self._max_pending)
         if victim is not None:
             victim.state = JobState.MISSED
-            victim.finish_time = self.now
+            victim.finish_time = now
             if self.recorder is not None:
-                self.recorder.drop(victim, self.now, reason="evicted")
+                self.recorder.drop(victim, now, reason="evicted")
             self.metrics.on_miss(victim, dropped=True)
         self.ready.push(job)
         return job
@@ -531,7 +546,7 @@ class RTExecutor:
         if name == "__coordination__":
             self._coordination_step()
             next_time = self.now + self.config.coordination_period
-            if next_time <= self.config.horizon:
+            if next_time <= self._horizon:
                 self._events.push(next_time, EventKind.PERIODIC, ("__coordination__", None))
             return
         assert hook is not None
@@ -539,7 +554,7 @@ class RTExecutor:
         if hook.period <= 0:
             return  # one-shot (see at())
         next_time = self.now + hook.period
-        if next_time <= self.config.horizon:
+        if next_time <= self._horizon:
             self._events.push(next_time, EventKind.PERIODIC, (name, hook))
 
     def _busy_integral(self) -> float:
@@ -592,10 +607,11 @@ class RTExecutor:
         scheduler.on_dispatch_round(now, self.view)
         ranked = scheduler.ranked(queued, now, self.view)
         unit_speedup = self._unit_speedup
+        admits = self._admits
         for proc in free:
             if not queued:
                 break
-            job = ready.pop_best(ranked, lambda j: scheduler.eligible(j, proc))
+            job = ready.pop_best(ranked, admits[proc.index])
             if job is None:
                 continue  # nothing eligible for this (bound/typed) processor
             job.state = JobState.RUNNING

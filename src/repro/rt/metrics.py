@@ -88,25 +88,37 @@ class MetricsRecorder:
         self._total_completed = 0
         self._total_missed = 0
 
-    def _stats(self, name: str) -> TaskStats:
-        stats = self.per_task.get(name)
-        if stats is None:
-            stats = self.per_task[name] = TaskStats()
+    def _first_stats(self, name: str) -> TaskStats:
+        stats = self.per_task[name] = TaskStats()
         return stats
 
     # ------------------------------------------------------------------
     # Event ingestion (called by the executor)
     # ------------------------------------------------------------------
+    # One dict lookup per event.  A task's first event creates its stats on
+    # the KeyError path, so per_task stays in first-seen order.
     def on_release(self, job: Job) -> None:
-        self._stats(job.task.name).released += 1
+        name = job.task.name
+        try:
+            self.per_task[name].released += 1
+        except KeyError:
+            self._first_stats(name).released += 1
 
     def on_complete(self, job: Job) -> None:
-        self._stats(job.task.name).completed += 1
+        name = job.task.name
+        try:
+            self.per_task[name].completed += 1
+        except KeyError:
+            self._first_stats(name).completed += 1
         self._win_completed += 1
         self._total_completed += 1
 
     def on_miss(self, job: Job, dropped: bool) -> None:
-        stats = self._stats(job.task.name)
+        name = job.task.name
+        try:
+            stats = self.per_task[name]
+        except KeyError:
+            stats = self._first_stats(name)
         stats.missed += 1
         if dropped:
             stats.dropped += 1

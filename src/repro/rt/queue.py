@@ -13,7 +13,7 @@ once while nothing can have expired.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence
 
 from .task import Job
 
@@ -79,15 +79,17 @@ class ReadyQueue:
         """
         return self._jobs
 
-    def pop_best(self, ranked: List[Job], eligible: Callable[[Job], bool]) -> Optional[Job]:
-        """Remove (from the queue and ``ranked``) the first job ``eligible`` admits.
+    def pop_best(self, ranked: List[Job], admits: AbstractSet[str]) -> Optional[Job]:
+        """Remove (from the queue and ``ranked``) the first job ``admits`` names.
 
-        ``ranked`` is the round's dispatch order from the scheduler.  The
-        first admitted job of a stable sort is the stable ``min`` over the
+        ``ranked`` is the round's dispatch order from the scheduler, and
+        ``admits`` the names of the tasks the free unit may run (fixed per
+        run by :meth:`~repro.schedulers.base.Scheduler.eligible`).  The first
+        admitted job of a stable sort is the stable ``min`` over the
         admitted jobs, so ties still break toward the earlier release.
         """
         for i, job in enumerate(ranked):
-            if eligible(job):
+            if job.task.name in admits:
                 del ranked[i]
                 self.remove(job)
                 return job

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple, Union
 
@@ -144,7 +145,7 @@ class TaskSpec:
         if self.speedup is not None:
             self.speedup = {str(t): float(v) for t, v in dict(self.speedup).items()}
             for t, v in self.speedup.items():
-                if v <= 0:
+                if not v > 0:  # NaN fails it too
                     raise ValueError(
                         f"task {self.name!r}: speedup for unit type {t!r} "
                         f"must be positive, got {v}"
@@ -154,16 +155,19 @@ class TaskSpec:
                 f"task {self.name!r}: unknown activation {self.activation!r} "
                 f"(supported: {ACTIVATION_MODES})"
             )
-        if self.relative_deadline <= 0:
+        if not self.relative_deadline > 0:  # NaN fails it too
             raise ValueError(
                 f"task {self.name!r}: relative_deadline must be positive, "
                 f"got {self.relative_deadline}"
             )
-        if self.rate is not None and self.rate <= 0:
-            raise ValueError(f"task {self.name!r}: rate must be positive, got {self.rate}")
+        # NaN fails it too; an infinite rate would release forever at one instant.
+        if self.rate is not None and not 0 < self.rate < math.inf:
+            raise ValueError(
+                f"task {self.name!r}: rate must be positive and finite, got {self.rate}"
+            )
         if self.rate_range is not None:
             lo, hi = self.rate_range
-            if lo <= 0 or hi < lo:
+            if not (lo > 0 and hi >= lo):
                 raise ValueError(
                     f"task {self.name!r}: invalid rate_range {self.rate_range}"
                 )

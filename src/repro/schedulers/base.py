@@ -1,10 +1,13 @@
 """Scheduler interface of the scheduling framework.
 
-The executor is policy-agnostic: once per dispatch round it asks the active
-:class:`Scheduler` for the round's dispatch order (:meth:`Scheduler.ranked`,
-by default the ready queue stable-sorted by :meth:`Scheduler.rank`), and once
-per coordination window it hands the scheduler the window's metrics (which
-is where HCPerf's coordinators run).  Baselines only implement :meth:`rank`.
+The executor is policy-agnostic: once per run, after :meth:`Scheduler.prepare`,
+it asks :meth:`Scheduler.eligible` which tasks each unit admits; once per
+dispatch round it asks for the round's dispatch order
+(:meth:`Scheduler.ranked`, by default the ready queue stable-sorted by
+:meth:`Scheduler.rank`); and once per coordination window it hands the
+scheduler the window's metrics (which is where HCPerf's coordinators run).
+A baseline implements :meth:`rank`; when its key depends on the job alone it
+also overrides :meth:`ranked` to sort by that key directly.
 
 Ranking contract: **smaller rank value is dispatched first**, matching the
 paper's convention that a smaller priority value means higher priority.
@@ -16,7 +19,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, cast
 
 from ..rt.metrics import WindowSample
-from ..rt.task import Job
+from ..rt.task import Job, TaskSpec
 from ..rt.taskgraph import TaskGraph
 from ..rt.view import ProcessorState, SystemView
 
@@ -29,10 +32,11 @@ __all__ = ["SystemView", "Scheduler"]
 class Scheduler:
     """Base scheduling policy.
 
-    Subclasses override :meth:`rank`; HCPerf additionally overrides
-    :meth:`on_window` (coordination), :meth:`on_dispatch_round`
-    (γ recomputation before each dispatch decision) and :meth:`ranked`
-    (the round's order from the γ search, without a second sort when it can).
+    Subclasses override :meth:`rank`, and :meth:`ranked` when the order can
+    be computed more cheaply (the baselines sort by a key of the job alone);
+    HCPerf additionally overrides :meth:`on_window` (coordination) and
+    :meth:`on_dispatch_round` (γ recomputation before each dispatch
+    decision), and its :meth:`ranked` reuses the γ search's order.
     """
 
     #: Human-readable policy name, used in reports and experiment tables.
@@ -70,7 +74,9 @@ class Scheduler:
         Called once per dispatch round; ``jobs`` is the queue's live,
         read-only list.  The result is a fresh list, which
         :meth:`~repro.rt.queue.ReadyQueue.pop_best` consumes.  Overrides
-        must return the same order, computed more cheaply.
+        must return the same order, computed more cheaply.  Every shipped
+        policy overrides this, so a subclass that redefines :meth:`rank`
+        redefines this too (or reinstates ``Scheduler.ranked``).
         """
         keys = [self.rank(job, now, view) for job in jobs]
         # sorted() computes each job's key once, in queue order, so the keys
@@ -78,20 +84,24 @@ class Scheduler:
         key = cast("Callable[[Job], float]", partial(next, iter(keys)))
         return sorted(jobs, key=key)
 
-    def eligible(self, job: Job, processor: ProcessorState) -> bool:
-        """Whether ``job`` may be dispatched to ``processor``.
+    def eligible(self, task: TaskSpec, processor: ProcessorState) -> bool:
+        """Whether jobs of ``task`` may be dispatched to ``processor``.
 
-        Each free processor takes the first job of the round's ranking that
-        this admits, so every policy — EDF, HPF, HCPerf and the rest — is
-        affinity-aware on typed :class:`~repro.rt.resources.ProcessorProfile` platforms
-        through this one check.  The base rule admits a job iff the
-        processor satisfies the task's static binding *and* its typed-unit
-        affinity set; policies that want stricter placement (e.g. reserving
-        accelerators) override this, never the other way around — a job
-        must never run on a unit outside its affinity set (pinned by the
-        property suite).
+        Placement is fixed for a run: the executor asks once per (unit,
+        task) pair, right after :meth:`prepare` (so Apollo's bindings are
+        in), and each free processor then takes the first job of the
+        round's ranking whose task it admits.  So every policy — EDF, HPF,
+        HCPerf and the rest — is affinity-aware on typed
+        :class:`~repro.rt.resources.ProcessorProfile` platforms through
+        this one check.  The base rule admits a task iff the processor
+        satisfies its static binding *and* its typed-unit affinity set;
+        policies that want stricter placement (e.g. reserving accelerators)
+        override this, never the other way around — a job must never run
+        on a unit outside its affinity set (pinned by the property suite).
+        Availability is not placement: a failed unit keeps its row and
+        simply takes no job while it is down.
         """
-        return processor.can_run(job.task)
+        return processor.can_run(task)
 
     def on_dispatch_round(self, now: float, view: SystemView) -> None:
         """Called once before each dispatch decision round.

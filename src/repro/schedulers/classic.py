@@ -7,13 +7,17 @@ and the sweep harness can include them).
 
 from __future__ import annotations
 
-from typing import Dict
+import math
+from operator import attrgetter
+from typing import Dict, List, Sequence
 
 from ..rt.task import Job
 from ..rt.taskgraph import TaskGraph
 from .base import Scheduler, SystemView
 
 __all__ = ["RateMonotonicScheduler", "FIFOScheduler"]
+
+_release_time = attrgetter("release_time")
 
 
 class RateMonotonicScheduler(Scheduler):
@@ -37,9 +41,16 @@ class RateMonotonicScheduler(Scheduler):
             name: 1.0 / rate for name, rate in effective_rates(graph).items()
         }
 
-    def rank(self, job: Job, now: float, view: SystemView) -> float:
+    def _key(self, job: Job) -> float:
         # Unknown tasks (never prepared) sort last.
-        return self._period.get(job.task.name, float("inf"))
+        return self._period.get(job.task.name, math.inf)
+
+    def rank(self, job: Job, now: float, view: SystemView) -> float:
+        return self._key(job)
+
+    def ranked(self, jobs: Sequence[Job], now: float, view: SystemView) -> List[Job]:
+        # The key depends on the job alone: no rank() call, with its unused arguments, per job.
+        return sorted(jobs, key=self._key)
 
 
 class FIFOScheduler(Scheduler):
@@ -52,4 +63,8 @@ class FIFOScheduler(Scheduler):
     name = "FIFO"
 
     def rank(self, job: Job, now: float, view: SystemView) -> float:
-        return job.release_time
+        return _release_time(job)
+
+    def ranked(self, jobs: Sequence[Job], now: float, view: SystemView) -> List[Job]:
+        # The key depends on the job alone: sort by it in C, no rank() per job.
+        return sorted(jobs, key=_release_time)

@@ -12,7 +12,7 @@ default derived the usual way when utilization hints are supplied.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..rt.task import Criticality, Job
 from ..rt.taskgraph import TaskGraph
@@ -89,6 +89,13 @@ class EDFVDScheduler(Scheduler):
             for spec in graph
         }
 
+    def _key(self, job: Job) -> float:
+        task = job.task
+        return job.release_time + self._virtual_deadline.get(task.name, task.relative_deadline)
+
     def rank(self, job: Job, now: float, view: SystemView) -> float:
-        vd = self._virtual_deadline.get(job.task.name, job.task.relative_deadline)
-        return job.release_time + vd
+        return self._key(job)
+
+    def ranked(self, jobs: Sequence[Job], now: float, view: SystemView) -> List[Job]:
+        # The key depends on the job alone: no rank() call, with its unused arguments, per job.
+        return sorted(jobs, key=self._key)

@@ -5,11 +5,17 @@ dispatch order (``Scheduler.ranked``), and lets each free processor take the
 first job of that order it may run (``ReadyQueue.pop_best``).  Three oracles
 pin that this changes nothing:
 
-* the ranked walk picks, processor by processor, exactly the job that a
-  per-processor stable ``min(key)`` over the eligible jobs picks — the
-  dispatch rule the walk replaced, re-implemented here;
+* the ranked walk, with each unit's admitted task names decided once by
+  ``Scheduler.eligible(task, processor)``, picks processor by processor
+  exactly the job that a per-processor stable ``min(key)`` over the jobs
+  the policy admits, asked job by job, picks — the dispatch rule the walk
+  replaced, re-implemented here — under the base rule, Apollo's bindings
+  (out-of-range ones included) and a policy that narrows placement, on
+  typed units some of which are unavailable;
 * ``ranked`` is the queue stable-sorted by ``rank``, job for job, for every
-  registered policy (HCPerf after its ``on_dispatch_round``);
+  registered policy (HCPerf after its ``on_dispatch_round``), with exact
+  key ties across tasks and jobs of a task the policy was never prepared
+  with;
 * HCPerf's ``ranked``, which reuses the γ search's passing Eq. (11) sort
   when the applied γ is γ_max, stays that stable sort when ``u`` lies
   above, at or below γ_max or is negative, on queues whose search walks
@@ -33,26 +39,37 @@ from repro.rt import (
     TaskSpec,
 )
 from repro.rt.view import SystemView
-from repro.schedulers import SCHEDULERS, HCPerfConfig, HCPerfScheduler, Scheduler
+from repro.schedulers import (
+    SCHEDULERS,
+    ApolloScheduler,
+    EDFVDScheduler,
+    HCPerfConfig,
+    HCPerfScheduler,
+    Scheduler,
+)
 
 UNIT_TYPES = ("CPU", "GPU")
 AFFINITIES = (None, frozenset({"CPU"}), frozenset({"GPU"}), frozenset(UNIT_TYPES))
 
 
-def stable_min_oracle(jobs, key, free, eligible):
-    """Per free processor: stable ``min(key)`` over the eligible queued jobs."""
+def stable_min_oracle(jobs, key, units, admitted):
+    """Per unit: stable ``min(key)`` over the queued jobs ``admitted(job, unit)``.
+
+    Returns ``(unit index, pick)`` pairs, ``None`` where the unit admits
+    no queued job; stops, like the executor, once the pool is empty.
+    """
     pool = list(jobs)
     picks = []
-    for proc in free:
+    for proc in units:
         if not pool:
             break
-        candidates = [j for j in pool if eligible(j, proc)]
+        candidates = [j for j in pool if admitted(j, proc)]
         if not candidates:
-            picks.append(None)
+            picks.append((proc.index, None))
             continue
         best = min(candidates, key=key)
         pool.remove(best)
-        picks.append(best)
+        picks.append((proc.index, best))
     return picks
 
 
@@ -66,23 +83,46 @@ class Keyed(Scheduler):
         return self._key_of[job.job_id]
 
 
-def ranked_walk(queue, key_of, free, eligible):
+class GPUForFirstTask(Scheduler):
+    """Narrower placement than the base rule: the GPU runs task ``t0`` only."""
+
+    def eligible(self, task, processor):
+        if processor.unit_type == "GPU" and task.name != "t0":
+            return False
+        return super().eligible(task, processor)
+
+
+def placement_table(policy, tasks, units):
+    """The executor's per-run table: unit index -> names of admitted tasks."""
+    return {p.index: frozenset(t.name for t in tasks if policy.eligible(t, p)) for p in units}
+
+
+def ranked_walk(queue, key_of, units, admits):
     """The executor's dispatch round over ``queue`` with fixed keys."""
     ranked = Keyed(key_of).ranked(queue.queued, 0.0, None)
     picks = []
-    for proc in free:
+    for proc in units:
+        if not proc.available:
+            continue  # a failed unit is never free
         if not queue:
             break
-        picks.append(queue.pop_best(ranked, lambda j: eligible(j, proc)))
+        picks.append((proc.index, queue.pop_best(ranked, admits[proc.index])))
     return picks
 
 
 @st.composite
 def dispatch_rounds(draw):
-    """A queue of jobs with duplicate keys, bindings and typed affinities."""
+    """A queue with duplicate keys, bindings, typed affinities and failed units.
+
+    Returns the queue, its keys, the prepared policy, every unit and the
+    units in the round's order.
+    """
     n_procs = draw(st.integers(min_value=1, max_value=4))
     units = draw(st.lists(st.sampled_from(UNIT_TYPES), min_size=n_procs, max_size=n_procs))
-    procs = [ProcessorState(i, unit_type=u) for i, u in enumerate(units)]
+    procs = [
+        ProcessorState(i, unit_type=u, available=draw(st.booleans()) or i == 0)
+        for i, u in enumerate(units)
+    ]
     n_tasks = draw(st.integers(min_value=1, max_value=5))
     tasks = [
         TaskSpec(
@@ -90,13 +130,23 @@ def dispatch_rounds(draw):
             priority=draw(st.integers(min_value=0, max_value=3)),
             relative_deadline=0.1,
             exec_model=ConstantExecTime(0.01),
-            # Apollo-style static binding, sometimes to a processor that
-            # is not free this round (or does not exist).
-            processor_binding=draw(st.one_of(st.none(), st.integers(0, 4))),
+            rate=10.0,
+            # Static binding, sometimes to a processor that is not free this
+            # round or does not exist (Apollo wraps those modulo the units).
+            processor_binding=draw(st.one_of(st.none(), st.integers(0, 5))),
             affinity=draw(st.sampled_from(AFFINITIES)),
         )
         for i in range(n_tasks)
     ]
+    policy = draw(
+        st.sampled_from(
+            [Scheduler, ApolloScheduler, lambda: ApolloScheduler(False), GPUForFirstTask]
+        )
+    )()
+    graph = TaskGraph()
+    for spec in tasks:
+        graph.add_task(spec)
+    policy.prepare(graph, n_procs)
     queue = ReadyQueue()
     keys = []
     for spec in draw(st.lists(st.sampled_from(tasks), max_size=12)):
@@ -104,18 +154,29 @@ def dispatch_rounds(draw):
         # Few distinct keys, so ties are common.
         keys.append(draw(st.sampled_from([-1.0, 0.0, 0.5, 0.5, 2.0])))
     order = draw(st.permutations(procs))
-    return queue, keys, order[: draw(st.integers(1, n_procs))]
+    return queue, keys, policy, procs, order[: draw(st.integers(1, n_procs))]
 
 
 @settings(max_examples=300, deadline=None)
 @given(dispatch_rounds())
 def test_ranked_walk_matches_per_processor_stable_min(round_):
-    queue, keys, free = round_
+    queue, keys, policy, procs, order = round_
     key_of = {job.job_id: k for job, k in zip(queue, keys)}
-    eligible = Scheduler().eligible
-    expected = stable_min_oracle(list(queue.queued), lambda j: key_of[j.job_id], free, eligible)
-    assert ranked_walk(queue, key_of, free, eligible) == expected
-    assert all(job not in queue for job in expected if job is not None)
+    tasks = {job.task.name: job.task for job in queue}.values()
+    admits = placement_table(policy, tasks, procs)
+    free = [p for p in order if p.available]
+    expected = stable_min_oracle(
+        list(queue.queued),
+        lambda j: key_of[j.job_id],
+        free,
+        lambda j, p: policy.eligible(j.task, p),
+    )
+    assert ranked_walk(queue, key_of, order, admits) == expected
+    picked = [(procs[i], job) for i, job in expected if job is not None]
+    assert all(job not in queue for _, job in picked)
+    # Placement never widens the base rule: no job lands outside its
+    # task's binding or affinity set.
+    assert all(proc.can_run(job.task) for proc, job in picked)
 
 
 # ----------------------------------------------------------------------
@@ -130,23 +191,50 @@ def same_jobs(got, expected):
     return [id(j) for j in got] == [id(j) for j in expected]
 
 
+LIDAR_D = 0.125
+#: Release instants drawn for the queue.  Every deadline below is a multiple
+#: of 1/64 s too, so sums are exact and deadlines tie across tasks.
+RELEASE_POOL = (0.0, 0.03125, 0.0625, 0.09375, 0.125)
+#: A task no policy is prepared with: ranked through the ``.get`` fallbacks.
+STRAY = TaskSpec("stray", priority=2, relative_deadline=0.125, exec_model=ConstantExecTime(0.01))
+
+
 def small_graph():
+    """Four tasks; ``cam`` and ``lidar`` share a priority, and ``control``'s
+    deadline is exactly ``lidar``'s EDF-VD virtual deadline."""
     g = TaskGraph()
-    g.add_task(TaskSpec("cam", priority=3, relative_deadline=0.08,
+    g.add_task(TaskSpec("cam", priority=2, relative_deadline=0.0625,
                         exec_model=ConstantExecTime(0.01), rate=20.0,
                         rate_range=(10.0, 30.0)))
-    g.add_task(TaskSpec("lidar", priority=2, relative_deadline=0.1,
+    g.add_task(TaskSpec("lidar", priority=2, relative_deadline=LIDAR_D,
                         exec_model=ConstantExecTime(0.02), rate=10.0,
                         criticality=Criticality.HIGH))
-    g.add_task(TaskSpec("fusion", priority=1, relative_deadline=0.12,
+    g.add_task(TaskSpec("fusion", priority=1, relative_deadline=0.1875,
                         exec_model=ConstantExecTime(0.015),
                         criticality=Criticality.HIGH))
-    g.add_task(TaskSpec("control", priority=0, relative_deadline=0.05,
+    g.add_task(TaskSpec("control", priority=0, relative_deadline=EDFVDScheduler().x * LIDAR_D,
                         exec_model=ConstantExecTime(0.005)))
     g.add_edge("cam", "fusion")
     g.add_edge("lidar", "fusion")
     g.add_edge("fusion", "control")
     return g
+
+
+def test_small_graph_ties_keys_across_tasks():
+    """The ties the oracle below relies on exist, exactly."""
+    graph = small_graph()
+    deadlines = {}
+    for spec in graph:
+        for release in RELEASE_POOL:
+            deadlines.setdefault(release + spec.relative_deadline, set()).add(spec.name)
+    # cam and fusion, of different priorities, tie on their deadlines.
+    assert any({"cam", "fusion"} <= names for names in deadlines.values())
+    edf_vd = EDFVDScheduler()
+    edf_vd.prepare(graph, 2)
+    lidar, control = (Job(task=graph.task(n), release_time=0.0625, exec_time=0.01)
+                      for n in ("lidar", "control"))
+    assert edf_vd.rank(lidar, 0.0, None) == edf_vd.rank(control, 0.0, None)
+    assert graph.task("cam").priority == graph.task("lidar").priority
 
 
 def make_policy(name, u):
@@ -155,15 +243,15 @@ def make_policy(name, u):
     return SCHEDULERS[name]()
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(
     name=st.sampled_from(sorted(SCHEDULERS)),
     u=st.floats(min_value=0.0, max_value=0.05),
     now=st.floats(min_value=0.0, max_value=1.0),
     releases=st.lists(
         st.tuples(
-            st.sampled_from(["cam", "lidar", "fusion", "control"]),
-            st.floats(min_value=0.0, max_value=1.0),
+            st.sampled_from(["cam", "lidar", "fusion", "control", STRAY.name]),
+            st.sampled_from(RELEASE_POOL),
             st.floats(min_value=0.0, max_value=0.05),
         ),
         max_size=10,
@@ -175,6 +263,8 @@ def make_policy(name, u):
 )
 def test_ranked_is_the_stable_sort_by_rank(name, u, now, releases, observed):
     graph = small_graph()
+    specs = {spec.name: spec for spec in graph}
+    specs[STRAY.name] = STRAY
     n_procs = 2
     policy = make_policy(name, u)
     policy.prepare(graph, n_procs)
@@ -183,7 +273,7 @@ def test_ranked_is_the_stable_sort_by_rank(name, u, now, releases, observed):
         observer.observe(task, value)
     queue = ReadyQueue()
     for task, release, exec_time in releases:
-        queue.push(Job(task=graph.task(task), release_time=release, exec_time=exec_time))
+        queue.push(Job(task=specs[task], release_time=release, exec_time=exec_time))
     view = SystemView(
         graph=graph,
         ready=queue,

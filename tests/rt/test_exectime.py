@@ -1,5 +1,6 @@
 """Unit and property tests for execution-time models."""
 
+import math
 import random
 
 import pytest
@@ -141,6 +142,12 @@ class TestStep:
     def test_invalid_window(self):
         with pytest.raises(ValueError):
             StepExecTime(ConstantExecTime(0.01), ConstantExecTime(0.02), t_on=5.0, t_off=1.0)
+
+    @pytest.mark.parametrize("t_on, t_off", [(math.nan, 1.0), (0.0, math.nan)])
+    def test_nan_window_rejected(self, t_on, t_off):
+        # ``t_off < t_on`` is false for NaN, and the window then never opened.
+        with pytest.raises(ValueError, match="t_off must be >= t_on"):
+            StepExecTime(ConstantExecTime(0.002), ConstantExecTime(0.02), t_on=t_on, t_off=t_off)
 
 
 class TestObserver:

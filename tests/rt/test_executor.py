@@ -368,6 +368,49 @@ class TestHotPathInvariants:
                 speedups.add(want)
         assert speedups == {1.0, 3.0}  # a typed platform, not the identity one
 
+    def test_placement_is_decided_once_per_unit_and_task(self):
+        # A policy that reserves the GPU for one task: eligible() is asked
+        # once per (unit, task) pair, after prepare(), and no job ever runs
+        # on a unit that does not admit its task.
+        from repro.workloads.profiles import full_task_graph
+
+        reserved = "camera_object_detection"
+
+        class ReservedGPU(EDFScheduler):
+            def __init__(self):
+                self.prepared = False
+                self.asked = []
+
+            def prepare(self, graph, n_processors):
+                self.prepared = True
+
+            def eligible(self, task, processor):
+                assert self.prepared, "placement asked before prepare()"
+                self.asked.append((processor.index, task.name))
+                if processor.unit_type == "GPU" and task.name != reserved:
+                    return False
+                return super().eligible(task, processor)
+
+        g = full_task_graph()
+        policy = ReservedGPU()
+        ex = RTExecutor(g, policy, SimConfig(processor_profile="2xCPU+1xGPU@3", horizon=2.0))
+        released = []
+        on_release = ex.metrics.on_release
+
+        def spy(job):
+            released.append(job)
+            on_release(job)
+
+        ex.metrics.on_release = spy
+        ex.run()
+        pairs = [(p.index, t.name) for p in ex.processors for t in g]
+        assert sorted(policy.asked) == sorted(pairs) and len(policy.asked) == 3 * 23
+        ran = [job for job in released if job.processor is not None]
+        on_gpu = {job.task.name for job in ran if job.unit == "GPU"}
+        assert on_gpu == {reserved}
+        assert {job.task.name for job in ran if job.unit == "CPU"} >= {t.name for t in g} - on_gpu
+        assert all(ex.processors[job.processor].unit_type == job.unit for job in ran)
+
     @pytest.mark.parametrize("activation", ["all-inputs", "newest-only"])
     def test_provenance_survives_successor_releases(self, activation):
         # Successors share a completed job's provenance instead of copying

@@ -1,16 +1,18 @@
 """Unit tests for the ready queue."""
 
 from repro.rt import ConstantExecTime, Job, ProcessorState, ReadyQueue, TaskSpec
+from repro.schedulers import Scheduler
 
 
-def runs_on(index):
-    """The executor's eligibility filter for processor ``index``."""
+def runs_on(q, index):
+    """Processor ``index``'s row of the executor's placement table, over
+    the tasks queued in ``q``: the names ``Scheduler.eligible`` admits."""
     proc = ProcessorState(index=index)
-    return lambda j: proc.can_run(j.task)
+    return frozenset(j.task.name for j in q if Scheduler().eligible(j.task, proc))
 
 
-def anywhere(job):
-    return True
+def anywhere(q):
+    return frozenset(j.task.name for j in q)
 
 
 def ranked(q, key):
@@ -55,7 +57,7 @@ class TestPopBest:
         q.push(hi)
         q.push(lo)
         order = ranked(q, lambda j: j.task.priority)
-        picked = q.pop_best(order, anywhere)
+        picked = q.pop_best(order, anywhere(q))
         assert picked is lo
         assert hi in q and order == [hi]
 
@@ -65,10 +67,10 @@ class TestPopBest:
         second = job("second", priority=2)
         q.push(first)
         q.push(second)
-        assert q.pop_best(ranked(q, lambda j: j.task.priority), anywhere) is first
+        assert q.pop_best(ranked(q, lambda j: j.task.priority), anywhere(q)) is first
 
     def test_pop_best_empty_returns_none(self):
-        assert ReadyQueue().pop_best([], anywhere) is None
+        assert ReadyQueue().pop_best([], frozenset()) is None
 
     def test_pop_best_respects_binding(self):
         q = ReadyQueue()
@@ -78,16 +80,17 @@ class TestPopBest:
         q.push(free)
         # Processor 1 cannot run the bound job even though it ranks better.
         order = ranked(q, lambda j: j.task.priority)
-        picked = q.pop_best(order, runs_on(1))
+        on_0, on_1 = runs_on(q, 0), runs_on(q, 1)
+        picked = q.pop_best(order, on_1)
         assert picked is free
         # Processor 0 may run it.
-        picked0 = q.pop_best(order, runs_on(0))
+        picked0 = q.pop_best(order, on_0)
         assert picked0 is bound
 
     def test_pop_best_no_eligible_returns_none(self):
         q = ReadyQueue()
         q.push(job("bound", binding=0))
-        assert q.pop_best(list(q), runs_on(3)) is None
+        assert q.pop_best(list(q), runs_on(q, 3)) is None
         assert len(q) == 1
 
 
@@ -98,8 +101,8 @@ class TestEligible:
         b = job("b", binding=2)
         q.push(a)
         q.push(b)
-        assert [j for j in q if runs_on(2)(j)] == [a, b]
-        assert [j for j in q if runs_on(0)(j)] == [a]
+        assert runs_on(q, 2) == {"a", "b"}
+        assert runs_on(q, 0) == {"a"}
 
 
 class TestDropExpired:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rt import ConstantExecTime, Job, ProcessorState, ReadyQueue, TaskSpec
+from repro.schedulers import Scheduler
 
 TASKS = [
     TaskSpec(f"t{i}", priority=i, relative_deadline=d, exec_model=ConstantExecTime(0.01),
@@ -67,7 +68,8 @@ def test_bookkeeping_matches_brute_force(data):
             order = draw(st.permutations(shadow))
             proc = ProcessorState(draw(st.integers(min_value=0, max_value=2)))
             eligible = [j for j in order if proc.can_run(j.task)]
-            picked = queue.pop_best(list(order), lambda j: proc.can_run(j.task))
+            admits = frozenset(t.name for t in TASKS if Scheduler().eligible(t, proc))
+            picked = queue.pop_best(list(order), admits)
             assert picked is (eligible[0] if eligible else None)
             if picked is not None:
                 shadow.remove(picked)

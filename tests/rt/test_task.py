@@ -1,5 +1,6 @@
 """Unit tests for the task/job model."""
 
+import math
 
 import pytest
 
@@ -43,6 +44,29 @@ class TestTaskSpec:
             make_spec(rate=10.0, rate_range=(0.0, 20.0))
         with pytest.raises(ValueError, match="rate_range"):
             make_spec(rate=10.0, rate_range=(20.0, 10.0))
+
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("relative_deadline", dict(relative_deadline=math.nan)),
+            ("rate", dict(rate=math.nan)),
+            ("rate_range", dict(rate=10.0, rate_range=(math.nan, 20.0))),
+            ("rate_range", dict(rate=10.0, rate_range=(5.0, math.nan))),
+            ("speedup", dict(speedup={"GPU": math.nan})),
+        ],
+        ids=["relative_deadline", "rate", "rate_range_lo", "rate_range_hi", "speedup"],
+    )
+    def test_nan_rejected(self, field, kwargs):
+        # Each check used to be written ``x <= 0``, which NaN passes: a NaN
+        # rate silenced its source after one release, a NaN deadline passed
+        # every Eq. (11) comparison.
+        with pytest.raises(ValueError, match=field):
+            make_spec(**kwargs)
+
+    def test_infinite_rate_rejected(self):
+        # A period of 0 s: the source released forever at t = 0 and the run hung.
+        with pytest.raises(ValueError, match="finite"):
+            make_spec(rate=math.inf)
 
     def test_rate_outside_range_rejected(self):
         with pytest.raises(ValueError, match="outside range"):
