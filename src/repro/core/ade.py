@@ -13,6 +13,7 @@ quadrature over the recorded (possibly irregularly spaced) samples.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, List, Tuple
 
@@ -41,8 +42,8 @@ class AlgebraicDifferentiator:
     """
 
     def __init__(self, window: float = 1.0) -> None:
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
+        if not 0 < window < math.inf:  # NaN fails it too
+            raise ValueError(f"window must be positive and finite, got {window}")
         self.window = window
         self._samples: Deque[Tuple[float, float]] = deque()
 

@@ -24,18 +24,24 @@ dispatcher does with ties, and it keeps the test sound (DESIGN.md §2).
 ``[0, gamma_cap]`` that passes Eq. (11).  One search finds it, and
 :func:`_eq11_holds` is the only evaluation of Eq. (11):
 
-1. Each queued job becomes one ``(p_i, slack_i, c_i, D_i − now, job)``
-   tuple, with a single ``estimate(task_name, exec_time)`` call per job per search.
-2. Early exit: if some job fails ``c_i + ΣT_p/n_p >= D_i − now`` with
-   nothing queued ahead of it, no γ is feasible and the search returns
-   ``None``.  This is exact because estimates are non-negative (``Job``
-   and the observer reject a negative or NaN time, and the observer
-   averages the ones it takes): the backlog ahead of a job is a sum of
-   non-negative terms, and adding a non-negative float never lowers a sum,
-   so the job fails at every γ.
-3. Otherwise the top point ``gamma_cap`` is tested.  If it fails, the grid
-   is walked down from the top, testing only the points where the key
-   order may change (:func:`_breakpoints`).
+1. One pass over the queue (:func:`_table`) builds everything the search
+   needs: each job's ``(p_i, slack_i, c_i, D_i − now, job)`` tuple, with a
+   single ``estimate(task_name, exec_time)`` call per job per search; its
+   key ``γ_top·p_i + slack_i`` at the top grid point ``γ_top``; and the
+   early-exit verdict.
+2. Early exit, before any sort: if some job fails ``c_i + ΣT_p/n_p >=
+   D_i − now`` with nothing queued ahead of it, no γ is feasible and the
+   search returns ``None``.  This is exact because estimates are
+   non-negative (``Job`` and the observer reject a negative or NaN time,
+   and the observer averages the ones it takes): the backlog ahead of a job
+   is a sum of non-negative terms, and adding a non-negative float never
+   lowers a sum, so the job fails at every γ.
+3. Otherwise the top point is tested with the keys of step 1; a single
+   queued job has nothing ahead of it, so step 2 already passed it there
+   and nothing is sorted.  If the top point fails, the grid is walked down
+   from the top, testing only the points where the key order may change
+   (:func:`_breakpoints`); the walk computes each point's keys afresh and
+   tests neither the early exit nor the top point again.
 
 γ enters Eq. (11) only through the stable order of the keys: ``c``,
 ``ΣT_p``, the sums ahead and ``D − now`` do not depend on it.  So the
@@ -98,10 +104,10 @@ class DynamicPriorityConfig:
     resolution: int = 64
 
     def __post_init__(self) -> None:
-        if self.gamma_cap < 0:
-            raise ValueError("gamma_cap must be >= 0")
-        if self.resolution < 2:
-            raise ValueError("resolution must be >= 2")
+        if not 0 <= self.gamma_cap < math.inf:  # NaN fails it too
+            raise ValueError(f"gamma_cap must be >= 0 and finite, got {self.gamma_cap}")
+        if not isinstance(self.resolution, int) or self.resolution < 2:
+            raise ValueError(f"resolution must be an int >= 2, got {self.resolution!r}")
 
 
 @dataclass(slots=True)
@@ -123,33 +129,49 @@ class GammaSearchResult:
         return self.gamma_max is not None
 
 
-def _entries(jobs: Sequence[Job], now: float, estimate: Estimator) -> List[_Entry]:
-    """Per-job ``(p_i, slack_i, c_i, D_i − now, job)``, one estimate per job.
+def _table(
+    jobs: Sequence[Job], now: float, estimate: Estimator, gamma: float, base: float
+) -> Tuple[List[_Entry], List[float], bool]:
+    """The search's per-job table, its keys at ``gamma`` and the early-exit
+    verdict, in one pass over the queue.
 
-    ``slack_i`` is ``latest_start(c_i) - now`` operation for operation:
-    ``(release + D) - c_i - now``.
+    Each job gives ``(p_i, slack_i, c_i, D_i − now, job)`` from one estimate,
+    with ``slack_i`` equal to ``latest_start(c_i) - now`` operation for
+    operation: ``(release + D) - c_i - now``.  Its key is ``rank``'s
+    ``γ·p_i + slack_i``.  The verdict is ``True`` when some job fails Eq. (11)
+    with nothing ahead of it, ``c_i + base >= D_i − now`` with ``base`` the
+    ``ΣT_p / n_p`` of the round; no γ can then pass (module docstring).
     """
-    entries = []
+    entries: List[_Entry] = []
+    keys: List[float] = []
+    doomed = False
     for job in jobs:
-        est = estimate(job.task.name, job.exec_time)
+        task = job.task
+        c = estimate(task.name, job.exec_time)
         deadline = job.absolute_deadline
-        entries.append((job.task.priority, (deadline - est) - now, est, deadline - now, job))
-    return entries
+        p = task.priority
+        slack = (deadline - c) - now
+        rem = deadline - now
+        entries.append((p, slack, c, rem, job))
+        keys.append(gamma * p + slack)
+        if c + base >= rem:
+            doomed = True
+    return entries, keys, doomed
 
 
 def _eq11_holds(
-    gamma: float, entries: List[_Entry], base: float, n_p: int
+    entries: List[_Entry], keys: List[float], base: float, n_p: int
 ) -> Optional[List[_Entry]]:
     """The Eq. (11) constraint set at one γ: the tested order, or ``None``.
 
-    Jobs are ranked by ``P_i`` (stable, so ties keep queue order), and every
-    job before ``j`` in that order counts toward ``j``'s backlog, which is
-    then a prefix sum: the test is O(n log n).  ``base`` is ``ΣT_p / n_p``.
-    When every constraint holds, the entries come back in that ``P_i``
-    order: the keys are ``rank``'s at this γ, bit for bit, so it is the
-    dispatch order of a round that applies this γ.
+    ``keys`` are the entries' ``γ·p_i + slack_i`` at that γ.  Jobs are ranked
+    by them (stable, so ties keep queue order), and every job before ``j``
+    in that order counts toward ``j``'s backlog, which is then a prefix sum:
+    the test is O(n log n).  ``base`` is ``ΣT_p / n_p``.  When every
+    constraint holds, the entries come back in that ``P_i`` order: the keys
+    are ``rank``'s at this γ, bit for bit, so it is the dispatch order of a
+    round that applies this γ.
     """
-    keys = [gamma * p + slack for p, slack, _, _, _ in entries]
     # sorted() computes each entry's key once, in order: draw them off an iterator.
     ranked = sorted(entries, key=partial(next, iter(keys)))
     ahead = 0.0
@@ -287,8 +309,9 @@ class DynamicPriorityPolicy:
         if not jobs:
             return True
         n_p = max(1, n_processors)
-        entries = _entries(jobs, now, estimate)
-        return _eq11_holds(gamma, entries, busy_remaining / n_p, n_p) is not None
+        base = busy_remaining / n_p
+        entries, keys, doomed = _table(jobs, now, estimate, gamma, base)
+        return not doomed and _eq11_holds(entries, keys, base, n_p) is not None
 
     def gamma_max(
         self,
@@ -306,12 +329,12 @@ class DynamicPriorityPolicy:
         paper's "allowable range [0, γ_max]" faithfully for practical
         queues.
         """
-        return self._search(_entries(jobs, now, estimate), busy_remaining, n_processors)[0]
+        return self.resolve(0.0, jobs, now, estimate, busy_remaining, n_processors).gamma_max
 
     def _search(
-        self, entries: List[_Entry], busy_remaining: float, n_processors: int
+        self, entries: List[_Entry], top_keys: List[float], doomed: bool, base: float, n_p: int
     ) -> Tuple[Optional[float], Optional[List[_Entry]]]:
-        """The γ_max grid search over an already built per-job table.
+        """The γ_max grid search over what :func:`_table` built at the top point.
 
         Returns ``(γ_max, order)``: ``order`` is what :func:`_eq11_holds`
         returned at ``γ_max``, and both are ``None`` when no point passes.
@@ -319,22 +342,21 @@ class DynamicPriorityPolicy:
         cfg = self.config
         if not entries:
             return cfg.gamma_cap, []
-        n_p = max(1, n_processors)
-        base = busy_remaining / n_p
-        # Exact early exit (module docstring): a job that misses with an
-        # empty backlog ahead of it misses at every γ.
-        for _, _, c, rem, _ in entries:
-            if c + base >= rem:
-                return None, None
+        if doomed:
+            return None, None
         top = cfg.resolution - 1
         step = cfg.gamma_cap / top
-        order = _eq11_holds(top * step, entries, base, n_p)
+        if len(entries) == 1:
+            return top * step, entries  # Eq. (11) for one job is the early-exit test
+        order = _eq11_holds(entries, top_keys, base, n_p)
         if order is not None:
             return top * step, order
         for k in _breakpoints(entries, top, step):
-            order = _eq11_holds(k * step, entries, base, n_p)
+            gamma = k * step
+            keys = [gamma * p + slack for p, slack, _, _, _ in entries]
+            order = _eq11_holds(entries, keys, base, n_p)
             if order is not None:
-                return k * step, order
+                return gamma, order
         return None, None
 
     # ------------------------------------------------------------------
@@ -365,7 +387,11 @@ class DynamicPriorityPolicy:
         n_processors: int,
     ) -> GammaSearchResult:
         """Full §V pipeline: search γ_max, clamp u, flag overload."""
-        entries = _entries(jobs, now, estimate)
-        gmax, order = self._search(entries, busy_remaining, n_processors)
+        cfg = self.config
+        n_p = max(1, n_processors)
+        base = busy_remaining / n_p
+        top = cfg.resolution - 1
+        entries, keys, doomed = _table(jobs, now, estimate, top * (cfg.gamma_cap / top), base)
+        gmax, order = self._search(entries, keys, doomed, base, n_p)
         gamma = self.clamp_gamma(u, gmax)
         return GammaSearchResult(gmax, gamma, gmax is None, entries, order)

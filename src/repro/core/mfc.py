@@ -22,6 +22,7 @@ put and the scheduler favours earliest-deadline tasks (throughput).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,12 +55,15 @@ class MFCConfig:
     u_initial: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.alpha >= 0:
-            raise ValueError(f"alpha must be negative, got {self.alpha}")
-        if self.feedback_gain >= 0:
-            raise ValueError(f"feedback_gain must be negative, got {self.feedback_gain}")
-        if self.ade_window <= 0:
-            raise ValueError("ade_window must be positive")
+        # The chained comparisons fail for NaN too.
+        if not -math.inf < self.alpha < 0:
+            raise ValueError(f"alpha must be negative and finite, got {self.alpha}")
+        if not -math.inf < self.feedback_gain < 0:
+            raise ValueError(
+                f"feedback_gain must be negative and finite, got {self.feedback_gain}"
+            )
+        if not 0 < self.ade_window < math.inf:
+            raise ValueError(f"ade_window must be positive and finite, got {self.ade_window}")
 
 
 class ModelFreeController:

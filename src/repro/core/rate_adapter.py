@@ -20,6 +20,7 @@ slowest predecessor, so rates move together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -68,18 +69,22 @@ class RateAdapterConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.target_miss_ratio <= 1.0):
             raise ValueError("target_miss_ratio must be in [0, 1]")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.kp_initial < 0:
-            raise ValueError("kp_initial must be >= 0")
+        # The chained comparisons fail for NaN too.
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not 0 <= self.kp_initial < math.inf:
+            raise ValueError(f"kp_initial must be >= 0 and finite, got {self.kp_initial}")
         if not (0.0 <= self.kp_decay <= 1.0):
             raise ValueError("kp_decay must be in [0, 1]")
         if not (0.0 < self.utilization_bound <= 1.0):
             raise ValueError("utilization_bound must be in (0, 1]")
-        if self.kp_floor < 0:
-            raise ValueError("kp_floor must be >= 0")
-        if self.drift_reset_threshold <= 0:
-            raise ValueError("drift_reset_threshold must be positive")
+        if not 0 <= self.kp_floor < math.inf:
+            raise ValueError(f"kp_floor must be >= 0 and finite, got {self.kp_floor}")
+        # +inf is allowed: the gain then never resets.
+        if not self.drift_reset_threshold > 0:
+            raise ValueError(
+                f"drift_reset_threshold must be positive, got {self.drift_reset_threshold}"
+            )
 
 
 class TaskRateAdapter:
@@ -103,7 +108,7 @@ class TaskRateAdapter:
 
     def set_rate_range(self, task_name: str, lo: float, hi: float) -> None:
         """Register/replace the allowable range of one source task."""
-        if lo <= 0 or hi < lo:
+        if not 0 < lo <= hi < math.inf:  # NaN fails it too
             raise ValueError(f"invalid rate range [{lo}, {hi}] for {task_name!r}")
         self.rate_ranges[task_name] = (lo, hi)
 

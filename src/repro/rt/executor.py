@@ -185,6 +185,8 @@ class RTExecutor:
         self.now = 0.0
         self.rng = random.Random(self.config.seed)
         self.ready = ReadyQueue()
+        # The queue's live list (never rebound), read on every event.
+        self._queued = self.ready.queued
         self.metrics = MetricsRecorder()
         self.observer = ExecTimeObserver(
             alpha=self.config.observer_alpha, drift_alpha=self.config.drift_alpha
@@ -195,6 +197,9 @@ class RTExecutor:
             ProcessorState(i, unit_type=u.type, speedup=u.speedup)
             for i, u in enumerate(self.profile.units)
         ]
+        #: Units running no job, failed ones included: kept at dispatch,
+        #: finish and kill, so a round with none skips the free-unit scan.
+        self._idle = len(self.processors)
         # Identity platforms must stay byte-identical to the pre-typed
         # model, so unit tags only enter recordings when the profile is
         # genuinely typed (gate on is_identity, not on profile presence).
@@ -334,6 +339,7 @@ class RTExecutor:
         # The stale JOB_FINISH event in the heap is ignored by the
         # `proc.job is job` guard in _handle_finish.
         proc.job = None
+        self._idle += 1
         proc.busy_time_total += max(0.0, self.now - (victim.start_time or self.now))
         proc.busy_until = self.now
         victim.state = JobState.MISSED
@@ -440,29 +446,23 @@ class RTExecutor:
     def _release_job(self, spec: TaskSpec, provenance: Dict[str, float]) -> Job:
         now = self.now
         name = spec.name
-        ctx = ExecContext(now=now, scene_complexity=self.complexity(now))
-        exec_time = spec.exec_model.sample(ctx, self.rng)
+        # Positional: on Python 3.11 keyword calls take 1.7x as long for both
+        # constructors (leading field order pinned by tests/rt/test_task.py).
+        exec_time = spec.exec_model.sample(ExecContext(now, self.complexity(now)), self.rng)
         cycle = self._cycles.get(name, 0)
         self._cycles[name] = cycle + 1
-        job = Job(
-            task=spec,
-            release_time=now,
-            exec_time=exec_time,
-            provenance=provenance,
-            cycle=cycle,
-        )
+        job = Job(spec, now, exec_time, provenance, cycle)
         self.metrics.on_release(job)
         if self.recorder is not None:
             self.recorder.release(job)
-        # Bounded channel: evict the oldest queued job of the same task.
-        victim = self.ready.evict(name, self._max_pending)
+        # Bounded channel: the push evicts the oldest queued job of the same task.
+        victim = self.ready.push(job, self._max_pending)
         if victim is not None:
             victim.state = JobState.MISSED
             victim.finish_time = now
             if self.recorder is not None:
                 self.recorder.drop(victim, now, reason="evicted")
             self.metrics.on_miss(victim, dropped=True)
-        self.ready.push(job)
         return job
 
     def _handle_finish(self, payload: Tuple[int, Job]) -> None:
@@ -473,6 +473,7 @@ class RTExecutor:
             # accounted as a dropped miss when the processor was unplugged.
             return
         proc.job = None
+        self._idle += 1
         # Busy time and the execution-time observer account the *wall*
         # duration on the dispatched unit (speedup-scaled); identical to
         # exec_time on the homogeneous platform.
@@ -596,8 +597,8 @@ class RTExecutor:
                 if self.recorder is not None:
                     self.recorder.drop(job, now, reason="expired")
                 self.metrics.on_miss(job, dropped=True)
-        queued = ready.queued
-        if not queued:
+        queued = self._queued
+        if not queued or not self._idle:
             return
         free = [p for p in self.processors if p.job is None and p.available]
         if not free:
@@ -623,6 +624,7 @@ class RTExecutor:
             # keeping identity platforms byte-identical to the scalar model).
             job.unit_exec_time = wall = job.exec_time / unit_speedup[proc.index][job.task.name]
             proc.job = job
+            self._idle -= 1
             proc.busy_until = now + wall
             self._events.push(proc.busy_until, EventKind.JOB_FINISH, (proc.index, job))
 

@@ -13,6 +13,7 @@ once while nothing can have expired.
 
 from __future__ import annotations
 
+import math
 from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence
 
 from .task import Job
@@ -34,13 +35,27 @@ class ReadyQueue:
         # removal keeps it (still a lower bound), a sweep makes it exact.
         self._watermark = float("inf")
 
-    def push(self, job: Job) -> None:
-        """Add a released job to the pool."""
-        self._jobs.append(job)
+    def push(self, job: Job, limit: float = math.inf) -> Optional[Job]:
+        """Add a released job to the pool; return the job it evicts, if any.
+
+        Bounded channel: when ``limit`` jobs of the same task are already
+        queued, the oldest of them leaves the queue and comes back (the
+        executor counts it as a miss); otherwise the result is ``None``.
+        """
+        jobs = self._jobs
         name = job.task.name
-        self._per_task[name] = self._per_task.get(name, 0) + 1
-        if job.absolute_deadline < self._watermark:
-            self._watermark = job.absolute_deadline
+        count = self._per_task.get(name, 0)
+        victim: Optional[Job] = None
+        if count >= limit:
+            victim = next(j for j in jobs if j.task.name == name)
+            jobs.remove(victim)
+        else:
+            self._per_task[name] = count + 1
+        jobs.append(job)
+        deadline = job.absolute_deadline
+        if deadline < self._watermark:
+            self._watermark = deadline
+        return victim
 
     def remove(self, job: Job) -> None:
         """Remove a specific job (after dispatch or drop)."""
@@ -50,15 +65,6 @@ class ReadyQueue:
     def count(self, task_name: str) -> int:
         """Number of queued jobs of ``task_name``."""
         return self._per_task.get(task_name, 0)
-
-    def evict(self, task_name: str, limit: int) -> Optional[Job]:
-        """Bounded channel: remove and return the oldest job of ``task_name``
-        when ``limit`` of them are queued, else ``None``."""
-        if self._per_task.get(task_name, 0) < limit:
-            return None
-        victim = next(j for j in self._jobs if j.task.name == task_name)
-        self.remove(victim)
-        return victim
 
     def __len__(self) -> int:
         return len(self._jobs)

@@ -8,8 +8,9 @@ and the sweep harness can include them).
 from __future__ import annotations
 
 import math
+from functools import partial
 from operator import attrgetter
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence, cast
 
 from ..rt.task import Job
 from ..rt.taskgraph import TaskGraph
@@ -41,16 +42,20 @@ class RateMonotonicScheduler(Scheduler):
             name: 1.0 / rate for name, rate in effective_rates(graph).items()
         }
 
-    def _key(self, job: Job) -> float:
+    def _keys(self, jobs: Sequence[Job]) -> List[float]:
+        """Each job's effective period, in one comprehension."""
+        period = self._period
         # Unknown tasks (never prepared) sort last.
-        return self._period.get(job.task.name, math.inf)
+        return [period.get(j.task.name, math.inf) for j in jobs]
 
     def rank(self, job: Job, now: float, view: SystemView) -> float:
-        return self._key(job)
+        return self._keys((job,))[0]
 
     def ranked(self, jobs: Sequence[Job], now: float, view: SystemView) -> List[Job]:
-        # The key depends on the job alone: no rank() call, with its unused arguments, per job.
-        return sorted(jobs, key=self._key)
+        # The key depends on the job alone: compute them all at once, then
+        # let sorted() draw each off an iterator (it asks in queue order).
+        key = cast("Callable[[Job], float]", partial(next, iter(self._keys(jobs))))
+        return sorted(jobs, key=key)
 
 
 class FIFOScheduler(Scheduler):

@@ -12,7 +12,8 @@ default derived the usual way when utilization hints are supplied.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, cast
 
 from ..rt.task import Criticality, Job
 from ..rt.taskgraph import TaskGraph
@@ -89,13 +90,16 @@ class EDFVDScheduler(Scheduler):
             for spec in graph
         }
 
-    def _key(self, job: Job) -> float:
-        task = job.task
-        return job.release_time + self._virtual_deadline.get(task.name, task.relative_deadline)
+    def _keys(self, jobs: Sequence[Job]) -> List[float]:
+        """Each job's (virtual) absolute deadline, in one comprehension."""
+        vd = self._virtual_deadline
+        return [j.release_time + vd.get(j.task.name, j.task.relative_deadline) for j in jobs]
 
     def rank(self, job: Job, now: float, view: SystemView) -> float:
-        return self._key(job)
+        return self._keys((job,))[0]
 
     def ranked(self, jobs: Sequence[Job], now: float, view: SystemView) -> List[Job]:
-        # The key depends on the job alone: no rank() call, with its unused arguments, per job.
-        return sorted(jobs, key=self._key)
+        # The key depends on the job alone: compute them all at once, then
+        # let sorted() draw each off an iterator (it asks in queue order).
+        key = cast("Callable[[Job], float]", partial(next, iter(self._keys(jobs))))
+        return sorted(jobs, key=key)

@@ -23,6 +23,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             AlgebraicDifferentiator(window=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nan_or_infinite_window_rejected(self, value):
+        # NaN passed the old ``<= 0`` check.
+        with pytest.raises(ValueError, match="window"):
+            AlgebraicDifferentiator(window=value)
+
     def test_empty_estimate_is_zero(self):
         assert AlgebraicDifferentiator(1.0).estimate() == 0.0
 

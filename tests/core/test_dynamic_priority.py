@@ -32,6 +32,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             DynamicPriorityConfig(resolution=1)
 
+    # A NaN cap used to run a whole HCPerf simulation with NaN keys.
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_gamma_cap_nan_or_infinite_rejected(self, value):
+        with pytest.raises(ValueError, match="gamma_cap"):
+            DynamicPriorityConfig(gamma_cap=value)
+
+    @pytest.mark.parametrize("value", [64.0, 2.5, "64"])
+    def test_resolution_must_be_an_int(self, value):
+        with pytest.raises(ValueError, match="resolution"):
+            DynamicPriorityConfig(resolution=value)
+
     def test_defaults_sane(self):
         cfg = DynamicPriorityConfig()
         assert cfg.gamma_cap > 0 and cfg.resolution >= 2
@@ -301,14 +312,35 @@ def _table(rows):
     return [(*row, i) for i, row in enumerate(rows)]
 
 
+def _keys(gamma, rows):
+    """``rank``'s keys ``γ·p + slack`` of hand-built rows."""
+    return [gamma * p + slack for p, slack, _, _ in rows]
+
+
 def _holds(gamma, rows, base, n_p):
     """Eq. (11) at one γ over hand-built rows: passes or not."""
-    return _eq11_holds(gamma, _table(rows), base, n_p) is not None
+    return _eq11_holds(_table(rows), _keys(gamma, rows), base, n_p) is not None
+
+
+def _search(policy, rows, busy, n_p):
+    """``policy``'s search over hand-built rows: ``(γ_max, order)``.
+
+    The top-point keys and the early-exit verdict are the ones
+    :func:`repro.core.dynamic_priority._table` builds from jobs.
+    """
+    cfg = policy.config
+    n_p = max(1, n_p)
+    base = busy / n_p
+    top = cfg.resolution - 1
+    doomed = any(c + base >= rem for _, _, c, rem in rows)
+    return policy._search(
+        _table(rows), _keys(top * (cfg.gamma_cap / top), rows), doomed, base, n_p
+    )
 
 
 def _gmax(policy, rows, busy, n_p):
     """γ_max of ``policy``'s search over hand-built rows."""
-    return policy._search(_table(rows), busy, n_p)[0]
+    return _search(policy, rows, busy, n_p)[0]
 
 
 #: The default grid: ``resolution`` points over ``[0, gamma_cap]``.
@@ -316,14 +348,29 @@ _CFG = DynamicPriorityConfig()
 _STEP = _CFG.gamma_cap / (_CFG.resolution - 1)
 
 
+def _reference_order(gamma, rows, base, n_p):
+    """Eq. (11) at one γ, written out apart from the module: the row
+    indices in stable ``γ·p + slack`` order if every job fits, else ``None``."""
+    order = sorted(range(len(rows)), key=lambda i: gamma * rows[i][0] + rows[i][1])
+    ahead = 0.0
+    for i in order:
+        c, rem = rows[i][2], rows[i][3]
+        if c + base + ahead / n_p >= rem:
+            return None
+        ahead += c
+    return order
+
+
 def _reference_walk(entries, busy, n_p, cfg=_CFG):
-    """γ_max by brute force: :func:`_eq11_holds` at every grid point."""
+    """γ_max by brute force: :func:`_reference_order` at every grid point."""
     if not entries:
         return cfg.gamma_cap
     n_p = max(1, n_p)
     step = cfg.gamma_cap / (cfg.resolution - 1)
     passing = [
-        k for k in range(cfg.resolution) if _holds(k * step, entries, busy / n_p, n_p)
+        k
+        for k in range(cfg.resolution)
+        if _reference_order(k * step, entries, busy / n_p, n_p) is not None
     ]
     return passing[-1] * step if passing else None
 
@@ -435,7 +482,7 @@ class TestBatchedGridWalk:
         # and never the order of a failed point above it.
         cfg = DynamicPriorityConfig(resolution=resolution)
         rows, busy, n_p = data.draw(_walk_queue(resolution))
-        gmax, order = DynamicPriorityPolicy(cfg)._search(_table(rows), busy, n_p)
+        gmax, order = _search(DynamicPriorityPolicy(cfg), rows, busy, n_p)
         if gmax is None:
             assert order is None
         else:
@@ -509,6 +556,134 @@ class TestBatchedGridWalk:
         jobs = [relaxed, light, heavy]
         assert not POLICY.is_feasible(_CFG.gamma_cap, jobs, 0.0, EST, 0.0, 1)
         assert POLICY.gamma_max(jobs, 0.0, EST, 0.0, 1) == 31 * _STEP
+
+
+class _RecordingEstimate:
+    """``estimate(name, default)``: an observed value per task or the
+    default, with every call recorded."""
+
+    def __init__(self, observed):
+        self.observed = observed
+        self.calls = []
+
+    def __call__(self, name, default):
+        self.calls.append((name, default))
+        return self.observed.get(name, default)
+
+
+def _reference_resolve(cfg, u, jobs, now, estimate, busy, n_p):
+    """§V written out step by step: ``(γ_max, γ, table rows, order indices)``.
+
+    One estimate per job builds the rows ``(p, slack, c, D − now)``, with the
+    slack through ``Job.latest_start``; a job that fails with nothing ahead
+    ends the search; otherwise :func:`_reference_walk` tests every one of the
+    grid points, and :meth:`DynamicPriorityPolicy.clamp_gamma` applies Eq. (12).
+    """
+    rows = []
+    for j in jobs:
+        c = estimate(j.task.name, j.exec_time)
+        rows.append((j.task.priority, j.latest_start(c) - now, c, j.absolute_deadline - now))
+    n_p = max(1, n_p)
+    base = busy / n_p
+    if any(c + base >= rem for _, _, c, rem in rows):
+        gmax = None
+    else:
+        gmax = _reference_walk(rows, busy, n_p, cfg)
+    order = None if gmax is None else _reference_order(gmax, rows, base, n_p)
+    return gmax, DynamicPriorityPolicy.clamp_gamma(u, gmax), rows, order
+
+
+_TASKS = [
+    TaskSpec(f"k{i}", priority=p, relative_deadline=d, exec_model=ConstantExecTime(0.01))
+    for i, (p, d) in enumerate([(0, 0.05), (1, 0.05), (1, 0.1), (3, 0.1), (2, 0.5), (3, 0.02)])
+]
+
+
+@st.composite
+def _resolve_case(draw):
+    """A queue for :meth:`resolve`, its ``now``, ``ΣT_p``, ``n_p`` and estimator.
+
+    Depths 0, 1, 2 and deep; jobs from a few shared tasks at a few release
+    instants, so exact key ties are common; a planted pair whose keys cross
+    inside the grid (the top point fails, an interior point passes); and a
+    job that misses with nothing ahead of it, at any position.
+    """
+    n_p = draw(st.integers(min_value=1, max_value=3))
+    busy = draw(_few_or_any([0.0, 0.005, 0.01], 0.0, 0.02))
+    base = busy / n_p
+    now = draw(st.sampled_from([0.0, 0.01]))
+    jobs = []
+    if draw(st.booleans()):
+        # Rows of the planted pair as jobs released at ``now``: D = D − now.
+        for p, _, c, rem in _planted_pair(draw, n_p, base, _STEP, _CFG.resolution - 1):
+            spec = TaskSpec(f"pair{p}", priority=p, relative_deadline=rem,
+                            exec_model=ConstantExecTime(c))
+            jobs.append(Job(spec, now, c))
+    depth = draw(st.one_of(st.sampled_from([0, 1, 1, 2]), st.integers(min_value=3, max_value=24)))
+    for _ in range(depth - len(jobs)):
+        spec = draw(st.sampled_from(_TASKS))
+        release = draw(_few_or_any([0.0, 0.005, 0.01], -0.02, 0.01))
+        exec_time = draw(_few_or_any([0.001, 0.002, 0.005], 0.0, 0.01))
+        jobs.append(Job(spec, release, exec_time))
+    jobs = draw(st.permutations(jobs))
+    if draw(st.booleans()):
+        # c + ΣT_p/n_p >= D − now, on the boundary or past it.
+        spec = TaskSpec("doomed", priority=draw(st.integers(min_value=0, max_value=3)),
+                        relative_deadline=draw(st.sampled_from([0.02, 0.05])),
+                        exec_model=ConstantExecTime(0.01))
+        release = draw(st.sampled_from([0.0, 0.005]))
+        rem = (release + spec.relative_deadline) - now
+        c = max(0.0, rem - base) + draw(st.sampled_from([0.0, 0.001, 0.05]))
+        jobs.insert(draw(st.integers(min_value=0, max_value=len(jobs))), Job(spec, release, c))
+    observed = draw(
+        st.dictionaries(
+            st.sampled_from([t.name for t in _TASKS]),
+            _few_or_any([0.002, 0.005, 0.01], 0.0, 0.03),
+            max_size=3,
+        )
+    )
+    return jobs, now, busy, n_p, observed
+
+
+class TestResolveMatchesReference:
+    """:meth:`resolve` against §V written out in the test, bit for bit."""
+
+    @given(case=_resolve_case(), u_mode=st.sampled_from(["negative", "below", "at", "above"]),
+           frac=st.floats(min_value=0.0, max_value=0.999), extra=st.floats(1e-9, 1.0))
+    @settings(max_examples=500, deadline=None)
+    def test_resolve_is_the_reference(self, case, u_mode, frac, extra):
+        jobs, now, busy, n_p, observed = case
+        ref_estimate = _RecordingEstimate(observed)
+        gmax, _, rows, _ = _reference_resolve(_CFG, 0.0, jobs, now, ref_estimate, busy, n_p)
+        top = _CFG.gamma_cap if gmax is None else gmax
+        u = {"negative": -extra, "below": frac * top, "at": top, "above": top + extra}[u_mode]
+        gmax, gamma, rows, order = _reference_resolve(
+            _CFG, u, jobs, now, _RecordingEstimate(observed), busy, n_p
+        )
+
+        estimate = _RecordingEstimate(observed)
+        result = POLICY.resolve(u, jobs, now, estimate, busy, n_p)
+
+        assert estimate.calls == ref_estimate.calls == [(j.task.name, j.exec_time) for j in jobs]
+        assert (result.gamma_max, result.gamma, result.overloaded) == (gmax, gamma, gmax is None)
+        assert [e[:4] for e in result.entries] == rows
+        assert all(e[4] is j for e, j in zip(result.entries, jobs))
+        assert len(result.entries) == len(jobs)
+        if order is None:
+            assert result.order is None
+        else:
+            assert len(result.order) == len(order)
+            assert all(e[4] is jobs[i] for e, i in zip(result.order, order))
+
+    def test_doomed_single_job(self):
+        # Depth 1 passes the top point without a sort only because the early
+        # exit has already tested its one constraint.
+        doomed = job("d", exec_time=0.1, deadline=0.1)
+        result = POLICY.resolve(0.01, [doomed], 0.0, EST, 0.0, 1)
+        assert result.overloaded and result.order is None
+        fits = job("f", exec_time=0.05, deadline=0.1)
+        result = POLICY.resolve(0.01, [fits], 0.0, EST, 0.0, 1)
+        assert result.gamma_max == _CFG.gamma_cap and [e[4] for e in result.order] == [fits]
 
 
 def _list_schedule_finishes(gamma, entries, remaining):

@@ -1,5 +1,7 @@
 """Unit tests for the Model-Free Control performance-directed controller."""
 
+import math
+
 import pytest
 
 from repro.core import MFCConfig, ModelFreeController
@@ -19,6 +21,23 @@ class TestConfig:
     def test_timing_validation(self):
         with pytest.raises(ValueError):
             MFCConfig(ade_window=0.0)
+
+    # NaN passed the old ``>= 0`` / ``<= 0`` checks and ran a whole
+    # controller; an infinite gain or window is no setting either.
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_alpha_nan_or_infinite_rejected(self, value):
+        with pytest.raises(ValueError, match="alpha"):
+            MFCConfig(alpha=value)
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_feedback_gain_nan_or_infinite_rejected(self, value):
+        with pytest.raises(ValueError, match="feedback_gain"):
+            MFCConfig(feedback_gain=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_ade_window_nan_or_infinite_rejected(self, value):
+        with pytest.raises(ValueError, match="ade_window"):
+            MFCConfig(ade_window=value)
 
 
 class TestBehaviour:

@@ -1,5 +1,7 @@
 """Unit tests for the Task Rate Adapter (external coordinator)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,35 @@ class TestConfig:
             RateAdapterConfig(drift_reset_threshold=0.0)
         with pytest.raises(ValueError):
             RateAdapterConfig(utilization_bound=0.0)
+
+    # NaN passed the old ``<= 0`` / ``< 0`` checks.
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_epsilon_nan_or_infinite_rejected(self, value):
+        with pytest.raises(ValueError, match="epsilon"):
+            RateAdapterConfig(epsilon=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_kp_initial_nan_or_infinite_rejected(self, value):
+        with pytest.raises(ValueError, match="kp_initial"):
+            RateAdapterConfig(kp_initial=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_kp_floor_nan_or_infinite_rejected(self, value):
+        with pytest.raises(ValueError, match="kp_floor"):
+            RateAdapterConfig(kp_floor=value)
+
+    def test_drift_reset_threshold_nan_rejected(self):
+        with pytest.raises(ValueError, match="drift_reset_threshold"):
+            RateAdapterConfig(drift_reset_threshold=math.nan)
+        # An infinite threshold is a setting: the gain never resets.
+        assert RateAdapterConfig(drift_reset_threshold=math.inf).drift_reset_threshold == math.inf
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(math.nan, 10.0), (10.0, math.nan), (10.0, math.inf), (math.inf, math.inf)]
+    )
+    def test_rate_range_nan_or_infinite_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="rate range"):
+            TaskRateAdapter().set_rate_range("x", lo, hi)
 
     def test_rate_range_validation(self):
         a = TaskRateAdapter()

@@ -376,3 +376,45 @@ def test_live_unit_count_tracks_every_flip(case, seed):
         executor.at(time, "flip", flip(unit_type, index, available))
     executor.run()
     assert view.n_processors == sum(p.available for p in procs)
+
+
+class _IdleCheckingExecutor(RTExecutor):
+    """Checks the idle-unit count against a recount around every dispatch."""
+
+    dispatches = 0
+
+    def _dispatch(self):
+        job_free = sum(p.job is None for p in self.processors)
+        assert self._idle == job_free
+        super()._dispatch()
+        assert self._idle == sum(p.job is None for p in self.processors)
+        self.dispatches += 1
+
+
+@given(
+    case=availability_flips(),
+    seed=st.integers(min_value=0, max_value=99),
+    scheduler=st.sampled_from([HCPerfScheduler, EDFScheduler]),
+)
+@settings(max_examples=40, deadline=None)
+def test_idle_count_is_the_job_free_units_at_every_dispatch(case, seed, scheduler):
+    """The count that lets a dispatch skip its free-unit scan stays exact
+    through dispatches, finishes, kills of busy units and no-op flips."""
+    profile, flips = case
+    executor = _IdleCheckingExecutor(
+        build(rate=40.0, exec_scale=3.0, fan_out=True),
+        scheduler(),
+        SimConfig(processor_profile=profile, horizon=1.5, coordination_period=0.25,
+                  seed=seed),
+    )
+    for time, (unit_type, index), available in flips:
+        executor.at(
+            time,
+            "flip",
+            lambda now, i=index, t=unit_type, a=available: executor.set_processor_available(
+                i, a, unit_type=t
+            ),
+        )
+    executor.run()
+    assert executor.dispatches > 0
+    assert executor._idle == sum(p.job is None for p in executor.processors)

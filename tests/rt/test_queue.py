@@ -126,3 +126,40 @@ class TestDropExpired:
         q = ReadyQueue()
         q.push(job("a", release=0.0, deadline=10.0))
         assert q.drop_expired(now=0.1) == []
+
+
+class TestBoundedPush:
+    """One ``push`` admits a release and evicts for the bounded channel."""
+
+    def test_evicts_the_oldest_job_of_the_task_at_the_limit(self):
+        q = ReadyQueue()
+        spec = job("a").task
+        old, mid = (Job(spec, r, 0.01) for r in (0.0, 0.1))
+        other = job("b", release=0.05)
+        for j in (old, other, mid):
+            assert q.push(j, 2) is None
+        new = Job(spec, 0.2, 0.01)
+        assert q.push(new, 2) is old
+        assert list(q) == [other, mid, new]
+        assert q.count("a") == 2 and q.count("b") == 1
+
+    def test_below_the_limit_nothing_is_evicted(self):
+        q = ReadyQueue()
+        spec = job("a").task
+        for r in (0.0, 0.1, 0.2):
+            assert q.push(Job(spec, r, 0.01), 4) is None
+        assert q.count("a") == 3
+
+    def test_eviction_keeps_the_watermark_a_lower_bound(self):
+        # The victim held the earliest deadline; the sweep after it still
+        # finds the newcomer's, which is earlier than the survivor's.
+        q = ReadyQueue()
+        victim = job("a", release=0.0, deadline=0.1)
+        survivor = job("b", release=0.0, deadline=1.0)
+        q.push(victim, 1)
+        q.push(survivor, 1)
+        newcomer = Job(victim.task, 0.2, 0.01)  # due just after 0.3
+        assert q.push(newcomer, 1) is victim
+        assert q.drop_expired(now=0.35) == [newcomer]
+        assert q.drop_expired(now=0.9) == []
+        assert q.drop_expired(now=1.0) == [survivor]

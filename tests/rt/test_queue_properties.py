@@ -1,14 +1,16 @@
 """Brute-force oracle for the ready queue's O(1) bookkeeping.
 
-Random sequences of ``push``, ``remove``, ``pop_best``, ``drop_expired``
-and ``evict`` run against a plain list that is swept in full at every step:
+Random sequences of ``push`` (unbounded, or on a bounded channel),
+``remove``, ``pop_best`` and ``drop_expired`` run against a plain list that
+is swept in full at every step:
 
 * the earliest-deadline watermark never lets ``drop_expired`` skip an
   expired job — after every step a probe at a drawn instant (often exactly
   a queued deadline) drops what a full sweep finds, in queue order;
 * the per-task counts always equal a recount;
-* bounded-channel eviction takes the oldest queued job of the task, the
-  victim the executor used to pick as ``[j for j in queue if same task][0]``.
+* a bounded push evicts the oldest queued job of the task, the victim the
+  executor used to pick as ``[j for j in queue if same task][0]``, and
+  leaves the task's count where it was.
 """
 
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ TASKS = [
     for i, (d, b) in enumerate([(0.05, None), (0.1, 0), (0.3, None), (0.1, 1)])
 ]
 GRID = [i * 0.05 for i in range(12)]
-OPS = ("push", "push", "push", "remove", "pop_best", "drop_expired", "evict")
+OPS = ("push", "push", "push", "remove", "pop_best", "drop_expired", "bounded_push")
 
 
 def instants(draw, shadow):
@@ -58,7 +60,7 @@ def test_bookkeeping_matches_brute_force(data):
         if op == "push":
             spec = draw(st.sampled_from(TASKS))
             job = Job(task=spec, release_time=draw(st.sampled_from(GRID)), exec_time=0.01)
-            queue.push(job)
+            assert queue.push(job) is None
             shadow.append(job)
         elif op == "remove" and shadow:
             job = draw(st.sampled_from(shadow))
@@ -75,14 +77,17 @@ def test_bookkeeping_matches_brute_force(data):
                 shadow.remove(picked)
         elif op == "drop_expired":
             sweep(queue, shadow, instants(draw, shadow))
-        elif op == "evict":
-            spec = draw(st.sampled_from(TASKS))
+        elif op == "bounded_push":
+            # Mostly a task already queued, so there is a victim to choose.
+            spec = draw(st.sampled_from([j.task for j in shadow] or TASKS))
+            job = Job(task=spec, release_time=draw(st.sampled_from(GRID)), exec_time=0.01)
             limit = draw(st.integers(min_value=1, max_value=3))
             queued_same = [j for j in shadow if j.task.name == spec.name]
-            victim = queue.evict(spec.name, limit)
+            victim = queue.push(job, limit)
             assert victim is (queued_same[0] if len(queued_same) >= limit else None)
             if victim is not None:
                 shadow.remove(victim)
+            shadow.append(job)
         check_counts(queue, shadow)
         # The watermark probe: whatever happened above, a sweep at any
         # instant drops exactly the expired jobs.

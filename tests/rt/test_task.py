@@ -1,10 +1,11 @@
 """Unit tests for the task/job model."""
 
+import dataclasses
 import math
 
 import pytest
 
-from repro.rt import ConstantExecTime, Criticality, Job, JobState, TaskSpec
+from repro.rt import ConstantExecTime, Criticality, ExecContext, Job, JobState, TaskSpec
 
 
 def make_spec(**kwargs):
@@ -150,6 +151,21 @@ class TestJob:
     def test_initial_state_ready(self):
         job = Job(task=make_spec(), release_time=0.0, exec_time=0.01)
         assert job.state is JobState.READY
+
+    def test_leading_fields_are_the_executors_positional_order(self):
+        # The executor builds every job as Job(spec, now, exec_time,
+        # provenance, cycle) and every context as ExecContext(now,
+        # complexity): reordering these fields would silently swap values.
+        spec = make_spec()
+        job = Job(spec, 1.5, 0.02, {"a": 1.25}, 7)
+        assert (job.task, job.release_time, job.exec_time, job.provenance, job.cycle) == (
+            spec, 1.5, 0.02, {"a": 1.25}, 7
+        )
+        leading = [f.name for f in dataclasses.fields(Job)[:5]]
+        assert leading == ["task", "release_time", "exec_time", "provenance", "cycle"]
+        ctx = ExecContext(2.0, 9.0)
+        assert (ctx.now, ctx.scene_complexity) == (2.0, 9.0)
+        assert [f.name for f in dataclasses.fields(ExecContext)] == ["now", "scene_complexity"]
 
     def test_jobs_are_slotted(self):
         # One is built per release: no per-instance __dict__.
