@@ -14,7 +14,7 @@ import random
 import sys
 import time
 
-from repro.perception import (
+from perception import (
     CameraDetector,
     ConfigurableSensorFusion,
     LidarDetector,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.perception import (
+from perception import (
     CameraDetector,
     ConfigurableSensorFusion,
     Detection,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perception import assignment_cost, hungarian
+from perception import assignment_cost, hungarian
 
 
 def brute_force_cost(cost):

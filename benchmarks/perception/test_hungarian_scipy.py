@@ -6,7 +6,7 @@ import pytest
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
 
-from repro.perception import assignment_cost, hungarian
+from perception import assignment_cost, hungarian
 
 
 @pytest.mark.parametrize("n,m,seed", [

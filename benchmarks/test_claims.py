@@ -3,14 +3,15 @@
     PYTHONPATH=src python -m pytest benchmarks/test_claims.py
     python benchmarks/test_claims.py     # rewrite EXPERIMENTS.md's claim blocks
 
-One :class:`Section` per experiment run: the eight paper figures at seed 1
-with their default horizons, plus three appendices (design-choice ablations,
-overload-depth sweep, seeds).  A section's rows are either a :class:`Number`
-(a quantity, the paper's value when it publishes one, and a function of the
-run's result) or a :class:`Shape` (a predicate such as "HCPerf lowest speed
-RMS").  Each section renders to one markdown table, kept in EXPERIMENTS.md
-between ``<!-- claims:<section> -->`` and ``<!-- /claims:<section> -->``;
-prose outside the markers is never touched.
+One :class:`Section` per experiment run: the eight paper figures and the E12
+typed-platform extension at seed 1 with their default horizons, plus three
+appendices (design-choice ablations, overload-depth sweep, seeds).  A
+section's rows are either a :class:`Number` (a quantity, the paper's value
+when it publishes one, and a function of the run's result) or a
+:class:`Shape` (a predicate such as "HCPerf lowest speed RMS").  Each
+section renders to one markdown table, kept in EXPERIMENTS.md between
+``<!-- claims:<section> -->`` and ``<!-- /claims:<section> -->``; prose
+outside the markers is never touched.
 
 The pytest form regenerates every block at full horizon and fails when a
 committed block is not byte-equal to its regeneration, naming the section and
@@ -47,6 +48,7 @@ from repro.experiments import (  # noqa: E402
     fig15_hardware,
     fig17_responsiveness,
     fig18_ablation,
+    heterogeneous,
 )
 from repro.experiments.runner import DEFAULT_SCHEMES, run_scenario  # noqa: E402
 from repro.fleet import (  # noqa: E402
@@ -410,6 +412,41 @@ def _fig18() -> Section:
 
 
 # ----------------------------------------------------------------------
+# E12: the Fig. 13 setup on a homogeneous and a typed platform
+# ----------------------------------------------------------------------
+def _heterogeneous() -> Section:
+    m = heterogeneous
+    homo, typed = m.PROFILES["homogeneous"], m.PROFILES["heterogeneous"]
+
+    def miss(r: Any, profile: str) -> Dict[str, float]:
+        return r.miss_ratio()[profile]
+
+    return Section(
+        m.EXPERIMENT_ID,
+        figure(m),
+        (
+            *per_key(f"{homo} miss ratio", m.SCHEMES, lambda r: miss(r, "homogeneous")),
+            *per_key(f"{typed} miss ratio", m.SCHEMES, lambda r: miss(r, "heterogeneous")),
+            *per_key(f"{homo} speed RMS (m/s)", m.SCHEMES,
+                     lambda r: r.speed_rms()["homogeneous"]),
+            *per_key(f"{typed} speed RMS (m/s)", m.SCHEMES,
+                     lambda r: r.speed_rms()["heterogeneous"]),
+            Shape(f"{homo}: every scheme has the same miss ratio",
+                  lambda r: len(set(miss(r, "homogeneous").values())) == 1),
+            Shape(
+                f"{typed}: the schemes' miss ratios all differ, and each moves from {homo}'s",
+                lambda r: len(set(miss(r, "heterogeneous").values())) == len(m.SCHEMES)
+                and all(miss(r, "heterogeneous")[s] != miss(r, "homogeneous")[s]
+                        for s in m.SCHEMES),
+            ),
+            Shape(f"HCPerf lowest miss ratio on {typed}",
+                  lambda r: miss(r, "heterogeneous")["HCPerf"]
+                  == min(miss(r, "heterogeneous").values())),
+        ),
+    )
+
+
+# ----------------------------------------------------------------------
 # Appendix A: design-choice ablations (Fig. 13, 40 s)
 # ----------------------------------------------------------------------
 class _PinnedGamma(HCPerfScheduler):
@@ -622,7 +659,7 @@ def _appendix_c() -> Section:
 
 SECTIONS: Tuple[Section, ...] = (
     _fig04(), _fig05(), _fig12(), _fig13(), _fig14(), _fig15(), _fig17(), _fig18(),
-    _appendix_a(), _appendix_b(), _appendix_c(),
+    _heterogeneous(), _appendix_a(), _appendix_b(), _appendix_c(),
 )
 
 

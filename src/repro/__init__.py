@@ -18,11 +18,9 @@ Package map
 ``repro.vehicle``
     Vehicle plants (car following, lane keeping), lead-car profiles,
     noise/lag models.
-``repro.perception``
-    Synthetic scenes for the scenario timelines, and the real camera/LiDAR
-    Hungarian fusion that E10 profiles to calibrate the fusion time model.
 ``repro.workloads``
-    The Fig. 2 / Fig. 11 task-graph profiles and scenario scripts.
+    The Fig. 2 / Fig. 11 task-graph profiles, the scenario scripts and
+    their scene-complexity timelines.
 ``repro.experiments``
     One module per paper table/figure; see DESIGN.md §5.
 ``repro.fleet``

@@ -36,7 +36,6 @@ DETERMINISM_SCOPE: Tuple[str, ...] = (
     "repro/rt",
     "repro/schedulers",
     "repro/vehicle",
-    "repro/perception",
     "repro/workloads",
     "repro/core",
     "repro/obs",

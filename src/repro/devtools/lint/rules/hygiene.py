@@ -173,7 +173,6 @@ class FloatTimeEqualityRule(Rule):
         "repro/schedulers",
         "repro/core",
         "repro/vehicle",
-        "repro/perception",
         "repro/workloads",
         "repro/fleet",
     )

@@ -14,8 +14,8 @@ Two platforms with three units each run the Fig. 13 car-following setup:
 The interesting comparison is *across schedulers*: a dedicated accelerator
 removes detector contention but narrows the CPU pool, so policies that
 already protect the critical path (HCPerf) react differently from policies
-that don't (HPF).  ``examples/heterogeneous_results.json`` pins the seeded
-outcome this reproduction commits to.
+that don't (HPF).  The claims ledger (``benchmarks/test_claims.py``, section
+``heterogeneous``) publishes the seeded outcome in EXPERIMENTS.md (E12).
 """
 
 from __future__ import annotations
@@ -76,18 +76,6 @@ class HeterogeneousResult:
         return any(
             miss["homogeneous"][s] != miss["heterogeneous"][s] for s in SCHEMES
         )
-
-    def summary_dict(self) -> Dict[str, object]:
-        """The JSON form committed as ``examples/heterogeneous_results.json``."""
-        first = next(iter(next(iter(self.results.values())).values()))
-        return {
-            "experiment": EXPERIMENT_ID,
-            "seed": first.seed,
-            "horizon": first.horizon,
-            "profiles": dict(PROFILES),
-            "miss_ratio": self.miss_ratio(),
-            "speed_error_rms": self.speed_rms(),
-        }
 
 
 def build_scenario(profile: str, horizon: float = 30.0) -> Scenario:

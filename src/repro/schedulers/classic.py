@@ -1,8 +1,8 @@
 """Additional classic baselines beyond the paper's four: RM and FIFO.
 
 Not part of the paper's evaluation, but standard reference points when
-studying new workloads with the framework (``examples/random_workload_demo``
-and the sweep harness can include them).
+studying new workloads with the framework (``make_scheduler("RM")`` and
+fleet campaigns can include them).
 """
 
 from __future__ import annotations

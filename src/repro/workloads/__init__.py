@@ -1,7 +1,7 @@
 """Workloads: the paper's task-graph profiles (Figs. 2 and 11) and the
-scenario scripts behind each experiment."""
+scenario scripts behind each experiment, with their scene-complexity
+timelines."""
 
-from .generator import GeneratorConfig, generate_graph
 from .profiles import (
     CONTROL_TASK,
     FUSION_TASK,
@@ -21,6 +21,8 @@ from .scenarios import (
     hardware_car_following,
     lane_keeping_loop,
     motivation_red_light,
+    ramp_timeline,
+    spike_timeline,
     traffic_jam_responsiveness,
 )
 
@@ -29,8 +31,6 @@ __all__ = [
     "TaskCheck",
     "render_report",
     "validate_platform",
-    "GeneratorConfig",
-    "generate_graph",
     "effective_rates",
     "estimated_utilization",
     "CONTROL_TASK",
@@ -46,5 +46,7 @@ __all__ = [
     "hardware_car_following",
     "lane_keeping_loop",
     "motivation_red_light",
+    "ramp_timeline",
+    "spike_timeline",
     "traffic_jam_responsiveness",
 ]

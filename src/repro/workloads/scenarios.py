@@ -9,6 +9,7 @@ the factory functions below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -41,6 +42,8 @@ __all__ = [
     "hardware_car_following",
     "traffic_jam_responsiveness",
     "lane_keeping_loop",
+    "ramp_timeline",
+    "spike_timeline",
     "SCENARIOS",
 ]
 
@@ -137,6 +140,50 @@ def fig13_car_following(horizon: float = 90.0) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
+# Scene-complexity timelines n(t): the obstacle count that drives fusion cost
+# ---------------------------------------------------------------------------
+
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def ramp_timeline(
+    n_base: float, n_peak: float, t_start: float, t_ramp: float
+) -> Callable[[float], float]:
+    """Complexity ramp: ``n_base`` until ``t_start``, linear rise to
+    ``n_peak`` over ``t_ramp`` seconds, then hold — the §II red-light queue
+    building up."""
+    _require_finite(n_base=n_base, n_peak=n_peak, t_start=t_start)
+    if not (math.isfinite(t_ramp) and t_ramp > 0):
+        raise ValueError(f"t_ramp must be positive and finite, got {t_ramp!r}")
+
+    def fn(t: float) -> float:
+        if t <= t_start:
+            return n_base
+        frac = min(1.0, (t - t_start) / t_ramp)
+        return n_base + frac * (n_peak - n_base)
+
+    return fn
+
+
+def spike_timeline(
+    n_base: float, n_peak: float, t_on: float, t_off: float
+) -> Callable[[float], float]:
+    """Rectangular complexity spike during ``[t_on, t_off)`` — the §VII-C
+    traffic jam window."""
+    _require_finite(n_base=n_base, n_peak=n_peak, t_on=t_on, t_off=t_off)
+    if t_off < t_on:
+        raise ValueError("t_off must be >= t_on")
+
+    def fn(t: float) -> float:
+        return n_peak if t_on <= t < t_off else n_base
+
+    return fn
+
+
+# ---------------------------------------------------------------------------
 # §II — motivation: red-light deceleration with a growing obstacle queue
 # ---------------------------------------------------------------------------
 
@@ -144,8 +191,6 @@ def motivation_red_light(horizon: float = 30.0) -> Scenario:
     """Both cars at 10 m/s; lead brakes for a red light at t = 5 s while the
     obstacle count ramps up (queue at the intersection), blowing up the
     fusion time (§II, Fig. 4)."""
-    from ..perception.scene import ramp_timeline
-
     timeline = ramp_timeline(n_base=8.0, n_peak=34.0, t_start=5.0, t_ramp=8.0)
 
     def plant(seed: int) -> CarFollowingPlant:
@@ -229,8 +274,6 @@ def hardware_car_following(horizon: float = 20.0) -> Scenario:
 def traffic_jam_responsiveness(horizon: float = 40.0) -> Scenario:
     """Cruise at 20 m/s; lead decelerates into a jam at t = 10 s while the
     obstacle count spikes, then clears after t = 20 s (Figs. 16/17)."""
-    from ..perception.scene import spike_timeline
-
     timeline = spike_timeline(n_base=8.0, n_peak=26.0, t_on=10.0, t_off=20.0)
 
     def plant(seed: int) -> CarFollowingPlant:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.rt import ConstantExecTime, SimConfig, TaskGraph, TaskSpec
+from repro.rt import ConstantExecTime, SimConfig, TaskGraph, TaskSpec, UniformExecTime
 
 
 def build_chain_graph(
@@ -43,6 +43,32 @@ def build_chain_graph(
     )
     g.add_edge("source", "middle")
     g.add_edge("middle", "sink")
+    g.validate()
+    return g
+
+
+def build_chain_or_diamond(
+    rate: float, exec_scale: float, fan_out: bool, deadline: float = 0.08
+) -> TaskGraph:
+    """src -> mid -> sink, or src fanning out to left/right that join at sink.
+
+    Costs scale with ``exec_scale`` (the source's is uniform, the rest
+    constant); every task has the relative deadline ``deadline``.
+    """
+    c = 0.004 * exec_scale
+    g = TaskGraph()
+    g.add_task(TaskSpec("src", priority=4, relative_deadline=deadline,
+                        exec_model=UniformExecTime(0.5 * c, c),
+                        rate=rate, rate_range=(5.0, 50.0)))
+    middle = ("left", "right") if fan_out else ("mid",)
+    for name in middle:
+        g.add_task(TaskSpec(name, priority=3 if fan_out else 2, relative_deadline=deadline,
+                            exec_model=ConstantExecTime(c)))
+        g.add_edge("src", name)
+    g.add_task(TaskSpec("sink", priority=1, relative_deadline=deadline,
+                        exec_model=ConstantExecTime(0.5 * c)))
+    for name in middle:
+        g.add_edge(name, "sink")
     g.validate()
     return g
 

@@ -1,63 +1,12 @@
-"""The heterogeneous-platform experiment and its committed results.
+"""The heterogeneous-platform experiment's scenario builder and report.
 
-``examples/heterogeneous_results.json`` is the seeded outcome this
-reproduction commits to: on the typed ``2xCPU+1xGPU@3`` platform the three
-schedulers separate on miss ratio while the homogeneous 3xCPU baseline
-absorbs the same workload uniformly.  One cell is replayed live to prove
-the committed numbers are reproducible from (seed, horizon) alone.
+Its seeded numbers and shape claims are in the claims ledger
+(``benchmarks/test_claims.py``, section ``heterogeneous``).
 """
-
-import json
-from pathlib import Path
 
 import pytest
 
 from repro.experiments import heterogeneous as het
-
-RESULTS_PATH = Path(__file__).parents[2] / "examples" / "heterogeneous_results.json"
-
-
-@pytest.fixture(scope="module")
-def committed():
-    assert RESULTS_PATH.exists(), "committed experiment results missing"
-    return json.loads(RESULTS_PATH.read_text())
-
-
-class TestCommittedResults:
-    def test_schema(self, committed):
-        assert committed["experiment"] == het.EXPERIMENT_ID
-        assert committed["profiles"] == dict(het.PROFILES)
-        for axis in ("miss_ratio", "speed_error_rms"):
-            assert set(committed[axis]) == set(het.PROFILES)
-            for by_scheme in committed[axis].values():
-                assert set(by_scheme) == set(het.SCHEMES)
-
-    def test_heterogeneous_platform_separates_the_schedulers(self, committed):
-        """The acceptance claim: typed platforms produce *different* seeded
-        miss-ratio outcomes per scheduler, unlike the homogeneous baseline."""
-        miss = committed["miss_ratio"]
-        hetero = miss["heterogeneous"]
-        homo = miss["homogeneous"]
-        # baseline: uniform (the 3xCPU platform absorbs the load)
-        assert len(set(homo.values())) == 1
-        # typed platform: every scheduler lands somewhere different
-        assert len(set(hetero.values())) == len(het.SCHEMES)
-        # and the platform change moved every scheduler's outcome
-        assert all(hetero[s] != homo[s] for s in het.SCHEMES)
-
-    def test_hcperf_degrades_least_on_the_typed_platform(self, committed):
-        hetero = committed["miss_ratio"]["heterogeneous"]
-        assert hetero["HCPerf"] == min(hetero.values())
-
-
-class TestReplay:
-    def test_one_cell_reproduces_the_committed_number(self, committed):
-        from repro.experiments.runner import run_scenario
-
-        scenario = het.build_scenario("heterogeneous", horizon=committed["horizon"])
-        result = run_scenario(scenario, "HCPerf", seed=committed["seed"])
-        recorded = committed["miss_ratio"]["heterogeneous"]["HCPerf"]
-        assert result.overall_miss_ratio() == pytest.approx(recorded, abs=0.0)
 
 
 class TestScenarioBuilder:

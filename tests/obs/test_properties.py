@@ -26,9 +26,9 @@ from repro.rt import (
     SimConfig,
     TaskGraph,
     TaskSpec,
-    UniformExecTime,
 )
 from repro.schedulers import make_scheduler
+from tests.conftest import build_chain_or_diamond
 
 #: The fixed seed list every property cell draws its workload from.
 SEEDS = (0, 1, 7, 23, 101)
@@ -43,44 +43,7 @@ def random_workload(rng: random.Random) -> TaskGraph:
     rate = rng.choice([10.0, 20.0, 40.0])
     scale = rng.uniform(0.3, 3.0)
     deadline = rng.choice([0.04, 0.08, 0.15])
-    c = 0.004 * scale
-    g = TaskGraph()
-    g.add_task(
-        TaskSpec(
-            "src",
-            priority=4,
-            relative_deadline=deadline,
-            exec_model=UniformExecTime(0.5 * c, c),
-            rate=rate,
-            rate_range=(5.0, 50.0),
-        )
-    )
-    if rng.random() < 0.5:
-        for name in ("left", "right"):
-            g.add_task(
-                TaskSpec(name, priority=3, relative_deadline=deadline,
-                         exec_model=ConstantExecTime(c))
-            )
-            g.add_edge("src", name)
-        g.add_task(
-            TaskSpec("sink", priority=1, relative_deadline=deadline,
-                     exec_model=ConstantExecTime(0.5 * c))
-        )
-        g.add_edge("left", "sink")
-        g.add_edge("right", "sink")
-    else:
-        g.add_task(
-            TaskSpec("mid", priority=2, relative_deadline=deadline,
-                     exec_model=ConstantExecTime(c))
-        )
-        g.add_task(
-            TaskSpec("sink", priority=1, relative_deadline=deadline,
-                     exec_model=ConstantExecTime(0.5 * c))
-        )
-        g.add_edge("src", "mid")
-        g.add_edge("mid", "sink")
-    g.validate()
-    return g
+    return build_chain_or_diamond(rate, scale, fan_out=rng.random() < 0.5, deadline=deadline)
 
 
 def record_run(graph, scheduler_name, n_processors, seed) -> Recorder:

@@ -30,9 +30,9 @@ from repro.rt import (
     SimConfig,
     TaskGraph,
     TaskSpec,
-    UniformExecTime,
 )
 from repro.schedulers import EDFScheduler, HCPerfScheduler, HPFScheduler
+from tests.conftest import build_chain_or_diamond
 
 
 @st.composite
@@ -47,32 +47,6 @@ def workloads(draw):
     return rate, exec_scale, n_proc, seed, fan_out, scheduler
 
 
-def build(rate, exec_scale, fan_out):
-    g = TaskGraph()
-    c = 0.004 * exec_scale
-    g.add_task(TaskSpec("src", priority=4, relative_deadline=0.08,
-                        exec_model=UniformExecTime(0.5 * c, c),
-                        rate=rate, rate_range=(5.0, 50.0)))
-    if fan_out:
-        for name in ("left", "right"):
-            g.add_task(TaskSpec(name, priority=3, relative_deadline=0.08,
-                                exec_model=ConstantExecTime(c)))
-            g.add_edge("src", name)
-        g.add_task(TaskSpec("sink", priority=1, relative_deadline=0.08,
-                            exec_model=ConstantExecTime(0.5 * c)))
-        g.add_edge("left", "sink")
-        g.add_edge("right", "sink")
-    else:
-        g.add_task(TaskSpec("mid", priority=2, relative_deadline=0.08,
-                            exec_model=ConstantExecTime(c)))
-        g.add_task(TaskSpec("sink", priority=1, relative_deadline=0.08,
-                            exec_model=ConstantExecTime(0.5 * c)))
-        g.add_edge("src", "mid")
-        g.add_edge("mid", "sink")
-    g.validate()
-    return g
-
-
 SCHEDULERS = {"EDF": EDFScheduler, "HPF": HPFScheduler, "HCPerf": HCPerfScheduler}
 
 
@@ -80,7 +54,7 @@ SCHEDULERS = {"EDF": EDFScheduler, "HPF": HPFScheduler, "HCPerf": HCPerfSchedule
 @settings(max_examples=30, deadline=None)
 def test_engine_invariants(params):
     rate, exec_scale, n_proc, seed, fan_out, scheduler = params
-    graph = build(rate, exec_scale, fan_out)
+    graph = build_chain_or_diamond(rate, exec_scale, fan_out)
     executor = RTExecutor(
         graph,
         SCHEDULERS[scheduler](),
@@ -127,7 +101,7 @@ def test_engine_invariants(params):
 @settings(max_examples=15, deadline=None)
 def test_rate_bounds_always_respected(seed, n_proc):
     """Whatever HCPerf's adapter does, rates stay inside the allowable range."""
-    graph = build(rate=20.0, exec_scale=2.0, fan_out=True)
+    graph = build_chain_or_diamond(rate=20.0, exec_scale=2.0, fan_out=True)
     executor = RTExecutor(
         graph,
         HCPerfScheduler(),
@@ -151,7 +125,7 @@ def build_typed(rate, exec_scale, accel_affine, activation):
     ``accel_affine`` pins the two middle stages to the GPU (where they run
     2x faster); the sink's activation mode is selectable.
     """
-    g = build(rate, exec_scale, fan_out=True)
+    g = build_chain_or_diamond(rate, exec_scale, fan_out=True)
     if accel_affine:
         for name in ("left", "right"):
             g.task(name).affinity = frozenset({"GPU"})
@@ -244,7 +218,7 @@ def test_speedup_one_profile_reproduces_scalar_platform(seed, n_proc, scheduler)
     no affinity restrictions is observationally identical to the plain
     ``n_processors`` platform — even when the unit *types* differ."""
     def run(config):
-        graph = build(rate=20.0, exec_scale=1.5, fan_out=True)
+        graph = build_chain_or_diamond(rate=20.0, exec_scale=1.5, fan_out=True)
         ex = RTExecutor(graph, SCHEDULERS[scheduler](), config)
         rec = Recorder()
         ex.recorder = rec
@@ -351,7 +325,7 @@ def test_live_unit_count_tracks_every_flip(case, seed):
     """``view.n_processors`` is the live count after every call, busy or idle."""
     profile, flips = case
     executor = RTExecutor(
-        build(rate=40.0, exec_scale=3.0, fan_out=True),
+        build_chain_or_diamond(rate=40.0, exec_scale=3.0, fan_out=True),
         HCPerfScheduler(),
         SimConfig(processor_profile=profile, horizon=1.5, coordination_period=0.25,
                   seed=seed),
@@ -402,7 +376,7 @@ def test_idle_count_is_the_job_free_units_at_every_dispatch(case, seed, schedule
     through dispatches, finishes, kills of busy units and no-op flips."""
     profile, flips = case
     executor = _IdleCheckingExecutor(
-        build(rate=40.0, exec_scale=3.0, fan_out=True),
+        build_chain_or_diamond(rate=40.0, exec_scale=3.0, fan_out=True),
         scheduler(),
         SimConfig(processor_profile=profile, horizon=1.5, coordination_period=0.25,
                   seed=seed),

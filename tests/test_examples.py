@@ -33,10 +33,6 @@ class TestExamples:
         out = run_example("car_following_demo.py", "--horizon", "15")
         assert "Speed tracking error" in out
 
-    def test_random_workload_demo(self):
-        out = run_example("random_workload_demo.py")
-        assert "Random 17-task DAG" in out
-
     def test_all_examples_exist_and_documented(self):
         scripts = sorted(EXAMPLES.glob("*.py"))
         assert len(scripts) >= 5

@@ -1,4 +1,6 @@
-"""Unit tests for scenario factories."""
+"""Unit tests for scenario factories and their scene-complexity timelines."""
+
+import math
 
 import pytest
 
@@ -10,6 +12,8 @@ from repro.workloads import (
     hardware_car_following,
     lane_keeping_loop,
     motivation_red_light,
+    ramp_timeline,
+    spike_timeline,
     traffic_jam_responsiveness,
 )
 
@@ -100,3 +104,48 @@ class TestScenarioDetails:
         c1 = p1.compute_command(0.1, 0.1)
         c2 = p2.compute_command(0.1, 0.1)
         assert c1.accel != c2.accel
+
+
+RAMP = dict(n_base=8.0, n_peak=34.0, t_start=5.0, t_ramp=8.0)
+SPIKE = dict(n_base=8.0, n_peak=26.0, t_on=10.0, t_off=20.0)
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestTimelines:
+    def test_ramp(self):
+        fn = ramp_timeline(n_base=5, n_peak=25, t_start=10.0, t_ramp=10.0)
+        assert fn(0.0) == 5
+        assert fn(10.0) == 5
+        assert fn(15.0) == pytest.approx(15.0)
+        assert fn(20.0) == 25
+        assert fn(99.0) == 25
+
+    def test_ramp_validation(self):
+        with pytest.raises(ValueError):
+            ramp_timeline(5, 25, 0.0, 0.0)
+
+    def test_spike(self):
+        fn = spike_timeline(n_base=5, n_peak=30, t_on=10.0, t_off=20.0)
+        assert fn(5.0) == 5
+        assert fn(10.0) == 30
+        assert fn(19.9) == 30
+        assert fn(20.0) == 5
+
+    def test_spike_validation(self):
+        with pytest.raises(ValueError):
+            spike_timeline(5, 30, 10.0, 5.0)
+
+    # Unchecked, a NaN t_ramp makes the ramp a step at t_start (min(1.0, nan)
+    # is 1.0), a NaN t_on keeps the spike off forever, and an infinite n_peak
+    # is no obstacle count: every parameter must be finite.
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("name", sorted(RAMP))
+    def test_ramp_rejects_non_finite(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            ramp_timeline(**{**RAMP, name: bad})
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("name", sorted(SPIKE))
+    def test_spike_rejects_non_finite(self, name, bad):
+        with pytest.raises(ValueError, match=name):
+            spike_timeline(**{**SPIKE, name: bad})

@@ -3,9 +3,13 @@
 import pytest
 
 from repro.workloads import full_task_graph
-from repro.workloads.generator import GeneratorConfig, generate_graph
 from repro.workloads.validation import render_report, validate_platform
 from tests.conftest import build_chain_graph
+
+# Three 20 Hz tasks on 2 units: estimated utilization is 10 × the summed cost.
+DEADLINES = (0.1, 0.1, 0.1)
+OVERLOADED = dict(exec_times=(0.04, 0.04, 0.04), deadlines=DEADLINES)  # 1.2
+NEAR_CAPACITY = dict(exec_times=(0.03, 0.03, 0.03), deadlines=DEADLINES)  # 0.9
 
 
 class TestValidatePlatform:
@@ -41,13 +45,13 @@ class TestValidatePlatform:
         assert not middle.feasible
 
     def test_overload_flagged(self):
-        g = generate_graph(GeneratorConfig(target_utilization=1.4, seed=0))
+        g = build_chain_graph(**OVERLOADED)
         report = validate_platform(g, 2)
         assert report.overloaded
         assert any("overloaded" in w for w in report.warnings)
 
     def test_near_capacity_flagged(self):
-        g = generate_graph(GeneratorConfig(target_utilization=0.9, seed=0))
+        g = build_chain_graph(**NEAR_CAPACITY)
         report = validate_platform(g, 2)
         assert not report.overloaded
         assert any("near capacity" in w for w in report.warnings)
@@ -76,7 +80,7 @@ class TestRenderReport:
         assert "No warnings" in out
 
     def test_render_with_warnings(self):
-        g = generate_graph(GeneratorConfig(target_utilization=1.4, seed=0))
+        g = build_chain_graph(**OVERLOADED)
         out = render_report(validate_platform(g, 2))
         assert "WARNINGS" in out and "!" in out
 
