@@ -308,7 +308,7 @@ class DynamicPriorityPolicy:
         """
         if not jobs:
             return True
-        n_p = max(1, n_processors)
+        n_p = n_processors if n_processors > 1 else 1
         base = busy_remaining / n_p
         entries, keys, doomed = _table(jobs, now, estimate, gamma, base)
         return not doomed and _eq11_holds(entries, keys, base, n_p) is not None
@@ -388,7 +388,7 @@ class DynamicPriorityPolicy:
     ) -> GammaSearchResult:
         """Full §V pipeline: search γ_max, clamp u, flag overload."""
         cfg = self.config
-        n_p = max(1, n_processors)
+        n_p = n_processors if n_processors > 1 else 1
         base = busy_remaining / n_p
         top = cfg.resolution - 1
         entries, keys, doomed = _table(jobs, now, estimate, top * (cfg.gamma_cap / top), base)

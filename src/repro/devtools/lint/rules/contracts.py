@@ -34,7 +34,6 @@ _HOOKS: Dict[str, int] = {
     "eligible": 3,  # (self, task, processor)
     "on_dispatch_round": 3,  # (self, now, view)
     "on_window": 4,  # (self, now, view, window)
-    "desired_rates": 1,  # (self)
 }
 
 

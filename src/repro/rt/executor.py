@@ -244,7 +244,6 @@ class RTExecutor:
             self._rates[src.name] = src.rate
 
         self.view = SystemView(
-            graph=self.graph,
             ready=self.ready,
             processors=self.processors,
             observer=self.observer,
@@ -380,8 +379,7 @@ class RTExecutor:
             self.scheduler.recorder = self.recorder
         # A unit's effective speedup for a task, and whether the scheduler
         # places the task there, are fixed for the run: decide both once per
-        # (unit, task) pair, after prepare() has bound tasks, not on every
-        # dispatch.
+        # (unit, task) pair, after prepare(), not on every dispatch.
         self._unit_speedup = [
             {t.name: proc.effective_speedup(t) for t in self.graph} for proc in self.processors
         ]
@@ -575,8 +573,7 @@ class RTExecutor:
         window = self.metrics.close_window(self.now, utilization=util)
         if self.recorder is not None:
             self.recorder.window(window)
-        self.scheduler.on_window(self.now, self.view, window)
-        desired = self.scheduler.desired_rates()
+        desired = self.scheduler.on_window(self.now, self.view, window)
         if desired:
             for name, rate in desired.items():
                 applied = self.set_rate(name, rate)
@@ -614,7 +611,7 @@ class RTExecutor:
                 break
             job = ready.pop_best(ranked, admits[proc.index])
             if job is None:
-                continue  # nothing eligible for this (bound/typed) processor
+                continue  # nothing this processor admits is queued
             job.state = JobState.RUNNING
             job.start_time = now
             job.processor = proc.index

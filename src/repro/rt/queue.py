@@ -97,7 +97,9 @@ class ReadyQueue:
         for i, job in enumerate(ranked):
             if job.task.name in admits:
                 del ranked[i]
-                self.remove(job)
+                # remove()'s body, without the method call.
+                self._jobs.remove(job)
+                self._per_task[job.task.name] -= 1
                 return job
         return None
 

@@ -94,10 +94,10 @@ class ProcessorProfile:
     """An ordered tuple of typed processing units — the platform.
 
     Unit order is load-bearing: unit ``i`` becomes processor index ``i``
-    in the executor, so ``2xCPU+1xGPU`` puts the GPU at index 2.  Static
-    ``processor_binding`` values and fault-spec indices refer to these
-    absolute indices; :meth:`typed_index` maps a (type, ordinal) pair to
-    the absolute index for typed targeting.
+    in the executor, so ``2xCPU+1xGPU`` puts the GPU at index 2.  Apollo's
+    partition and fault-spec indices refer to these absolute indices;
+    :meth:`typed_index` maps a (type, ordinal) pair to the absolute index
+    for typed targeting.
     """
 
     units: Tuple[UnitSpec, ...]

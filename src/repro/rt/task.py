@@ -95,16 +95,6 @@ class TaskSpec:
         coordinator may tune the rate.  ``None`` means the rate is fixed.
     criticality:
         Mixed-criticality level, consumed by EDF-VD.
-    processor_binding:
-        Static processor index for schedulers that bind tasks to processors
-        (the Apollo baseline).  ``None`` means the task may run anywhere.
-    uses_gpu:
-        Purely informational flag mirroring the paper's note that detection
-        tasks also occupy the GPU; the coordinator only schedules CPU time
-        but records execution time for such tasks identically.  (Typed
-        dispatch is expressed through ``affinity``, not this flag —
-        :func:`repro.workloads.profiles.heterogeneous_task_graph` derives
-        affinities from it.)
     affinity:
         Unit types the task may execute on (e.g. ``{"GPU"}``), for typed
         :class:`~repro.rt.resources.ProcessorProfile` platforms.  ``None``
@@ -126,8 +116,6 @@ class TaskSpec:
     rate: Optional[float] = None
     rate_range: Optional[Tuple[float, float]] = None
     criticality: Criticality = Criticality.LOW
-    processor_binding: Optional[int] = None
-    uses_gpu: bool = False
     affinity: Optional[Union[FrozenSet[str], Iterable[str]]] = None
     speedup: Optional[Mapping[str, float]] = None
     activation: str = "all-inputs"

@@ -13,7 +13,6 @@ from typing import Dict, List, Optional
 from .exectime import ExecTimeObserver
 from .queue import ReadyQueue
 from .task import Job, TaskSpec
-from .taskgraph import TaskGraph
 
 __all__ = ["ProcessorState", "SystemView"]
 
@@ -53,9 +52,7 @@ class ProcessorState:
         return max(0.0, self.busy_until - now)
 
     def can_run(self, spec: TaskSpec) -> bool:
-        """Dispatch admissibility: static binding plus typed-unit affinity."""
-        if spec.processor_binding is not None and spec.processor_binding != self.index:
-            return False
+        """Dispatch admissibility: the unit's type is in the task's affinity set."""
         return spec.affinity is None or self.unit_type in spec.affinity
 
     def effective_speedup(self, spec: TaskSpec) -> float:
@@ -74,8 +71,6 @@ class SystemView:
 
     Attributes
     ----------
-    graph:
-        The task graph being executed.
     ready:
         The ready queue (shared object; schedulers must not mutate it —
         the executor owns admission and dispatch).
@@ -94,7 +89,6 @@ class SystemView:
         :meth:`~repro.rt.executor.RTExecutor.set_processor_available`.
     """
 
-    graph: TaskGraph
     ready: ReadyQueue
     processors: List[ProcessorState]
     observer: ExecTimeObserver

@@ -5,7 +5,6 @@ from typing import Callable, Dict
 
 from .apollo import ApolloScheduler
 from .base import Scheduler, SystemView
-from .classic import FIFOScheduler, RateMonotonicScheduler
 from .edf import EDFScheduler
 from .edf_vd import EDFVDScheduler, virtual_deadline_factor
 from .hcperf import HCPerfConfig, HCPerfScheduler
@@ -18,9 +17,6 @@ SCHEDULERS: Dict[str, Callable[[], Scheduler]] = {
     "EDF-VD": EDFVDScheduler,
     "Apollo": ApolloScheduler,
     "HCPerf": HCPerfScheduler,
-    # Extra reference baselines (not in the paper's tables):
-    "RM": RateMonotonicScheduler,
-    "FIFO": FIFOScheduler,
 }
 
 
@@ -39,8 +35,6 @@ __all__ = [
     "Scheduler",
     "SystemView",
     "ApolloScheduler",
-    "FIFOScheduler",
-    "RateMonotonicScheduler",
     "EDFScheduler",
     "EDFVDScheduler",
     "virtual_deadline_factor",

@@ -4,15 +4,15 @@
 processors and then uses the statically assigned priority to select tasks for
 execution." (paper §VII-A4)
 
-Binding strategy: unless the task graph already carries explicit
-``processor_binding`` values, :meth:`prepare` partitions tasks greedily by
-estimated mean utilization (largest task first onto the least-loaded
+Binding strategy: :meth:`ApolloScheduler.prepare` partitions tasks greedily
+by estimated mean utilization (largest task first onto the least-loaded
 processor) — the careful *offline* partitioning a Cyber RT deployment config
-expresses.  The partition is computed from offline profile data (the
-execution-time models at their nominal context), so it is exactly right for
-the nominal workload and exactly wrong when a task's runtime cost doubles:
-the overloaded processor backs up while the others idle — precisely the
-pathology the paper's motivation section demonstrates.
+expresses — and keeps the partition in the scheduler; :meth:`eligible` then
+admits each task on its one unit.  The partition is computed from offline
+profile data (the execution-time models at their nominal context), so it is
+exactly right for the nominal workload and exactly wrong when a task's
+runtime cost doubles: the overloaded processor backs up while the others
+idle — precisely the pathology the paper's motivation section demonstrates.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from operator import attrgetter
 from typing import Dict, List, Sequence
 
 from ..rt.exectime import ExecContext
-from ..rt.task import Job
+from ..rt.task import Job, TaskSpec
 from ..rt.taskgraph import TaskGraph
+from ..rt.view import ProcessorState
 from .base import Scheduler, SystemView
 
 __all__ = ["ApolloScheduler"]
@@ -42,12 +43,12 @@ class ApolloScheduler(Scheduler):
     #: ``SimConfig.max_pending_per_task``.)
     drop_expired = False
 
-    def __init__(self, respect_existing_bindings: bool = True) -> None:
-        self.respect_existing_bindings = respect_existing_bindings
+    def __init__(self) -> None:
+        #: Task name -> index of the processor it is bound to.
         self._assigned: Dict[str, int] = {}
 
     def prepare(self, graph: TaskGraph, n_processors: int) -> None:
-        """Bind every unbound task by greedy offline utilization balancing.
+        """Bind every task by greedy offline utilization balancing.
 
         The partition is computed from offline profile data (each task's
         nominal mean cost × its steady-state rate), largest task first onto
@@ -61,25 +62,18 @@ class ApolloScheduler(Scheduler):
 
         ctx = ExecContext(now=0.0, scene_complexity=0.0)
         eff = effective_rates(graph)
+        cost = {spec.name: spec.exec_model.mean(ctx) * eff[spec.name] for spec in graph}
         load = [0.0] * n_processors
-        pre_bound = []
-        unbound = []
-        for spec in graph.topological_order():
-            if self.respect_existing_bindings and spec.processor_binding is not None:
-                pre_bound.append(spec)
-            else:
-                unbound.append(spec)
-        for spec in pre_bound:
-            proc = spec.processor_binding % n_processors
-            spec.processor_binding = proc
+        self._assigned = {}
+        # Stable: equal costs keep topological order.
+        for spec in sorted(graph.topological_order(), key=lambda s: cost[s.name], reverse=True):
+            proc = min(range(n_processors), key=load.__getitem__)
             self._assigned[spec.name] = proc
-            load[proc] += spec.exec_model.mean(ctx) * eff[spec.name]
-        unbound.sort(key=lambda s: s.exec_model.mean(ctx) * eff[s.name], reverse=True)
-        for spec in unbound:
-            proc = min(range(n_processors), key=lambda p: load[p])
-            spec.processor_binding = proc
-            self._assigned[spec.name] = proc
-            load[proc] += spec.exec_model.mean(ctx) * eff[spec.name]
+            load[proc] += cost[spec.name]
+
+    def eligible(self, task: TaskSpec, processor: ProcessorState) -> bool:
+        """Only the unit :meth:`prepare` bound the task to, within its affinity."""
+        return self._assigned[task.name] == processor.index and super().eligible(task, processor)
 
     def rank(self, job: Job, now: float, view: SystemView) -> float:
         # Fixed priority between tasks, release order within a level — the
@@ -90,7 +84,3 @@ class ApolloScheduler(Scheduler):
     def ranked(self, jobs: Sequence[Job], now: float, view: SystemView) -> List[Job]:
         # The key depends on the job alone: sort by it in C, no rank() per job.
         return sorted(jobs, key=_priority)
-
-    def binding(self, task_name: str) -> int:
-        """Processor the task was bound to (after :meth:`prepare`)."""
-        return self._assigned[task_name]

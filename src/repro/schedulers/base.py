@@ -5,7 +5,9 @@ it asks :meth:`Scheduler.eligible` which tasks each unit admits; once per
 dispatch round it asks for the round's dispatch order
 (:meth:`Scheduler.ranked`, by default the ready queue stable-sorted by
 :meth:`Scheduler.rank`); and once per coordination window it hands the
-scheduler the window's metrics (which is where HCPerf's coordinators run).
+scheduler the window's metrics and applies the source rates
+:meth:`Scheduler.on_window` returns (which is where HCPerf's coordinators
+run).
 A baseline implements :meth:`rank`; when its key depends on the job alone it
 also overrides :meth:`ranked` to sort by that key directly.
 
@@ -60,8 +62,9 @@ class Scheduler:
     def prepare(self, graph: TaskGraph, n_processors: int) -> None:
         """One-time setup before the simulation starts.
 
-        Policies that bind tasks to processors (Apollo) or derive virtual
-        deadlines (EDF-VD) do so here.
+        Policies that partition tasks over processors (Apollo) or derive
+        virtual deadlines (EDF-VD) do so here, in their own state: the
+        graph is the caller's and is never written.
         """
 
     def rank(self, job: Job, now: float, view: SystemView) -> float:
@@ -88,16 +91,16 @@ class Scheduler:
         """Whether jobs of ``task`` may be dispatched to ``processor``.
 
         Placement is fixed for a run: the executor asks once per (unit,
-        task) pair, right after :meth:`prepare` (so Apollo's bindings are
+        task) pair, right after :meth:`prepare` (so Apollo's partition is
         in), and each free processor then takes the first job of the
         round's ranking whose task it admits.  So every policy — EDF, HPF,
         HCPerf and the rest — is affinity-aware on typed
         :class:`~repro.rt.resources.ProcessorProfile` platforms through
-        this one check.  The base rule admits a task iff the processor
-        satisfies its static binding *and* its typed-unit affinity set;
-        policies that want stricter placement (e.g. reserving accelerators)
-        override this, never the other way around — a job must never run
-        on a unit outside its affinity set (pinned by the property suite).
+        this one check.  The base rule admits a task iff the processor's
+        type is in its affinity set; policies that want stricter placement
+        (Apollo's static binding, reserving accelerators) override this,
+        never the other way around — a job must never run on a unit
+        outside its affinity set (pinned by the property suite).
         Availability is not placement: a failed unit keeps its row and
         simply takes no job while it is down.
         """
@@ -110,15 +113,15 @@ class Scheduler:
         every job in the round is ranked under the same coefficient.
         """
 
-    def on_window(self, now: float, view: SystemView, window: WindowSample) -> None:
-        """Called once per coordination window with that window's metrics."""
+    def on_window(
+        self, now: float, view: SystemView, window: WindowSample
+    ) -> Optional[Dict[str, float]]:
+        """Called once per coordination window with that window's metrics.
 
-    def desired_rates(self) -> Optional[Dict[str, float]]:
-        """New source rates requested by the policy, or ``None`` to keep.
-
-        The executor reads this after each :meth:`on_window` call and applies
-        the returned rates (clamped to each task's allowable range).  Only
-        HCPerf's external coordinator uses this.
+        Returns the new source rates the policy requests, or ``None`` to
+        keep them; the executor applies them at once, each clamped to its
+        task's allowable range.  Only HCPerf's external coordinator
+        requests rates.
         """
         return None
 

@@ -92,8 +92,11 @@ class HCPerfScheduler(Scheduler):
         self.gamma_history: List[Tuple[float, float]] = []
         self.overload_rounds = 0
         self._gamma = 0.0
-        self._desired_rates: Optional[Dict[str, float]] = None
         self._windows_seen = 0
+        # The view last seen and its queue's live list (never rebound), so a
+        # round reads the list without a property call.
+        self._view: Optional[SystemView] = None
+        self._queued: Sequence[Job] = ()
 
     # ------------------------------------------------------------------
     # Driving-performance input
@@ -123,9 +126,11 @@ class HCPerfScheduler(Scheduler):
         # Internal coordinator: γ_max search + Eq. (12) clamp of the current
         # nominal u.  The bound estimate is fetched each round, never cached,
         # so a method patched onto the observer's class sees every call.
+        if view is not self._view:
+            self._view, self._queued = view, view.ready.queued
         result = self.policy.resolve(
             self.mfc.u,
-            view.ready.queued,
+            self._queued,
             now,
             view.observer.estimate,
             view.busy_remaining(now),
@@ -157,7 +162,9 @@ class HCPerfScheduler(Scheduler):
         key = cast("Callable[[Job], float]", partial(next, iter(keys)))
         return sorted(jobs, key=key)
 
-    def on_window(self, now: float, view: SystemView, window: WindowSample) -> None:
+    def on_window(
+        self, now: float, view: SystemView, window: WindowSample
+    ) -> Optional[Dict[str, float]]:
         self._windows_seen += 1
         observer = view.observer
         if self._windows_seen <= self.drift_warmup_windows:
@@ -171,13 +178,12 @@ class HCPerfScheduler(Scheduler):
             self.recorder.controller(now, u, self.mfc.f_hat)
         if not self.config.enable_external:
             # Ablation (Fig. 18): internal coordinator only, no rate step.
-            self._desired_rates = None
-            return
+            return None
         # External coordinator: one Task Rate Adapter step.
         adapter = self.rate_adapter
         resets_before = adapter.resets
         drift = observer.max_drift()
-        self._desired_rates = adapter.update(
+        rates = adapter.update(
             window.miss_ratio, dict(view.rates), drift=drift, utilization=window.utilization
         )
         if drift > self.config.rate.drift_reset_threshold:
@@ -187,7 +193,4 @@ class HCPerfScheduler(Scheduler):
             self.recorder.rate_adapter(
                 now, window.miss_ratio, adapter.kp, reset=adapter.resets > resets_before
             )
-
-    def desired_rates(self) -> Optional[Dict[str, float]]:
-        rates, self._desired_rates = self._desired_rates, None
         return rates

@@ -129,6 +129,7 @@ class _Row:
     rate: Optional[float] = None
     rate_range: Optional[Tuple[float, float]] = None
     criticality: Criticality = Criticality.LOW
+    #: Detection stage that runs on the GPU (typed by heterogeneous_task_graph).
     uses_gpu: bool = False
 
 
@@ -289,7 +290,6 @@ def full_task_graph(
                 rate=row.rate,
                 rate_range=row.rate_range,
                 criticality=row.criticality,
-                uses_gpu=row.uses_gpu,
             )
         )
     for src, dst in _FIG11_EDGES:
@@ -301,13 +301,12 @@ def full_task_graph(
 
 def heterogeneous_task_graph(
     fusion_model: Optional[ExecutionTimeModel] = None,
-    gpu_speedup: float = 3.0,
 ) -> TaskGraph:
     """The Fig. 11 graph with its GPU stages typed for a CPU+GPU platform.
 
-    The two ``uses_gpu`` detectors (camera/lidar object detection) become
-    GPU-affine — they may only run on ``GPU`` units, where they execute
-    ``gpu_speedup``× faster than their calibrated CPU-side cost.  Every
+    The two ``uses_gpu`` detector rows (camera/lidar object detection)
+    become GPU-affine — they may only run on ``GPU`` units, where they
+    execute 3× faster than their calibrated CPU-side cost.  Every
     other task is pinned to the ``CPU`` class, modelling the §VI platform
     note: the accelerator runs inference kernels, the CPU cluster runs the
     rest of the pipeline.  Pair with a typed
@@ -316,13 +315,12 @@ def heterogeneous_task_graph(
     (``TaskGraph.validate`` does not check platform compatibility — the
     executor simply never dispatches them).
     """
-    if gpu_speedup <= 0:
-        raise ValueError("gpu_speedup must be positive")
     g = full_task_graph(fusion_model=fusion_model)
-    for spec in g:
-        if spec.uses_gpu:
+    for row in _FIG11_ROWS:
+        spec = g.task(row.name)
+        if row.uses_gpu:
             spec.affinity = frozenset({"GPU"})
-            spec.speedup = {"GPU": float(gpu_speedup)}
+            spec.speedup = {"GPU": 3.0}
         else:
             spec.affinity = frozenset({"CPU"})
     return g

@@ -60,8 +60,9 @@ class Scenario:
         ``"car_following"`` or ``"lane_keeping"`` — selects the runner's
         plant wiring.
     graph_factory:
-        Builds a fresh task graph per run (graphs are mutated by schedulers
-        that bind tasks, so they cannot be shared across runs).
+        Builds the task graph for a run.  Schedulers never write to it
+        (placement is their own state), but fault injection wraps execution
+        models on the run's graph, so each run gets a fresh one.
     plant_factory:
         Builds a fresh vehicle plant per run; takes the run seed so noisy
         plants differ across seeds but not across schedulers.

@@ -39,12 +39,11 @@ def cam_graph():
     return g
 
 
-def view(jobs=(), n_processors=2, observer=None, graph=None):
+def view(jobs=(), n_processors=2, observer=None):
     q = ReadyQueue()
     for j in jobs:
         q.push(j)
     return SystemView(
-        graph=graph or cam_graph(),
         ready=q,
         processors=[ProcessorState(i) for i in range(n_processors)],
         observer=observer or ExecTimeObserver(),
@@ -121,8 +120,7 @@ class TestExternalCoordinator:
     def test_adapt_rates_disabled_returns_none(self):
         rec = Recorder()
         s = scheduler(HCPerfConfig(enable_external=False), recorder=rec)
-        s.on_window(0.5, view(), window(miss=0.1))
-        assert s.desired_rates() is None
+        assert s.on_window(0.5, view(), window(miss=0.1)) is None
         assert s.rate_adapter.kp == s.config.rate.kp_initial
         assert rec.by_kind("rate_adapter") == []
         assert len(rec.by_kind("controller")) == 1
@@ -130,8 +128,7 @@ class TestExternalCoordinator:
     def test_adapt_rates_applies_update(self):
         rec = Recorder()
         s = scheduler(recorder=rec)
-        s.on_window(0.5, view(), window(miss=0.0, util=0.4))
-        out = s.desired_rates()
+        out = s.on_window(0.5, view(), window(miss=0.0, util=0.4))
         assert out is not None and out["cam"] > 20.0
         (event,) = rec.by_kind("rate_adapter")
         assert event.kp == s.rate_adapter.kp and not event.reset

@@ -55,7 +55,7 @@ GOLDEN_JSON = """\
     {
       "col": 5,
       "line": 7,
-      "message": "TypoPolicy.on_windows looks like an executor hook but is not one (known hooks: desired_rates, eligible, on_dispatch_round, on_window, prepare, rank, ranked); it would never be called",
+      "message": "TypoPolicy.on_windows looks like an executor hook but is not one (known hooks: eligible, on_dispatch_round, on_window, prepare, rank, ranked); it would never be called",
       "path": "repro/schedulers/bad_policy.py",
       "rule": "HC003",
       "severity": "error"

@@ -9,9 +9,10 @@ pin that this changes nothing:
   ``Scheduler.eligible(task, processor)``, picks processor by processor
   exactly the job that a per-processor stable ``min(key)`` over the jobs
   the policy admits, asked job by job, picks — the dispatch rule the walk
-  replaced, re-implemented here — under the base rule, Apollo's bindings
-  (out-of-range ones included) and a policy that narrows placement, on
-  typed units some of which are unavailable;
+  replaced, re-implemented here — under the base rule, Apollo's
+  partition, static bindings (to units that are down or do not exist
+  included) and a policy that narrows placement, on typed units some of
+  which are unavailable;
 * ``ranked`` is the queue stable-sorted by ``rank``, job for job, for every
   registered policy (HCPerf after its ``on_dispatch_round``), with exact
   key ties across tasks and jobs of a task the policy was never prepared
@@ -92,6 +93,18 @@ class GPUForFirstTask(Scheduler):
         return super().eligible(task, processor)
 
 
+class Pinned(Scheduler):
+    """Static binding through ``eligible``: a task it names runs on that unit only."""
+
+    def __init__(self, binding):
+        self._binding = binding
+
+    def eligible(self, task, processor):
+        if self._binding.get(task.name, processor.index) != processor.index:
+            return False
+        return super().eligible(task, processor)
+
+
 def placement_table(policy, tasks, units):
     """The executor's per-run table: unit index -> names of admitted tasks."""
     return {p.index: frozenset(t.name for t in tasks if policy.eligible(t, p)) for p in units}
@@ -131,17 +144,16 @@ def dispatch_rounds(draw):
             relative_deadline=0.1,
             exec_model=ConstantExecTime(0.01),
             rate=10.0,
-            # Static binding, sometimes to a processor that is not free this
-            # round or does not exist (Apollo wraps those modulo the units).
-            processor_binding=draw(st.one_of(st.none(), st.integers(0, 5))),
             affinity=draw(st.sampled_from(AFFINITIES)),
         )
         for i in range(n_tasks)
     ]
+    # Static binding, sometimes to a processor that is not free this round
+    # or does not exist.
+    bound = [draw(st.one_of(st.none(), st.integers(0, 5))) for _ in tasks]
+    binding = {spec.name: b for spec, b in zip(tasks, bound) if b is not None}
     policy = draw(
-        st.sampled_from(
-            [Scheduler, ApolloScheduler, lambda: ApolloScheduler(False), GPUForFirstTask]
-        )
+        st.sampled_from([Scheduler, ApolloScheduler, lambda: Pinned(binding), GPUForFirstTask])
     )()
     graph = TaskGraph()
     for spec in tasks:
@@ -175,8 +187,8 @@ def test_ranked_walk_matches_per_processor_stable_min(round_):
     picked = [(procs[i], job) for i, job in expected if job is not None]
     assert all(job not in queue for _, job in picked)
     # Placement never widens the base rule: no job lands outside its
-    # task's binding or affinity set.
-    assert all(proc.can_run(job.task) for proc, job in picked)
+    # task's affinity set, or where the policy does not admit it.
+    assert all(proc.can_run(job.task) and policy.eligible(job.task, proc) for proc, job in picked)
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +287,6 @@ def test_ranked_is_the_stable_sort_by_rank(name, u, now, releases, observed):
     for task, release, exec_time in releases:
         queue.push(Job(task=specs[task], release_time=release, exec_time=exec_time))
     view = SystemView(
-        graph=graph,
         ready=queue,
         processors=[ProcessorState(i) for i in range(n_procs)],
         observer=observer,
@@ -400,7 +411,6 @@ def test_hcperf_ranked_is_the_stable_sort_by_rank(queue_rows, data, rewrite):
     for job in jobs:
         queue.push(job)
     view = SystemView(
-        graph=TaskGraph(),
         ready=queue,
         processors=[ProcessorState(i) for i in range(n_p)],
         observer=ExecTimeObserver(),

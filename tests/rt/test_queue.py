@@ -4,11 +4,21 @@ from repro.rt import ConstantExecTime, Job, ProcessorState, ReadyQueue, TaskSpec
 from repro.schedulers import Scheduler
 
 
+class Pinned(Scheduler):
+    """Binds the tasks it names to one processor each, as Apollo does."""
+
+    binding = {"bound": 0, "b": 2}
+
+    def eligible(self, task, processor):
+        bound = self.binding.get(task.name, processor.index)
+        return bound == processor.index and super().eligible(task, processor)
+
+
 def runs_on(q, index):
     """Processor ``index``'s row of the executor's placement table, over
-    the tasks queued in ``q``: the names ``Scheduler.eligible`` admits."""
+    the tasks queued in ``q``: the names ``Pinned.eligible`` admits."""
     proc = ProcessorState(index=index)
-    return frozenset(j.task.name for j in q if Scheduler().eligible(j.task, proc))
+    return frozenset(j.task.name for j in q if Pinned().eligible(j.task, proc))
 
 
 def anywhere(q):
@@ -20,13 +30,12 @@ def ranked(q, key):
     return sorted(q.queued, key=key)
 
 
-def job(name="t", priority=1, release=0.0, exec_time=0.01, deadline=0.1, binding=None):
+def job(name="t", priority=1, release=0.0, exec_time=0.01, deadline=0.1):
     spec = TaskSpec(
         name=name,
         priority=priority,
         relative_deadline=deadline,
         exec_model=ConstantExecTime(exec_time),
-        processor_binding=binding,
     )
     return Job(task=spec, release_time=release, exec_time=exec_time)
 
@@ -74,7 +83,7 @@ class TestPopBest:
 
     def test_pop_best_respects_binding(self):
         q = ReadyQueue()
-        bound = job("bound", priority=1, binding=0)
+        bound = job("bound", priority=1)
         free = job("free", priority=5)
         q.push(bound)
         q.push(free)
@@ -89,7 +98,7 @@ class TestPopBest:
 
     def test_pop_best_no_eligible_returns_none(self):
         q = ReadyQueue()
-        q.push(job("bound", binding=0))
+        q.push(job("bound"))
         assert q.pop_best(list(q), runs_on(q, 3)) is None
         assert len(q) == 1
 
@@ -98,7 +107,7 @@ class TestEligible:
     def test_eligible_includes_unbound(self):
         q = ReadyQueue()
         a = job("a")
-        b = job("b", binding=2)
+        b = job("b")
         q.push(a)
         q.push(b)
         assert runs_on(q, 2) == {"a", "b"}

@@ -21,9 +21,10 @@ from repro.schedulers import Scheduler
 
 TASKS = [
     TaskSpec(f"t{i}", priority=i, relative_deadline=d, exec_model=ConstantExecTime(0.01),
-             processor_binding=b)
-    for i, (d, b) in enumerate([(0.05, None), (0.1, 0), (0.3, None), (0.1, 1)])
+             affinity=a)
+    for i, (d, a) in enumerate([(0.05, None), (0.1, {"GPU"}), (0.3, None), (0.1, {"CPU"})])
 ]
+UNIT_TYPES = ("CPU", "GPU", "NPU")
 GRID = [i * 0.05 for i in range(12)]
 OPS = ("push", "push", "push", "remove", "pop_best", "drop_expired", "bounded_push")
 
@@ -68,7 +69,7 @@ def test_bookkeeping_matches_brute_force(data):
             shadow.remove(job)
         elif op == "pop_best":
             order = draw(st.permutations(shadow))
-            proc = ProcessorState(draw(st.integers(min_value=0, max_value=2)))
+            proc = ProcessorState(0, unit_type=draw(st.sampled_from(UNIT_TYPES)))
             eligible = [j for j in order if proc.can_run(j.task)]
             admits = frozenset(t.name for t in TASKS if Scheduler().eligible(t, proc))
             picked = queue.pop_best(list(order), admits)

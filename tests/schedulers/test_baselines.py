@@ -1,5 +1,7 @@
 """Unit tests for the four baseline scheduling policies."""
 
+import dataclasses
+
 import pytest
 
 from repro.rt import (
@@ -7,6 +9,7 @@ from repro.rt import (
     Criticality,
     ExecTimeObserver,
     Job,
+    ProcessorState,
     ReadyQueue,
     TaskGraph,
     TaskSpec,
@@ -22,7 +25,7 @@ from repro.schedulers import (
 )
 
 
-def spec(name, priority=1, deadline=0.1, rate=None, crit=Criticality.LOW, binding=None):
+def spec(name, priority=1, deadline=0.1, rate=None, crit=Criticality.LOW, affinity=None):
     return TaskSpec(
         name=name,
         priority=priority,
@@ -30,7 +33,7 @@ def spec(name, priority=1, deadline=0.1, rate=None, crit=Criticality.LOW, bindin
         exec_model=ConstantExecTime(0.01),
         rate=rate,
         criticality=crit,
-        processor_binding=binding,
+        affinity=affinity,
     )
 
 
@@ -38,15 +41,7 @@ def job(task_spec, release=0.0):
     return Job(task=task_spec, release_time=release, exec_time=0.01)
 
 
-def empty_view():
-    g = TaskGraph()
-    g.add_task(spec("src", rate=10.0))
-    return SystemView(
-        graph=g, ready=ReadyQueue(), processors=[], observer=ExecTimeObserver(), rates={}
-    )
-
-
-VIEW = empty_view()
+VIEW = SystemView(ready=ReadyQueue(), processors=[], observer=ExecTimeObserver(), rates={})
 
 
 class TestHPF:
@@ -114,27 +109,37 @@ class TestApollo:
         g.add_edge("mid", "sink")
         return g
 
+    @staticmethod
+    def units_admitting(s, task, n_processors):
+        return [i for i in range(n_processors) if s.eligible(task, ProcessorState(i))]
+
     def test_prepare_binds_every_task(self):
         g = self.make_graph()
         s = ApolloScheduler()
         s.prepare(g, 2)
         for t in g:
-            assert t.processor_binding in (0, 1)
-            assert s.binding(t.name) == t.processor_binding
+            assert len(self.units_admitting(s, t, 2)) == 1
 
-    def test_prepare_respects_existing_bindings(self):
+    def test_eligible_also_applies_affinity(self):
         g = self.make_graph()
-        g.task("mid").processor_binding = 1
+        g.add_task(spec("gpu_stage", affinity={"GPU"}))
+        g.add_edge("mid", "gpu_stage")
         s = ApolloScheduler()
         s.prepare(g, 2)
-        assert s.binding("mid") == 1
+        units = [ProcessorState(i, unit_type=u) for i in range(2) for u in ("CPU", "GPU")]
+        for t in g:
+            # One unit index per task, and there only the unit types its
+            # affinity names.
+            (bound,) = {p.index for p in units if s.eligible(t, p)}
+            for p in units:
+                assert s.eligible(t, p) == (p.index == bound and p.can_run(t))
 
-    def test_prepare_can_override_existing_bindings(self):
+    def test_prepare_leaves_the_graph_untouched(self):
         g = self.make_graph()
-        g.task("mid").processor_binding = 7  # out of range on purpose
-        s = ApolloScheduler(respect_existing_bindings=False)
+        before = [dataclasses.astuple(t) for t in g]
+        s = ApolloScheduler()
         s.prepare(g, 2)
-        assert s.binding("mid") in (0, 1)
+        assert [dataclasses.astuple(t) for t in g] == before
 
     def test_greedy_binding_balances_load(self):
         # One heavy task and several light ones: the heavy task should be
@@ -152,8 +157,10 @@ class TestApollo:
             g.add_edge("heavy", f"light{i}")
         s = ApolloScheduler()
         s.prepare(g, 2)
-        heavy_proc = s.binding("heavy")
-        light_procs = {s.binding(f"light{i}") for i in range(4)}
+        (heavy_proc,) = self.units_admitting(s, g.task("heavy"), 2)
+        light_procs = {
+            proc for i in range(4) for proc in self.units_admitting(s, g.task(f"light{i}"), 2)
+        }
         assert light_procs == {1 - heavy_proc}
 
     def test_rank_is_static_priority(self):

@@ -42,7 +42,6 @@ def make_view(graph, jobs=()):
     for j in jobs:
         q.push(j)
     return SystemView(
-        graph=graph,
         ready=q,
         processors=[ProcessorState(0), ProcessorState(1)],
         observer=ExecTimeObserver(),
@@ -101,12 +100,12 @@ class TestWindowFlow:
         s.prepare(g, 2)
         view = make_view(g)
         s.report_performance(0.1, 0.5)
-        s.on_window(0.5, view, window(miss=0.0, util=0.4))
-        rates = s.desired_rates()
+        rates = s.on_window(0.5, view, window(miss=0.0, util=0.4))
         assert rates is not None
         assert rates["src"] > 20.0  # epsilon pushes up
-        # One-shot: a second read returns None.
-        assert s.desired_rates() is None
+        # Each window returns a request of its own.
+        again = s.on_window(1.0, view, window(miss=0.0, util=0.4, t=1.0))
+        assert again is not rates and again["src"] > 20.0
 
     def test_ablated_external_returns_no_rates(self):
         g = make_graph()
@@ -114,8 +113,7 @@ class TestWindowFlow:
         s.prepare(g, 2)
         view = make_view(g)
         s.report_performance(0.1, 0.5)
-        s.on_window(0.5, view, window())
-        assert s.desired_rates() is None
+        assert s.on_window(0.5, view, window()) is None
 
     def test_overloaded_window_reduces_rates(self):
         g = make_graph()
@@ -125,8 +123,7 @@ class TestWindowFlow:
         s.prepare(g, 2)
         view = make_view(g)
         s.report_performance(0.1, 0.5)
-        s.on_window(0.5, view, window(miss=0.5, util=0.99))
-        rates = s.desired_rates()
+        rates = s.on_window(0.5, view, window(miss=0.5, util=0.99))
         assert rates["src"] < 20.0
 
     def test_first_window_marks_observer_stable(self):

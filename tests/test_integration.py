@@ -4,13 +4,15 @@ Short horizons — these verify the wiring holds everywhere, not the paper
 claims (the experiment tests and benches do that).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.runner import DEFAULT_SCHEMES, run_scenario
 from repro.obs.invariants import check_recording
 from repro.obs.recorder import Recorder
 from repro.rt import RTExecutor, SimConfig
-from repro.schedulers import make_scheduler
+from repro.schedulers import SCHEDULERS, make_scheduler
 from repro.workloads import SCENARIOS, full_task_graph
 
 
@@ -48,11 +50,33 @@ def test_full_graph_trace_invariants(scheme):
     executor.recorder = rec
     executor.run()
     assert check_recording(rec) == []
-    # Apollo binding: every recorded execution ran on the bound processor.
+    # Apollo binding: every recorded execution ran on the one unit its
+    # task is bound to.
     if scheme == "Apollo":
+        admits = executor.scheduler.eligible
         for span in rec.spans():
-            bound = executor.graph.task(span.task).processor_binding
-            assert span.processor == bound
+            task = executor.graph.task(span.task)
+            assert [p.index for p in executor.processors if admits(task, p)] == [span.processor]
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEDULERS))
+def test_runs_leave_the_task_graph_unchanged(scheme):
+    """Placement and rates are the scheduler's and the executor's state,
+    never written into the caller's graph."""
+    graph = full_task_graph()
+    before = [dataclasses.astuple(spec) for spec in graph]
+    config = SimConfig(n_processors=2, horizon=2.0, coordination_period=0.5, seed=0)
+    RTExecutor(graph, make_scheduler(scheme), config).run()
+    assert [dataclasses.astuple(spec) for spec in graph] == before
+
+
+def test_a_graph_apollo_ran_on_runs_edf_as_a_fresh_one():
+    scenario = SCENARIOS["fig13"](horizon=HORIZON)
+    fresh = run_scenario(scenario, "EDF", seed=0).to_dict()
+    graph = scenario.graph_factory()
+    reused = dataclasses.replace(scenario, graph_factory=lambda: graph)
+    run_scenario(reused, "Apollo", seed=0)
+    assert run_scenario(reused, "EDF", seed=0).to_dict() == fresh
 
 
 def test_hcperf_gamma_stays_within_cap():

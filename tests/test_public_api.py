@@ -34,9 +34,8 @@ class TestPublicAPI:
         assert result.overall_miss_ratio() <= 0.1
 
     def test_scheduler_registry_exported(self):
-        # The paper's five schemes plus extra reference baselines.
-        assert {"HPF", "EDF", "EDF-VD", "Apollo", "HCPerf"} <= set(repro.SCHEDULERS)
-        assert {"RM", "FIFO"} <= set(repro.SCHEDULERS)
+        # The paper's five schemes.
+        assert set(repro.SCHEDULERS) == {"HPF", "EDF", "EDF-VD", "Apollo", "HCPerf"}
 
     def test_scenario_registry_exported(self):
         assert "fig13" in repro.SCENARIOS

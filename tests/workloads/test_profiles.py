@@ -11,7 +11,11 @@ from repro.workloads import (
     motivation_graph,
     scene_coupled_fusion_model,
 )
-from repro.workloads.profiles import effective_rates, estimated_utilization
+from repro.workloads.profiles import (
+    effective_rates,
+    estimated_utilization,
+    heterogeneous_task_graph,
+)
 
 
 class TestMotivationGraph:
@@ -91,9 +95,14 @@ class TestFullGraph:
         assert g.task(FUSION_TASK).exec_model.value == 0.5
 
     def test_gpu_flags(self):
-        g = full_task_graph()
-        assert g.task("camera_object_detection").uses_gpu
-        assert not g.task(FUSION_TASK).uses_gpu
+        # The Fig. 11 rows' GPU stages become GPU-affine on the typed graph,
+        # 3x faster there; every other task runs on the CPU class.
+        g = heterogeneous_task_graph()
+        gpu = {t.name for t in g if t.affinity == {"GPU"}}
+        assert gpu == {"camera_object_detection", "lidar_object_detection"}
+        assert all(g.task(name).speedup == {"GPU": 3.0} for name in gpu)
+        assert all(t.affinity == {"CPU"} and t.speedup is None for t in g if t.name not in gpu)
+        assert all(t.affinity is None for t in full_task_graph())
 
 
 class TestFusionModels:
